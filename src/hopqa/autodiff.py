@@ -568,6 +568,105 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 
 
 # ---------------------------------------------------------------------------
+# recurrence
+
+
+def gru(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
+        mask: np.ndarray | None = None, reverse: bool = False) -> Tensor:
+    """One GRU direction over axis -2 as a single graph node.
+
+    Weights are stacked in gate order ``[z | r | n]``: ``w_x`` is in x 3h,
+    ``w_h`` is h x 3h and ``b`` is 3h. Per step, from h = 0:
+    z = sigmoid(x_t W_xz + b_z + h W_hz), r likewise, n = tanh(x_t W_xn +
+    b_n + (r * h) W_hn), h' = (1 - z) * h + z * n. With ``mask`` (..., T)
+    the state becomes h + m_t * (h' - h), so padded steps copy h through.
+    ``reverse`` runs from the last step to the first. The output holds the
+    state after each step, in position order: (..., T, h).
+
+    The input projection is one matmul for the whole sequence; the
+    backward walks the steps once in reverse, collects the pre-activation
+    gradients in one (..., T, 3h) buffer and turns them into the input and
+    weight gradients with batched matmuls after the loop.
+    """
+    if x.ndim < 2:
+        raise ShapeError(f"gru: input must be at least rank 2, got {x.shape}")
+    hid = w_h.shape[0]
+    if w_h.shape != (hid, 3 * hid) or w_x.shape != (x.shape[-1], 3 * hid) \
+            or b.shape != (3 * hid,):
+        raise ShapeError(f"gru: stacked weights {w_x.shape}, {w_h.shape}, {b.shape} do not "
+                         f"fit input width {x.shape[-1]}")
+    t_len = x.shape[-2]
+    m = None
+    if mask is not None:
+        m = np.asarray(mask)
+        if m.shape != x.shape[:-1]:
+            raise ShapeError(f"gru: mask shape {m.shape} != sequence shape {x.shape[:-1]}")
+    xp = x.data @ w_x.data + b.data                      # (..., T, 3h)
+    dtype = np.result_type(xp, w_h.data)
+    if m is not None:
+        m = m.astype(dtype)[..., None]                   # (..., T, 1)
+    wh_zr, wh_n = w_h.data[:, :2 * hid], w_h.data[:, 2 * hid:]
+    tracking = _tracking(x, w_x, w_h, b)
+    out = np.empty(x.shape[:-1] + (hid,), dtype=dtype)
+    gates = np.empty(xp.shape, dtype=dtype) if tracking else None
+    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    h = np.zeros(x.shape[:-2] + (hid,), dtype=dtype)
+    for t in steps:
+        xt = xp[..., t, :]
+        zr = _stable_sigmoid(xt[..., :2 * hid] + h @ wh_zr)
+        z, r = zr[..., :hid], zr[..., hid:]
+        n = np.tanh(xt[..., 2 * hid:] + (r * h) @ wh_n)
+        h_new = (1.0 - z) * h + z * n
+        h = h_new if m is None else h + m[..., t, :] * (h_new - h)
+        out[..., t, :] = h
+        if tracking:
+            gates[..., t, :2 * hid] = zr
+            gates[..., t, 2 * hid:] = n
+    if not tracking:
+        return Tensor(out)
+
+    def bwd(g):
+        # state entering each step: the output of the step before it
+        h_prev = np.zeros_like(out)
+        if reverse:
+            h_prev[..., :-1, :] = out[..., 1:, :]
+        else:
+            h_prev[..., 1:, :] = out[..., :-1, :]
+        z, r, n = gates[..., :hid], gates[..., hid:2 * hid], gates[..., 2 * hid:]
+        # local derivatives that do not depend on the incoming gradient,
+        # for all steps at once: a_z, a_n per unit of dh', a_r per unit of d(r*h)
+        dz_da = (n - h_prev) * z * (1.0 - z)
+        dn_da = z * (1.0 - n * n)
+        dr_da = h_prev * r * (1.0 - r)
+        keep = 1.0 - z
+        da = np.empty(gates.shape, dtype=np.result_type(g, gates))
+        wh_zr_t, wh_n_t = wh_zr.T, wh_n.T
+        dh = np.zeros(out.shape[:-2] + (hid,), dtype=da.dtype)
+        for t in reversed(steps):
+            dh = dh + g[..., t, :]
+            if m is None:
+                dh_new, dh = dh, 0.0
+            else:
+                dh_new, dh = m[..., t, :] * dh, (1.0 - m[..., t, :]) * dh
+            da_t = da[..., t, :]
+            da_t[..., :hid] = dh_new * dz_da[..., t, :]
+            da_t[..., 2 * hid:] = dh_new * dn_da[..., t, :]
+            d_rh = da_t[..., 2 * hid:] @ wh_n_t
+            da_t[..., hid:2 * hid] = d_rh * dr_da[..., t, :]
+            dh = dh + dh_new * keep[..., t, :] + d_rh * r[..., t, :] + da_t[..., :2 * hid] @ wh_zr_t
+        flat = da.reshape(-1, 3 * hid)
+        dw_h = np.concatenate(
+            [h_prev.reshape(-1, hid).T @ flat[:, :2 * hid],
+             (r * h_prev).reshape(-1, hid).T @ flat[:, 2 * hid:]], axis=1)
+        _accum(x, da @ w_x.data.T)
+        _accum(w_x, x.data.reshape(-1, x.shape[-1]).T @ flat)
+        _accum(w_h, dw_h)
+        _accum(b, flat.sum(axis=0))
+
+    return _make(out, (x, w_x, w_h, b), bwd)
+
+
+# ---------------------------------------------------------------------------
 # reverse pass
 
 
@@ -595,10 +694,16 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every reachable requires_grad leaf.
 
     Gradients accumulate additively when a tensor feeds several consumers.
+    Interior (non-leaf) gradients are recomputed from scratch on every
+    call, so calling ``backward`` again after clearing the leaves' grads
+    gives the same result.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward: loss must be a scalar, got shape {loss.shape}")
     order = _toposort(loss)
+    for node in order:
+        if node._backward is not None:
+            node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None:

@@ -4,6 +4,11 @@ All layers are parameter bundles plus pure forward functions; nothing here
 holds per-call state, so bundles can be shared read-only between optimizer
 steps. Forward functions accept either single-sequence inputs (T x ...) or
 batched ones (B x T x ...): every op works on the trailing axes.
+
+Each BiGRU direction is one ``ad.gru`` graph node whatever the sequence
+length: its per-gate weights are stacked in gate order ``[z | r | n]`` by
+three small concat nodes, and the recurrence and its backward through time
+run inside the op.
 """
 
 from __future__ import annotations
@@ -179,7 +184,10 @@ def highway(x: Tensor, p: HighwayParams) -> Tensor:
 @dataclass
 class GruCellParams:
     """One direction of a GRU: update (z), reset (r) and candidate (n)
-    weights for the input and hidden paths, plus biases."""
+    weights for the input and hidden paths, plus biases.
+
+    The nine per-gate tensors are the parameters (and checkpoint entries);
+    ``stacked`` joins them in gate order ``[z | r | n]`` for ``ad.gru``."""
 
     wx_z: Tensor
     wx_r: Tensor
@@ -201,9 +209,11 @@ class GruCellParams:
                    wh_z=wh(), wh_r=wh(), wh_n=wh(),
                    b_z=b(), b_r=b(), b_n=b())
 
-    @property
-    def hidden(self) -> int:
-        return self.wh_z.shape[0]
+    def stacked(self) -> tuple[Tensor, Tensor, Tensor]:
+        """(w_x in x 3h, w_h h x 3h, b 3h), one concat node each."""
+        return (concat([self.wx_z, self.wx_r, self.wx_n], axis=-1),
+                concat([self.wh_z, self.wh_r, self.wh_n], axis=-1),
+                concat([self.b_z, self.b_r, self.b_n], axis=-1))
 
 
 @dataclass
@@ -218,35 +228,6 @@ class BiGruParams:
                    bw=GruCellParams.create(in_dim, hidden, rng, dtype))
 
 
-def _gru_direction(x: Tensor, p: GruCellParams, steps: list[int],
-                   step_masks: list[np.ndarray] | None) -> list[Tensor]:
-    """Run one GRU direction over the time axis (axis -2 of the last three).
-
-    ``steps`` lists time indices in processing order; masked steps copy the
-    previous hidden state, so padding never enters the recurrence. Returns
-    hidden states indexed by position in ``steps``.
-    """
-    lead = x.shape[:-2]
-    d = p.hidden
-    # input-side projections for the whole sequence at once
-    xz = linear(x, p.wx_z, p.b_z)
-    xr = linear(x, p.wx_r, p.b_r)
-    xn = linear(x, p.wx_n, p.b_n)
-    h = Tensor(np.zeros(lead + (1, d), dtype=x.dtype))
-    states: list[Tensor] = [h] * len(steps)
-    for i, t in enumerate(steps):
-        z = ad.sigmoid(narrow(xz, -2, t, 1) + matmul(h, p.wh_z))
-        r = ad.sigmoid(narrow(xr, -2, t, 1) + matmul(h, p.wh_r))
-        n = ad.tanh(narrow(xn, -2, t, 1) + matmul(r * h, p.wh_n))
-        h_new = (1.0 - z) * h + z * n
-        if step_masks is not None:
-            h = h + Tensor(step_masks[t]) * (h_new - h)   # copy through padding
-        else:
-            h = h_new
-        states[i] = h
-    return states
-
-
 def bigru(x: Tensor, p: BiGruParams, mask: np.ndarray | None = None) -> Tensor:
     """Bidirectional GRU over axis -2; outputs the two directions
     concatenated per position: (..., T, 2 * hidden).
@@ -254,17 +235,8 @@ def bigru(x: Tensor, p: BiGruParams, mask: np.ndarray | None = None) -> Tensor:
     ``mask`` is (..., T) with 1.0 at real positions; padded steps keep the
     previous hidden state in both directions.
     """
-    t_len = x.shape[-2]
-    if t_len < 1:
+    if x.shape[-2] < 1:
         raise ShapeError("bigru: empty sequence")
-    step_masks = None
-    if mask is not None:
-        m = np.asarray(mask, dtype=x.data.dtype)
-        if m.shape != x.shape[:-1]:
-            raise ShapeError(f"bigru: mask shape {m.shape} != sequence shape {x.shape[:-1]}")
-        step_masks = [m[..., t:t + 1, None] for t in range(t_len)]
-    fw_states = _gru_direction(x, p.fw, list(range(t_len)), step_masks)
-    bw_states = _gru_direction(x, p.bw, list(range(t_len - 1, -1, -1)), step_masks)
-    fw_seq = concat(fw_states, axis=-2) if t_len > 1 else fw_states[0]
-    bw_seq = concat(bw_states[::-1], axis=-2) if t_len > 1 else bw_states[0]
-    return concat([fw_seq, bw_seq], axis=-1)
+    fw = ad.gru(x, *p.fw.stacked(), mask=mask)
+    bw = ad.gru(x, *p.bw.stacked(), mask=mask, reverse=True)
+    return concat([fw, bw], axis=-1)

@@ -1,78 +1,12 @@
-"""Gradient-check suites: per-primitive-op and whole-model."""
+"""Whole-model gradient check on a tiny HotpotQA-style batch."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor, constant
 from .data import Batch, build_vocab, examples_from_hotpot_records, make_batches
 from .gradcheck import GradReport, grad_check
 from .model import Model, ModelConfig, joint_loss
-
-
-def _rand(rng, shape, dtype, away_from_zero=False):
-    x = rng.standard_normal(shape)
-    if away_from_zero:
-        x = np.where(np.abs(x) < 0.1, x + 0.25 * np.sign(x + 1e-12), x)
-    return x.astype(dtype)
-
-
-def per_op_checks(dtype, seed: int = 0) -> dict[str, float]:
-    """Worst relative error per primitive op on randomized small shapes."""
-    rng = np.random.default_rng(seed)
-    w = constant(_rand(rng, (7, 3), dtype), dtype=dtype)
-    x = Tensor(_rand(rng, (5, 7), dtype, away_from_zero=True), requires_grad=True)
-    y = Tensor(_rand(rng, (5, 7), dtype), requires_grad=True)
-    col = Tensor(_rand(rng, (5, 1), dtype), requires_grad=True)
-    table = Tensor(_rand(rng, (6, 4), dtype), requires_grad=True)
-    ids = np.array([1, 3, 3, 5])
-    gprobe = constant(_rand(rng, (4, 4), dtype), dtype=dtype)
-    probe = constant(_rand(rng, (5, 3), dtype), dtype=dtype)
-    probe_wide = ad.matmul(probe, ad.transpose(w))
-    labels = np.array([0, 2, 1, 2, 0])
-    blabels = (rng.random((5, 7)) > 0.5).astype(dtype)
-
-    def weighted(t):
-        return ad.reduce_sum(ad.mul(t, probe_wide))
-
-    cases = {
-        "matmul": (lambda: ad.reduce_sum(ad.mul(ad.matmul(x, w), probe)), {"x": x}),
-        "add": (lambda: weighted(ad.add(x, y)), {"x": x, "y": y}),
-        "sub": (lambda: weighted(ad.sub(x, y)), {"x": x, "y": y}),
-        "mul": (lambda: weighted(ad.mul(col, x)), {"col": col, "x": x}),
-        "sigmoid": (lambda: weighted(ad.sigmoid(x)), {"x": x}),
-        "tanh": (lambda: weighted(ad.tanh(x)), {"x": x}),
-        "relu": (lambda: weighted(ad.relu(x)), {"x": x}),
-        "softmax": (lambda: weighted(ad.softmax(x, axis=1)), {"x": x}),
-        "max_reduce": (lambda: ad.reduce_sum(
-            ad.mul(ad.max_reduce(x, axis=1, keepdims=True), col)), {"x": x}),
-        "reduce_sum": (lambda: ad.reduce_sum(ad.mul(ad.reduce_sum(x, axis=1, keepdims=True), col)),
-                       {"x": x}),
-        "reduce_mean": (lambda: ad.reduce_sum(ad.mul(ad.reduce_mean(x, axis=1, keepdims=True), col)),
-                        {"x": x}),
-        "concat": (lambda: ad.reduce_sum(ad.mul(
-            ad.concat([x, y], axis=1), ad.concat([probe_wide, probe_wide], axis=1))),
-            {"x": x, "y": y}),
-        "narrow": (lambda: ad.reduce_sum(ad.mul(ad.narrow(x, 1, 2, 3), probe)), {"x": x}),
-        "transpose": (lambda: ad.reduce_sum(ad.mul(ad.transpose(x), ad.transpose(probe_wide))),
-                      {"x": x}),
-        "reshape": (lambda: ad.reduce_sum(ad.mul(ad.reshape(x, (7, 5)),
-                                                 ad.reshape(probe_wide, (7, 5)))), {"x": x}),
-        "broadcast_to": (lambda: weighted(ad.broadcast_to(col, (5, 7))), {"col": col}),
-        "gather_rows": (lambda: ad.reduce_sum(ad.mul(ad.gather_rows(table, ids), gprobe)),
-                        {"table": table}),
-        "cross_entropy": (lambda: ad.cross_entropy(x, labels, reduction="mean"), {"x": x}),
-        "binary_cross_entropy": (lambda: ad.binary_cross_entropy(x, blabels, reduction="mean"),
-                                 {"x": x}),
-        "dropout": (lambda: weighted(ad.dropout(x, 0.3, training=True,
-                                                rng=np.random.default_rng(123))), {"x": x}),
-    }
-    results = {}
-    for name, (f, params) in cases.items():
-        report = grad_check(f, params, rng=np.random.default_rng(seed + 1))
-        results[name] = report.worst_rel_err
-    return results
 
 
 def tiny_batch(n_sentences: int = 2) -> Batch:

@@ -393,3 +393,16 @@ def test_reduce_mean_gradient():
     x = parameter([1.0, 3.0, 5.0, 7.0])
     backward(reduce_mean(x))
     assert np.allclose(x.grad, 0.25)
+
+
+def test_backward_twice_gives_same_leaf_grads():
+    # l = sum((x@w)^2) with x = [1, 2], w = [1, 1]: x@w = 3, dl/dw = 2*3*x = [6, 12]
+    x = constant([[1.0, 2.0]])
+    w = parameter([[1.0], [1.0]])
+    y = matmul(x, w)
+    loss = reduce_sum(ad.mul(y, y))
+    backward(loss)
+    assert w.grad.ravel().tolist() == [6.0, 12.0]
+    w.grad = None
+    backward(loss)
+    assert w.grad.ravel().tolist() == [6.0, 12.0]

@@ -50,6 +50,12 @@ def test_primitive_ops_pass_grad_check(dtype):
     labels = np.array([0, 2, 1, 2, 0])
     blabels = (rng.random((5, 7)) > 0.5).astype(dtype)
     drop_rng_seed = 123
+    seq = parameter(_rand(rng, (2, 4, 3), dtype), dtype=dtype)
+    w_x = parameter(_rand(rng, (3, 6), dtype), dtype=dtype)
+    w_h = parameter(_rand(rng, (2, 6), dtype), dtype=dtype)
+    b = parameter(_rand(rng, (6,), dtype), dtype=dtype)
+    seq_mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=dtype)
+    seq_probe = constant(_rand(rng, (2, 4, 2), dtype), dtype=dtype)
 
     cases = {
         "matmul": (lambda: reduce_sum(ad.mul(matmul(x, w), probe)), {"x": x}),
@@ -79,6 +85,9 @@ def test_primitive_ops_pass_grad_check(dtype):
         "dropout": (lambda: reduce_sum(ad.mul(
             dropout(x, 0.3, training=True, rng=np.random.default_rng(drop_rng_seed)),
             probe @ transpose(w))), {"x": x}),
+        "gru": (lambda: reduce_sum(ad.mul(ad.gru(seq, w_x, w_h, b, mask=seq_mask, reverse=True),
+                                          seq_probe)),
+                {"seq": seq, "w_x": w_x, "w_h": w_h, "b": b}),
     }
 
     for name, (f, params) in cases.items():

@@ -273,3 +273,66 @@ def test_layer_forwards_pass_grad_check(dtype):
                         {"table": cp.table.weights, "conv_w": cp.conv_w, "conv_b": cp.conv_b},
                         rng=np.random.default_rng(4))
     assert report.worst_rel_err < tol
+
+
+def _reference_bigru(x: Tensor, p: BiGruParams, mask: np.ndarray) -> Tensor:
+    """The per-timestep composition of primitive ops that ``bigru`` fuses."""
+    m = np.asarray(mask, dtype=x.dtype)
+    t_len = x.shape[-2]
+
+    def direction(cell: GruCellParams, steps: range) -> list[Tensor]:
+        xz = linear(x, cell.wx_z, cell.b_z)
+        xr = linear(x, cell.wx_r, cell.b_r)
+        xn = linear(x, cell.wx_n, cell.b_n)
+        h = constant(np.zeros(x.shape[:-2] + (1, cell.wh_z.shape[0]), dtype=x.dtype))
+        states = [h] * t_len
+        for t in steps:
+            z = ad.sigmoid(ad.narrow(xz, -2, t, 1) + ad.matmul(h, cell.wh_z))
+            r = ad.sigmoid(ad.narrow(xr, -2, t, 1) + ad.matmul(h, cell.wh_r))
+            n = ad.tanh(ad.narrow(xn, -2, t, 1) + ad.matmul(r * h, cell.wh_n))
+            h_new = (1.0 - z) * h + z * n
+            h = h + constant(m[..., t:t + 1, None]) * (h_new - h)
+            states[t] = h
+        return states
+
+    fw = direction(p.fw, range(t_len))
+    bw = direction(p.bw, range(t_len - 1, -1, -1))
+    return ad.concat([ad.concat(fw, axis=-2), ad.concat(bw, axis=-2)], axis=-1)
+
+
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_bigru_matches_per_timestep_reference(dtype, atol):
+    rng = np.random.default_rng(20)
+    p = BiGruParams.create(3, 4, rng, dtype=dtype)
+    x = Tensor(rng.standard_normal((2, 6, 3)).astype(dtype), requires_grad=True)
+    mask = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 0, 0]], dtype=dtype)
+    probe = constant(rng.standard_normal((2, 6, 8)).astype(dtype), dtype=dtype)
+    gate_names = ("wx_z", "wx_r", "wx_n", "wh_z", "wh_r", "wh_n", "b_z", "b_r", "b_n")
+    tensors = {"x": x, **{f"{d}.{g}": getattr(getattr(p, d), g)
+                          for d in ("fw", "bw") for g in gate_names}}
+
+    def run(fn):
+        for t in tensors.values():
+            t.grad = None
+        out = fn(x, p, mask)
+        backward(reduce_sum(ad.mul(out, probe)))
+        return out.data, {name: t.grad for name, t in tensors.items()}
+
+    out, grads = run(bigru)
+    ref_out, ref_grads = run(_reference_bigru)
+    assert out.dtype == dtype
+    assert np.allclose(out, ref_out, rtol=0, atol=atol)
+    for name in tensors:
+        assert grads[name].dtype == dtype
+        assert np.allclose(grads[name], ref_grads[name], rtol=0, atol=atol), name
+
+
+def test_bigru_graph_size_does_not_grow_with_length():
+    def reachable(t_len):
+        rng = np.random.default_rng(21)
+        p = BiGruParams.create(3, 2, rng)
+        x = parameter(rng.standard_normal((2, t_len, 3)).astype(np.float32))
+        mask = np.ones((2, t_len), dtype=np.float32)
+        return len(ad._toposort(bigru(x, p, mask=mask)))
+
+    assert reachable(4) == reachable(64)

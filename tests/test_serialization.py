@@ -4,12 +4,14 @@ import pytest
 from hopqa.serialization import CheckpointError, load_tensors, save_tensors
 
 
-def test_round_trip_is_bit_exact(tmp_path):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_round_trip_is_bit_exact(tmp_path, dtype):
+    bits = f"u{np.dtype(dtype).itemsize}"   # compare the raw bit patterns
     rng = np.random.default_rng(0)
     named = {
-        "enc.fw.wx_z": rng.standard_normal((5, 3)).astype(np.float32),
-        "enc.fw.b_z": rng.standard_normal(3).astype(np.float32),
-        "head.w": rng.standard_normal((2, 2, 4)).astype(np.float32),
+        "enc.fw.wx_z": rng.standard_normal((5, 3)).astype(dtype),
+        "enc.fw.b_z": rng.standard_normal(3).astype(dtype),
+        "head.w": rng.standard_normal((2, 2, 4)).astype(dtype),
     }
     prefix = str(tmp_path / "ckpt")
     save_tensors(prefix, named, meta={"step": "17", "loss": "0.25"})
@@ -17,8 +19,9 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert list(loaded) == list(named)
     for name in named:
         assert loaded[name].shape == named[name].shape
+        assert loaded[name].dtype == dtype
         assert np.array_equal(
-            loaded[name].view(np.uint32), named[name].view(np.uint32)
+            loaded[name].view(bits), named[name].view(bits)
         ), f"{name} not bit-exact"
     assert meta == {"step": "17", "loss": "0.25"}
 
@@ -45,3 +48,12 @@ def test_detects_truncated_blob(tmp_path):
         fh.truncate(10)
     with pytest.raises(CheckpointError, match="truncated"):
         load_tensors(prefix)
+
+
+def test_reads_format_1_manifest_as_float32(tmp_path):
+    # format 1 wrote no dtype column; every tensor was little-endian float32
+    (tmp_path / "old.manifest").write_text("hopqa-checkpoint 1\ntensor w 2x1\n")
+    (tmp_path / "old.bin").write_bytes(np.array([1.5, -2.0], dtype="<f4").tobytes())
+    loaded, _ = load_tensors(str(tmp_path / "old"))
+    assert loaded["w"].dtype == np.float32
+    assert loaded["w"].ravel().tolist() == [1.5, -2.0]
