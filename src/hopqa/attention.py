@@ -94,17 +94,27 @@ def _mask_bias(mask, dtype) -> np.ndarray:
 
 def similarity(H: Tensor, U: Tensor, p: SimilarityParams,
                context_mask=None, query_mask=None) -> Tensor:
-    """S = h + u + H U^T with h, u rank-1 linear terms broadcast over
-    (..., T, J); padding rows/columns are pushed to -1e30."""
+    """S = h + u + H U^T with h = H w_h, u = U w_u rank-1 linear terms
+    broadcast over (..., T, J); padding rows/columns are pushed to -1e30
+    (-2e30 where both are padding).
+
+    The whole sum is one matmul, S = [H, a, 1] @ [U, 1, b]^T with
+    a = h + context bias and b = u + query bias, so the (..., T, J) result
+    is the only array of that size. The -1e30 bias lies far beyond the float
+    spacing of every other term, so masked entries are exactly -1e30/-2e30."""
     if H.shape[-1] != p.w_h.shape[0] or U.shape[-1] != p.w_u.shape[0]:
         raise ShapeError(f"similarity: widths {H.shape} / {U.shape} do not match "
                          f"params ({p.w_h.shape[0]})")
-    s = linear(H, p.w_h) + transpose(linear(U, p.w_u)) + matmul(H, transpose(U))
+    dt = H.data.dtype
+    a = linear(H, p.w_h)
     if context_mask is not None:
-        s = s + Tensor(_mask_bias(context_mask, H.data.dtype)[..., :, None])
+        a = a + Tensor(_mask_bias(context_mask, dt)[..., None])
+    b = linear(U, p.w_u)
     if query_mask is not None:
-        s = s + Tensor(_mask_bias(query_mask, H.data.dtype)[..., None, :])
-    return s
+        b = b + Tensor(_mask_bias(query_mask, dt)[..., None])
+    left = concat([H, a, Tensor(np.ones(a.shape, dt))], axis=-1)
+    right = concat([U, Tensor(np.ones(b.shape, dt)), b], axis=-1)
+    return matmul(left, transpose(right))
 
 
 def cgde(H: Tensor, U: Tensor, S: Tensor, f: FusionParams,

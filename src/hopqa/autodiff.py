@@ -410,13 +410,19 @@ def _norm_axis(axis: int, ndim: int, opname: str) -> int:
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
-    """Softmax along ``axis``, computed with max-subtraction."""
+    """Softmax along ``axis``, computed with max-subtraction.
+
+    The output is the only temporary the size of ``x``: the shifted input
+    is exponentiated and normalized in place. Raises ``NumericError`` when
+    ``x`` holds a NaN or an infinity of either sign (the max along ``axis``
+    catches NaN and +inf, the global min catches -inf)."""
     ax = _norm_axis(axis, x.ndim, "softmax")
-    if not np.isfinite(x.data).all():
+    peak = x.data.max(axis=ax, keepdims=True)
+    if not np.isfinite(peak).all() or (x.data.size and not np.isfinite(x.data.min())):
         raise NumericError("softmax: non-finite input")
-    shifted = x.data - x.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=ax, keepdims=True)
+    out = x.data - peak
+    np.exp(out, out=out)
+    out /= out.sum(axis=ax, keepdims=True)
     if not _tracking(x):
         return Tensor(out)
 

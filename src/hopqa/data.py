@@ -393,11 +393,16 @@ def make_batches(examples: list[Example], vocab: Vocab, batch_size: int,
                  max_word_len: int = 16, rng: np.random.Generator | None = None,
                  shuffle: bool = False) -> tuple[list[Batch], BatchStats]:
     """Pad examples into fixed arrays per batch. Training mode shuffles with
-    the given rng; otherwise file order is kept."""
+    the given rng; otherwise file order is kept. Raises ``DataError`` for an
+    example left with no context tokens (empty, or a first sentence longer
+    than ``max_context_tokens``)."""
     stats = BatchStats()
     prepared: list[Example] = []
     for ex in examples:
         trimmed, truncated, span_lost = truncate_example(ex, max_context_tokens)
+        if trimmed.n_tokens == 0:
+            raise DataError(f"make_batches: example {ex.id!r} has no context tokens "
+                            f"within the {max_context_tokens}-token cap")
         stats.truncated_examples += int(truncated)
         stats.spans_lost_to_truncation += int(span_lost)
         prepared.append(trimmed)

@@ -365,18 +365,17 @@ def _softmax_np(x: np.ndarray) -> np.ndarray:
 
 
 def best_span(p_start: np.ndarray, p_end: np.ndarray, max_span_len: int) -> tuple[int, int]:
-    """Argmax of p_start[s] * p_end[e] over s <= e <= s + max_span_len."""
+    """Argmax of p_start[s] * p_end[e] over s <= e <= s + max_span_len.
+
+    Per start, the best end is the first argmax of p_end over its window
+    (padded with -inf past the end); the first start with the largest
+    product wins."""
     n = len(p_start)
-    best = (0, 0)
-    best_p = -1.0
-    for s in range(n):
-        hi = min(n, s + max_span_len + 1)
-        e = s + int(np.argmax(p_end[s:hi]))
-        p = p_start[s] * p_end[e]
-        if p > best_p:
-            best_p = p
-            best = (s, e)
-    return best
+    padded = np.concatenate([p_end, np.full(max_span_len, -np.inf)])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, max_span_len + 1)
+    ends = np.arange(n) + np.argmax(windows, axis=1)
+    s = int(np.argmax(p_start * p_end[ends]))
+    return s, int(ends[s])
 
 
 def decode_example(ex: Example, type_row: np.ndarray, start_row: np.ndarray,

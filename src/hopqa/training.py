@@ -58,17 +58,21 @@ class TrainResult:
 
 def evaluate_model(model: Model, examples: list[Example], vocab: Vocab,
                    batch_size: int = 32) -> MetricReport:
-    """Decode and score a dataset slice with the model's current weights."""
-    batches, _ = make_batches(examples, vocab, batch_size,
+    """Decode and score a dataset slice with the model's current weights.
+
+    Batches are built from the examples in order of context length (a stable
+    sort), so each batch pads only to the longest of similar lengths. The
+    scores, and ``per_example``, follow the order of ``examples``."""
+    ordered = sorted(examples, key=lambda ex: ex.n_tokens)
+    batches, _ = make_batches(ordered, vocab, batch_size,
                               max_word_len=model.config.max_word_len)
     preds = predict_batches(model, batches)
     scores = []
-    for batch in batches:
-        for ex in batch.examples:
-            p = preds[ex.id]
-            scores.append(score_example(ex.id, p.answer_text, ex.answers,
-                                        p.supporting_facts, ex.gold_sup,
-                                        with_sup=model.config.predict_support))
+    for ex in examples:                 # truncation keeps answers and gold_sup
+        p = preds[ex.id]
+        scores.append(score_example(ex.id, p.answer_text, ex.answers,
+                                    p.supporting_facts, ex.gold_sup,
+                                    with_sup=model.config.predict_support))
     return aggregate(scores)
 
 

@@ -64,6 +64,25 @@ def test_similarity_mask_bias():
     assert abs(S.data[0, 0]) < 1e3
 
 
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-4), (np.float64, 1e-10)])
+def test_similarity_matches_explicit_sum(dtype, atol):
+    rng = np.random.default_rng(11)
+    H = constant(rng.standard_normal((2, 5, 4)), dtype=dtype)
+    U = constant(rng.standard_normal((2, 3, 4)), dtype=dtype)
+    p = SimilarityParams.create(4, rng, dtype=dtype)
+    cmask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=dtype)
+    qmask = np.array([[1, 1, 0], [1, 0, 0]], dtype=dtype)
+    S = similarity(H, U, p, context_mask=cmask, query_mask=qmask)
+    h = H.data @ p.w_h.data
+    u = U.data @ p.w_u.data
+    want = h + np.swapaxes(u, -1, -2) + H.data @ np.swapaxes(U.data, -1, -2)
+    bias = (1 - cmask)[:, :, None] * ad.MASK_FILL + (1 - qmask)[:, None, :] * ad.MASK_FILL
+    masked = bias != 0
+    assert S.data.dtype == dtype and S.shape == (2, 5, 3)
+    assert np.array_equal(S.data[masked], bias[masked].astype(dtype))
+    assert np.allclose(S.data[~masked], want[~masked], rtol=0, atol=atol)
+
+
 def test_similarity_width_mismatch():
     rng = np.random.default_rng(4)
     H, U = _rand_hu(rng, 3, 2, 4)

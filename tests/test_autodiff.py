@@ -122,9 +122,10 @@ def test_softmax_shift_invariance():
     assert np.allclose(a, b, atol=1e-12)
 
 
-def test_softmax_nonfinite_raises():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_softmax_nonfinite_raises(bad):
     with pytest.raises(ad.NumericError):
-        softmax(constant([0.0, np.nan]), axis=0)
+        softmax(constant([0.0, bad]), axis=0)
 
 
 @settings(max_examples=50, deadline=None)

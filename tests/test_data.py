@@ -245,6 +245,15 @@ def test_truncation_counter_and_span_loss():
     assert batches[0].span_mask[0] == 0.0
 
 
+def test_fully_truncated_context_raises_data_error():
+    # the middle example's first sentence is longer than the cap: 0 tokens left
+    examples = synth_two_hop(3, seed=1)
+    assert [truncate_example(ex, 11)[0].n_tokens for ex in examples] == [11, 0, 11]
+    vocab = build_vocab(examples)
+    with pytest.raises(DataError, match=examples[1].id):
+        make_batches(examples, vocab, batch_size=3, max_context_tokens=11)
+
+
 def test_batch_masks_match_lengths():
     examples = synth_two_hop(7, seed=1)
     vocab = build_vocab(examples)

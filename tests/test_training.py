@@ -1,0 +1,74 @@
+import numpy as np
+import pytest
+
+import hopqa.training as ht
+from hopqa.data import build_vocab, make_batches, synth_two_hop
+from hopqa.model import Model, ModelConfig
+from hopqa.training import evaluate_model
+
+DISTRACTORS = [5, 0, 8, 2, 7, 1, 6, 3, 4]
+
+
+@pytest.fixture(scope="module")
+def setup():
+    examples = [synth_two_hop(1, seed=k, n_distractors=n)[0]
+                for k, n in enumerate(DISTRACTORS)]
+    vocab = build_vocab(examples)
+    config = ModelConfig(d=4, dropout=0.0, word_dim=8, char_dim=4, char_filters=6,
+                         max_word_len=8, dtype="float64")
+    model = Model(config, vocab.n_words, vocab.n_chars, np.random.default_rng(0))
+    return model, examples, vocab
+
+
+def _evaluate(monkeypatch, model, examples, vocab, batch_size):
+    """Run ``evaluate_model``; return its report, the answers it decoded and
+    the batches it built."""
+    seen = {}
+    make, predict = ht.make_batches, ht.predict_batches
+
+    def recording_make(*args, **kwargs):
+        seen["batches"], stats = make(*args, **kwargs)
+        return seen["batches"], stats
+
+    def recording_predict(m, batches):
+        seen["preds"] = predict(m, batches)
+        return seen["preds"]
+
+    monkeypatch.setattr(ht, "make_batches", recording_make)
+    monkeypatch.setattr(ht, "predict_batches", recording_predict)
+    report = evaluate_model(model, examples, vocab, batch_size=batch_size)
+    answers = {pid: (p.answer_text, p.supporting_facts) for pid, p in seen["preds"].items()}
+    return report, answers, seen["batches"]
+
+
+def _pad_frac(batches):
+    positions = sum(b.context_mask.size for b in batches)
+    return 1.0 - sum(float(b.context_mask.sum()) for b in batches) / positions
+
+
+def test_per_example_scores_follow_input_order(monkeypatch, setup):
+    model, examples, vocab = setup
+    report, _, _ = _evaluate(monkeypatch, model, examples, vocab, batch_size=3)
+    assert [s.id for s in report.per_example] == [ex.id for ex in examples]
+
+
+@pytest.mark.parametrize("variant", ["permuted", "batch_size_1"])
+def test_answers_and_scores_do_not_depend_on_order_or_batching(monkeypatch, setup, variant):
+    model, examples, vocab = setup
+    report, answers, _ = _evaluate(monkeypatch, model, examples, vocab, batch_size=3)
+    if variant == "permuted":
+        order = np.random.default_rng(1).permutation(len(examples))
+        other, other_answers, _ = _evaluate(monkeypatch, model,
+                                            [examples[i] for i in order], vocab, 3)
+    else:
+        other, other_answers, _ = _evaluate(monkeypatch, model, examples, vocab, 1)
+    assert other_answers == answers
+    assert {s.id: s for s in other.per_example} == {s.id: s for s in report.per_example}
+
+
+def test_batches_pad_under_half_of_input_order(monkeypatch, setup):
+    model, examples, vocab = setup
+    _, _, batches = _evaluate(monkeypatch, model, examples, vocab, batch_size=3)
+    in_order, _ = make_batches(examples, vocab, 3, max_word_len=model.config.max_word_len)
+    assert sorted(ex.id for b in batches for ex in b.examples) == sorted(ex.id for ex in examples)
+    assert _pad_frac(batches) < 0.5 * _pad_frac(in_order)
