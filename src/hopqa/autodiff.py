@@ -577,99 +577,165 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 # recurrence
 
 
-def gru(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
-        mask: np.ndarray | None = None, reverse: bool = False) -> Tensor:
-    """One GRU direction over axis -2 as a single graph node.
+# Steps whose input projection is made at once, which bounds that scratch
+# on long sequences.
+BIGRU_CHUNK = 256
 
-    Weights are stacked in gate order ``[z | r | n]``: ``w_x`` is in x 3h,
-    ``w_h`` is h x 3h and ``b`` is 3h. Per step, from h = 0:
-    z = sigmoid(x_t W_xz + b_z + h W_hz), r likewise, n = tanh(x_t W_xn +
-    b_n + (r * h) W_hn), h' = (1 - z) * h + z * n. With ``mask`` (..., T)
-    the state becomes h + m_t * (h' - h), so padded steps copy h through.
-    ``reverse`` runs from the last step to the first. The output holds the
-    state after each step, in position order: (..., T, h).
 
-    The input projection is one matmul for the whole sequence; the
-    backward walks the steps once in reverse, collects the pre-activation
-    gradients in one (..., T, 3h) buffer and turns them into the input and
-    weight gradients with batched matmuls after the loop.
+def bigru(x: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor],
+          mask: np.ndarray | None = None) -> Tensor:
+    """Bidirectional GRU over axis -2 as a single graph node.
+
+    ``fw`` and ``bw`` are ``(w_x, w_h, b)`` with the gates stacked in order
+    ``[z | r | n]``: ``w_x`` is in x 3h, ``w_h`` is h x 3h and ``b`` is 3h.
+    Per direction and step, from h = 0: z = sigmoid(x_t W_xz + b_z + h W_hz),
+    r likewise, n = tanh(x_t W_xn + b_n + (r * h) W_hn) and
+    h' = h + m_t z (n - h), where m_t is ``mask`` (..., T) or 1, so padded
+    steps copy h through. The forward direction starts at the first
+    position, the backward one at the last. The output holds, per position,
+    the forward state then the backward state: (..., T, 2h).
+
+    One loop runs both directions: step s computes forward position s and
+    backward position T-1-s, and each per-step array is a contiguous
+    (2, N, .) slot, N being the product of the leading axes. A sigmoid is
+    0.5 tanh(a/2) + 0.5; the halving is folded into the z/r weights and
+    biases, which is exact in binary floating point. The input projection
+    is made ``BIGRU_CHUNK`` steps at a time, and the gate activations are
+    kept for every step only when tracking. The backward walks the steps
+    once in reverse with the mask folded into local derivatives computed
+    for all steps at once, then gets the input and weight gradients from a
+    few GEMMs over all steps.
     """
     if x.ndim < 2:
-        raise ShapeError(f"gru: input must be at least rank 2, got {x.shape}")
-    hid = w_h.shape[0]
-    if w_h.shape != (hid, 3 * hid) or w_x.shape != (x.shape[-1], 3 * hid) \
-            or b.shape != (3 * hid,):
-        raise ShapeError(f"gru: stacked weights {w_x.shape}, {w_h.shape}, {b.shape} do not "
-                         f"fit input width {x.shape[-1]}")
-    t_len = x.shape[-2]
-    m = None
+        raise ShapeError(f"bigru: input must be at least rank 2, got {x.shape}")
+    t_len, d_in = x.shape[-2:]
+    if t_len < 1:
+        raise ShapeError("bigru: empty sequence")
+    hid = fw[1].shape[0]
+    for w_x, w_h, b in (fw, bw):
+        if w_h.shape != (hid, 3 * hid) or w_x.shape != (d_in, 3 * hid) \
+                or b.shape != (3 * hid,):
+            raise ShapeError(f"bigru: stacked weights {w_x.shape}, {w_h.shape}, {b.shape} "
+                             f"do not fit input width {d_in} and hidden size {hid}")
+    n_seq = int(np.prod(x.shape[:-2]))
+    dtype = np.result_type(x.data, *(t.data for t in (*fw, *bw)))
+    # mask per step and direction, step-major like every per-step array
+    m = np.ones((t_len, 2, n_seq, 1), dtype=dtype)
     if mask is not None:
-        m = np.asarray(mask)
-        if m.shape != x.shape[:-1]:
-            raise ShapeError(f"gru: mask shape {m.shape} != sequence shape {x.shape[:-1]}")
-    xp = x.data @ w_x.data + b.data                      # (..., T, 3h)
-    dtype = np.result_type(xp, w_h.data)
-    if m is not None:
-        m = m.astype(dtype)[..., None]                   # (..., T, 1)
-    wh_zr, wh_n = w_h.data[:, :2 * hid], w_h.data[:, 2 * hid:]
-    tracking = _tracking(x, w_x, w_h, b)
-    out = np.empty(x.shape[:-1] + (hid,), dtype=dtype)
-    gates = np.empty(xp.shape, dtype=dtype) if tracking else None
-    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    h = np.zeros(x.shape[:-2] + (hid,), dtype=dtype)
-    for t in steps:
-        xt = xp[..., t, :]
-        zr = _stable_sigmoid(xt[..., :2 * hid] + h @ wh_zr)
-        z, r = zr[..., :hid], zr[..., hid:]
-        n = np.tanh(xt[..., 2 * hid:] + (r * h) @ wh_n)
-        h_new = (1.0 - z) * h + z * n
-        h = h_new if m is None else h + m[..., t, :] * (h_new - h)
-        out[..., t, :] = h
-        if tracking:
-            gates[..., t, :2 * hid] = zr
-            gates[..., t, 2 * hid:] = n
+        mk = np.asarray(mask)
+        if mk.shape != x.shape[:-1]:
+            raise ShapeError(f"bigru: mask shape {mk.shape} != sequence shape {x.shape[:-1]}")
+        mk = mk.reshape(n_seq, t_len).T
+        m[:, 0, :, 0] = mk
+        m[:, 1, :, 0] = mk[::-1]
+    m_half = 0.5 * m
+
+    # weights with the z/r halving folded in; the n-gate hidden weights are
+    # halved too because the loop multiplies them by 2r
+    half = np.repeat(np.array([0.5, 0.5, 1.0], dtype=dtype), hid)
+    proj = [(w_x.data * half, b.data * half) for w_x, _, b in (fw, bw)]
+    wh_zr = 0.5 * np.stack([fw[1].data[:, :2 * hid], bw[1].data[:, :2 * hid]])
+    wh_n = 0.5 * np.stack([fw[1].data[:, 2 * hid:], bw[1].data[:, 2 * hid:]])
+
+    x3 = x.data.reshape(n_seq, t_len, d_in)
+    chunk = min(t_len, BIGRU_CHUNK)
+    x_zr = np.empty((chunk, 2, n_seq, 2 * hid), dtype=dtype)
+    x_n = np.empty((chunk, 2, n_seq, hid), dtype=dtype)
+
+    def project(s0: int, s1: int) -> None:
+        c = s1 - s0
+        for d, (w, bias) in enumerate(proj):
+            if d == 0:
+                p = (x3[:, s0:s1] @ w).transpose(1, 0, 2)
+            else:
+                p = (x3[:, t_len - s1:t_len - s0] @ w)[:, ::-1].transpose(1, 0, 2)
+            np.add(p[..., :2 * hid], bias[:2 * hid], out=x_zr[:c, d])
+            np.add(p[..., 2 * hid:], bias[2 * hid:], out=x_n[:c, d])
+
+    tracking = _tracking(x, *fw, *bw)
+    kept = t_len if tracking else 1
+    u = np.empty((kept, 2, n_seq, 2 * hid), dtype=dtype)   # 2 * sigmoid of z, r
+    nn = np.empty((kept, 2, n_seq, hid), dtype=dtype)
+    out = np.empty((n_seq, t_len, 2 * hid), dtype=dtype)
+    h = np.zeros((2, n_seq, hid), dtype=dtype)
+    for s in range(t_len):
+        i = s % chunk
+        if i == 0:
+            project(s, min(s + chunk, t_len))
+        us, ns = (u[s], nn[s]) if tracking else (u[0], nn[0])
+        np.matmul(h, wh_zr, out=us)
+        us += x_zr[i]
+        np.tanh(us, out=us)
+        us += 1.0
+        np.matmul(us[..., hid:] * h, wh_n, out=ns)
+        ns += x_n[i]
+        np.tanh(ns, out=ns)
+        step = ns - h
+        step *= m_half[s] * us[..., :hid]
+        h += step
+        out[:, s, :hid] = h[0]
+        out[:, t_len - 1 - s, hid:] = h[1]
+    result = out.reshape(x.shape[:-1] + (2 * hid,))
     if not tracking:
-        return Tensor(out)
+        return Tensor(result)
 
     def bwd(g):
-        # state entering each step: the output of the step before it
-        h_prev = np.zeros_like(out)
-        if reverse:
-            h_prev[..., :-1, :] = out[..., 1:, :]
-        else:
-            h_prev[..., 1:, :] = out[..., :-1, :]
-        z, r, n = gates[..., :hid], gates[..., hid:2 * hid], gates[..., 2 * hid:]
-        # local derivatives that do not depend on the incoming gradient,
-        # for all steps at once: a_z, a_n per unit of dh', a_r per unit of d(r*h)
-        dz_da = (n - h_prev) * z * (1.0 - z)
-        dn_da = z * (1.0 - n * n)
-        dr_da = h_prev * r * (1.0 - r)
-        keep = 1.0 - z
-        da = np.empty(gates.shape, dtype=np.result_type(g, gates))
-        wh_zr_t, wh_n_t = wh_zr.T, wh_n.T
-        dh = np.zeros(out.shape[:-2] + (hid,), dtype=da.dtype)
-        for t in reversed(steps):
-            dh = dh + g[..., t, :]
-            if m is None:
-                dh_new, dh = dh, 0.0
-            else:
-                dh_new, dh = m[..., t, :] * dh, (1.0 - m[..., t, :]) * dh
-            da_t = da[..., t, :]
-            da_t[..., :hid] = dh_new * dz_da[..., t, :]
-            da_t[..., 2 * hid:] = dh_new * dn_da[..., t, :]
-            d_rh = da_t[..., 2 * hid:] @ wh_n_t
-            da_t[..., hid:2 * hid] = d_rh * dr_da[..., t, :]
-            dh = dh + dh_new * keep[..., t, :] + d_rh * r[..., t, :] + da_t[..., :2 * hid] @ wh_zr_t
-        flat = da.reshape(-1, 3 * hid)
-        dw_h = np.concatenate(
-            [h_prev.reshape(-1, hid).T @ flat[:, :2 * hid],
-             (r * h_prev).reshape(-1, hid).T @ flat[:, 2 * hid:]], axis=1)
-        _accum(x, da @ w_x.data.T)
-        _accum(w_x, x.data.reshape(-1, x.shape[-1]).T @ flat)
-        _accum(w_h, dw_h)
-        _accum(b, flat.sum(axis=0))
+        gdt = np.result_type(g, dtype)
+        g3 = g.reshape(n_seq, t_len, 2 * hid)
+        g_out = np.empty((t_len, 2, n_seq, hid), dtype=gdt)
+        g_out[:, 0] = g3[:, :, :hid].transpose(1, 0, 2)
+        g_out[:, 1] = g3[:, ::-1, hid:].transpose(1, 0, 2)
+        h_prev = np.zeros((t_len, 2, n_seq, hid), dtype=dtype)  # state entering each step
+        h_prev[1:, 0] = out[:, :-1, :hid].transpose(1, 0, 2)
+        h_prev[1:, 1] = out[:, :0:-1, hid:].transpose(1, 0, 2)
+        z, r = 0.5 * u[..., :hid], 0.5 * u[..., hid:]
+        mz = m * z
+        keep = 1.0 - mz
+        # local derivatives that do not depend on the incoming gradient:
+        # a_z and a_n per unit of dh', a_r per unit of d(r*h)
+        dz_da = m * (nn - h_prev)
+        dz_da *= z * (1.0 - z)
+        dn_da = 1.0 - nn * nn
+        dn_da *= mz
+        dr_da = r * (1.0 - r)
+        dr_da *= h_prev
+        del z, mz
+        wh_zr_t = np.stack([fw[1].data[:, :2 * hid].T, bw[1].data[:, :2 * hid].T])
+        wh_n_t = np.stack([fw[1].data[:, 2 * hid:].T, bw[1].data[:, 2 * hid:].T])
+        da_zr = np.empty((t_len, 2, n_seq, 2 * hid), dtype=gdt)
+        da_n = np.empty((t_len, 2, n_seq, hid), dtype=gdt)
+        dh = np.zeros((2, n_seq, hid), dtype=gdt)
+        for s in range(t_len - 1, -1, -1):
+            gs = dh + g_out[s]
+            np.multiply(gs, dn_da[s], out=da_n[s])
+            np.multiply(gs, dz_da[s], out=da_zr[s, ..., :hid])
+            d_rh = da_n[s] @ wh_n_t
+            np.multiply(d_rh, dr_da[s], out=da_zr[s, ..., hid:])
+            dh = gs * keep[s]
+            d_rh *= r[s]
+            dh += d_rh
+            dh += da_zr[s] @ wh_zr_t
+        # gate gradients in position order, forward then backward: (N, T, 6h)
+        da = np.empty((n_seq, t_len, 6 * hid), dtype=gdt)
+        da[:, :, :2 * hid] = da_zr[:, 0].transpose(1, 0, 2)
+        da[:, :, 2 * hid:3 * hid] = da_n[:, 0].transpose(1, 0, 2)
+        da[:, :, 3 * hid:5 * hid] = da_zr[::-1, 1].transpose(1, 0, 2)
+        da[:, :, 5 * hid:] = da_n[::-1, 1].transpose(1, 0, 2)
+        flat = da.reshape(-1, 6 * hid)
+        w_x_t = np.concatenate([fw[0].data, bw[0].data], axis=1).T
+        _accum(x, (da @ w_x_t).reshape(x.shape))
+        dw_x = x3.reshape(-1, d_in).T @ flat
+        db = flat.sum(axis=0)
+        rh = r * h_prev
+        for d, (w_x, w_h, b) in enumerate((fw, bw)):
+            cols = slice(3 * hid * d, 3 * hid * (d + 1))
+            _accum(w_x, dw_x[:, cols])
+            _accum(w_h, np.concatenate(
+                [h_prev[:, d].reshape(-1, hid).T @ da_zr[:, d].reshape(-1, 2 * hid),
+                 rh[:, d].reshape(-1, hid).T @ da_n[:, d].reshape(-1, hid)], axis=1))
+            _accum(b, db[cols])
 
-    return _make(out, (x, w_x, w_h, b), bwd)
+    return _make(result, (x, *fw, *bw), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +766,10 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every reachable requires_grad leaf.
 
     Gradients accumulate additively when a tensor feeds several consumers.
-    Interior (non-leaf) gradients are recomputed from scratch on every
-    call, so calling ``backward`` again after clearing the leaves' grads
-    gives the same result.
+    Interior (non-leaf) gradients live only during the sweep: each is
+    cleared before it starts and freed once its node has passed it on, so
+    afterwards only the leaves hold a ``grad``. Calling ``backward`` again
+    after clearing the leaves' grads gives the same result.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward: loss must be a scalar, got shape {loss.shape}")
@@ -714,6 +781,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

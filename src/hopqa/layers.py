@@ -5,10 +5,10 @@ holds per-call state, so bundles can be shared read-only between optimizer
 steps. Forward functions accept either single-sequence inputs (T x ...) or
 batched ones (B x T x ...): every op works on the trailing axes.
 
-Each BiGRU direction is one ``ad.gru`` graph node whatever the sequence
-length: its per-gate weights are stacked in gate order ``[z | r | n]`` by
-three small concat nodes, and the recurrence and its backward through time
-run inside the op.
+Each BiGRU is one ``ad.bigru`` graph node whatever the sequence length:
+the per-gate weights of each direction are stacked in gate order
+``[z | r | n]`` by three small concat nodes, and both recurrences and their
+backward through time run inside the op, in one loop over the steps.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ class GruCellParams:
     weights for the input and hidden paths, plus biases.
 
     The nine per-gate tensors are the parameters (and checkpoint entries);
-    ``stacked`` joins them in gate order ``[z | r | n]`` for ``ad.gru``."""
+    ``stacked`` joins them in gate order ``[z | r | n]`` for ``ad.bigru``."""
 
     wx_z: Tensor
     wx_r: Tensor
@@ -235,8 +235,4 @@ def bigru(x: Tensor, p: BiGruParams, mask: np.ndarray | None = None) -> Tensor:
     ``mask`` is (..., T) with 1.0 at real positions; padded steps keep the
     previous hidden state in both directions.
     """
-    if x.shape[-2] < 1:
-        raise ShapeError("bigru: empty sequence")
-    fw = ad.gru(x, *p.fw.stacked(), mask=mask)
-    bw = ad.gru(x, *p.bw.stacked(), mask=mask, reverse=True)
-    return concat([fw, bw], axis=-1)
+    return ad.bigru(x, p.fw.stacked(), p.bw.stacked(), mask=mask)

@@ -105,8 +105,8 @@ def train(model: Model, train_examples: list[Example],
         for batch in batches:
             zero_grads(params.values())
             out = model.forward(batch, training=True, rng=dropout_rng)
-            loss, _ = joint_loss(out, batch, model.config.lambda_a,
-                                 model.config.lambda_s)
+            loss = joint_loss(out, batch, model.config.lambda_a,
+                              model.config.lambda_s)[0]
             value = loss.item()
             if not math.isfinite(value):
                 ids = [ex.id for ex in batch.examples]
@@ -116,6 +116,7 @@ def train(model: Model, train_examples: list[Example],
                 clip_global_norm(params, tcfg.clip_norm)
             opt.step()
             ema.update()
+            del out, loss           # free this step's graph before the next forward
             total += value
             count += batch.size
         epoch_loss = total / max(count, 1)

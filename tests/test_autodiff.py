@@ -407,3 +407,14 @@ def test_backward_twice_gives_same_leaf_grads():
     w.grad = None
     backward(loss)
     assert w.grad.ravel().tolist() == [6.0, 12.0]
+
+
+def test_backward_frees_interior_grads():
+    x = parameter([[1.0, 2.0]])
+    w = parameter([[1.0], [1.0]])
+    y = matmul(x, w)
+    h = ad.tanh(y)
+    loss = reduce_sum(ad.mul(h, y))
+    backward(loss)
+    assert all(t.grad is None for t in (y, h, loss))
+    assert x.grad is not None and w.grad is not None

@@ -51,11 +51,10 @@ def test_primitive_ops_pass_grad_check(dtype):
     blabels = (rng.random((5, 7)) > 0.5).astype(dtype)
     drop_rng_seed = 123
     seq = parameter(_rand(rng, (2, 4, 3), dtype), dtype=dtype)
-    w_x = parameter(_rand(rng, (3, 6), dtype), dtype=dtype)
-    w_h = parameter(_rand(rng, (2, 6), dtype), dtype=dtype)
-    b = parameter(_rand(rng, (6,), dtype), dtype=dtype)
+    fw = [parameter(_rand(rng, shape, dtype), dtype=dtype) for shape in ((3, 6), (2, 6), (6,))]
+    bw = [parameter(_rand(rng, shape, dtype), dtype=dtype) for shape in ((3, 6), (2, 6), (6,))]
     seq_mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=dtype)
-    seq_probe = constant(_rand(rng, (2, 4, 2), dtype), dtype=dtype)
+    seq_probe = constant(_rand(rng, (2, 4, 4), dtype), dtype=dtype)
 
     cases = {
         "matmul": (lambda: reduce_sum(ad.mul(matmul(x, w), probe)), {"x": x}),
@@ -85,9 +84,9 @@ def test_primitive_ops_pass_grad_check(dtype):
         "dropout": (lambda: reduce_sum(ad.mul(
             dropout(x, 0.3, training=True, rng=np.random.default_rng(drop_rng_seed)),
             probe @ transpose(w))), {"x": x}),
-        "gru": (lambda: reduce_sum(ad.mul(ad.gru(seq, w_x, w_h, b, mask=seq_mask, reverse=True),
-                                          seq_probe)),
-                {"seq": seq, "w_x": w_x, "w_h": w_h, "b": b}),
+        "bigru": (lambda: reduce_sum(ad.mul(ad.bigru(seq, fw, bw, mask=seq_mask), seq_probe)),
+                  {"seq": seq, **{f"{d}.{n}": t for d, ts in (("fw", fw), ("bw", bw))
+                                  for n, t in zip(("w_x", "w_h", "b"), ts)}}),
     }
 
     for name, (f, params) in cases.items():

@@ -327,6 +327,57 @@ def test_bigru_matches_per_timestep_reference(dtype, atol):
         assert np.allclose(grads[name], ref_grads[name], rtol=0, atol=atol), name
 
 
+@pytest.mark.parametrize("shape", [(5, 3), (2, 3, 4, 3), (2, 1, 3), (1, ad.BIGRU_CHUNK + 44, 3)],
+                         ids=["rank2", "rank4", "T1", "past_chunk"])
+def test_bigru_shapes_match_per_timestep_reference(shape):
+    rng = np.random.default_rng(22)
+    p = BiGruParams.create(shape[-1], 2, rng, dtype=np.float64)
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    t_len = shape[-2]
+    mask = np.ones(shape[:-1])
+    mask.reshape(-1, t_len)[0, t_len // 2 + 1:] = 0.0     # trailing padding
+    probe = constant(rng.standard_normal(shape[:-1] + (4,)))
+    tensors = {"x": x, "fw.wh_z": p.fw.wh_z, "bw.wx_n": p.bw.wx_n, "bw.b_r": p.bw.b_r}
+
+    def run(fn):
+        for t in tensors.values():
+            t.grad = None
+        out = fn(x, p, mask)
+        backward(reduce_sum(ad.mul(out, probe)))
+        return out.data, {name: t.grad for name, t in tensors.items()}
+
+    out, grads = run(bigru)
+    ref_out, ref_grads = run(_reference_bigru)
+    assert out.shape == shape[:-1] + (4,)
+    assert np.allclose(out, ref_out, rtol=0, atol=1e-12)
+    for name in tensors:
+        assert np.allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12), name
+
+
+def test_bigru_no_grad_output_is_bit_identical():
+    rng = np.random.default_rng(23)
+    p = BiGruParams.create(5, 4, rng)
+    x = parameter(rng.standard_normal((3, ad.BIGRU_CHUNK + 44, 5)).astype(np.float32))
+    mask = np.ones(x.shape[:-1], dtype=np.float32)
+    mask[1, 200:] = 0.0
+    tracked = bigru(x, p, mask=mask)
+    with ad.no_grad():
+        untracked = bigru(x, p, mask=mask)
+    assert tracked.requires_grad and not untracked.requires_grad
+    assert np.array_equal(tracked.data, untracked.data)
+
+
+def test_bigru_rejects_empty_sequence_and_bad_mask():
+    p = BiGruParams.create(3, 2, np.random.default_rng(24))
+    with pytest.raises(ShapeError):
+        bigru(constant(np.zeros((2, 0, 3), dtype=np.float32)), p)
+    x = constant(np.zeros((2, 4, 3), dtype=np.float32))
+    with pytest.raises(ShapeError):
+        bigru(x, p, mask=np.ones((2, 3), dtype=np.float32))
+    with pytest.raises(ShapeError):
+        bigru(x, p, mask=np.ones(4, dtype=np.float32))
+
+
 def test_bigru_graph_size_does_not_grow_with_length():
     def reachable(t_len):
         rng = np.random.default_rng(21)

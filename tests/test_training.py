@@ -1,10 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
 import hopqa.training as ht
 from hopqa.data import build_vocab, make_batches, synth_two_hop
 from hopqa.model import Model, ModelConfig
-from hopqa.training import evaluate_model
+from hopqa.training import TrainConfig, evaluate_model, train
 
 DISTRACTORS = [5, 0, 8, 2, 7, 1, 6, 3, 4]
 
@@ -72,3 +74,22 @@ def test_batches_pad_under_half_of_input_order(monkeypatch, setup):
     in_order, _ = make_batches(examples, vocab, 3, max_word_len=model.config.max_word_len)
     assert sorted(ex.id for b in batches for ex in b.examples) == sorted(ex.id for ex in examples)
     assert _pad_frac(batches) < 0.5 * _pad_frac(in_order)
+
+
+def test_train_frees_each_step_graph_before_the_next_forward(setup):
+    _, examples, vocab = setup
+    model = Model(ModelConfig(d=4, dropout=0.0, word_dim=8, char_dim=4, char_filters=6,
+                              max_word_len=8), vocab.n_words, vocab.n_chars,
+                  np.random.default_rng(1))
+    outputs, alive = [], []
+    forward = model.forward
+
+    def recording_forward(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in outputs))
+        out = forward(*args, **kwargs)
+        outputs.append(weakref.ref(out))
+        return out
+
+    model.forward = recording_forward
+    train(model, examples[:4], [], vocab, TrainConfig(epochs=1, batch_size=1))
+    assert alive == [0, 0, 0, 0]
