@@ -562,13 +562,18 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
         return x
     if rng is None:
         raise UsageError("dropout: training mode requires an rng")
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
+    keep = rng.random(x.shape) >= rate
+    dt = x.data.dtype.type
+    scale = dt(1) / dt(1.0 - rate)
     out = x.data * keep
+    out *= scale
     if not _tracking(x):
         return Tensor(out)
 
     def bwd(g):
-        _accum(x, g * keep)
+        gx = g * keep
+        gx *= scale
+        _accum(x, gx)
 
     return _make(out, (x,), bwd)
 
@@ -736,6 +741,172 @@ def bigru(x: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor],
             _accum(b, db[cols])
 
     return _make(result, (x, *fw, *bw), bwd)
+
+
+# ---------------------------------------------------------------------------
+# self-attention
+
+
+# Query rows whose similarities are held at once, which bounds the
+# attention scratch to ATTENTION_BLOCK x T per sequence.
+ATTENTION_BLOCK = 256
+
+
+def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
+                   proj_b: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """BiDAF attention of a sequence against itself, projected back, as a
+    single graph node.
+
+    Per sequence, K holds the rows of ``M`` (..., T, w) where ``mask``
+    (..., T) is nonzero, or all rows without a mask. Over those rows only:
+    S = K K^T + (K w_h) 1^T + 1 (K w_u)^T, c2q = softmax_rows(S) K,
+    m_t = max_j S_tj (its gradient goes to the first maximizer on ties) and
+    q2c = softmax_t(m)^T K. Every row t then gets
+    out_t = [M_t, c2q_t, M_t * c2q_t, M_t * q2c] proj_w + proj_b, with
+    ``proj_w`` (4w, w') applied as four row blocks. At padded rows c2q is 0;
+    q2c is the sequence's one vector at every row. A sequence with no real
+    position raises ``DataError``.
+
+    No T x T array is built: S is made ``ATTENTION_BLOCK`` query rows at a
+    time, exponentiated in place, and kept only as each row's maximizer and
+    log-sum-exp. The backward recomputes each block of softmax weights from
+    those, so memory is O(T w + ATTENTION_BLOCK T) in both modes. The term
+    a = K w_h is constant along each row of S, so the row softmax does not
+    see it: a block is the one GEMM [K, 1] @ [K, b]^T with b = K w_u, a is
+    added to the row maxima only, and its gradient is that of m.
+    """
+    if M.ndim < 2:
+        raise ShapeError(f"self_attention: input must be at least rank 2, got {M.shape}")
+    t_len, width = M.shape[-2:]
+    if w_h.shape != (width, 1) or w_u.shape != (width, 1) or proj_w.ndim != 2 \
+            or proj_w.shape[0] != 4 * width or proj_b.shape != proj_w.shape[1:]:
+        raise ShapeError(f"self_attention: weights {w_h.shape}, {w_u.shape}, {proj_w.shape}, "
+                         f"{proj_b.shape} do not fit input width {width}")
+    n_seq = int(np.prod(M.shape[:-2]))
+    dtype = np.result_type(M.data, w_h.data, w_u.data, proj_w.data, proj_b.data)
+    x = M.data.astype(dtype, copy=False).reshape(n_seq, t_len, width)
+    # real rows of each sequence: a slice when they are contiguous
+    rows: list = [slice(0, t_len)] * n_seq
+    if mask is not None:
+        mk = np.asarray(mask)
+        if mk.shape != M.shape[:-1]:
+            raise ShapeError(f"self_attention: mask shape {mk.shape} != sequence shape "
+                             f"{M.shape[:-1]}")
+        for i, row in enumerate(mk.reshape(n_seq, t_len)):
+            idx = np.flatnonzero(row)
+            contiguous = idx.size and idx[-1] - idx[0] + 1 == idx.size
+            rows[i] = slice(idx[0], idx[-1] + 1) if contiguous else idx
+    w_hv = w_h.data[:, 0].astype(dtype, copy=False)
+    w_uv = w_u.data[:, 0].astype(dtype, copy=False)
+
+    def sides(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        left = np.empty((len(k), width + 1), dtype=dtype)
+        right = np.empty_like(left)
+        left[:, :width] = right[:, :width] = k
+        left[:, width] = 1.0
+        right[:, width] = k @ w_uv
+        return left, right
+
+    def blocks(n: int):
+        for r0 in range(0, n, ATTENTION_BLOCK):
+            yield r0, min(r0 + ATTENTION_BLOCK, n)
+
+    c2q = np.zeros_like(x)
+    q2c = np.empty((n_seq, width), dtype=dtype)
+    saved = []      # per sequence: row maximizers, log-sum-exps, q2c weights
+    for i, live in enumerate(rows):
+        k = x[i, live]
+        n = len(k)
+        if n == 0:
+            raise DataError(f"self_attention: sequence {i} has no real position")
+        left, right = sides(k)
+        top_at = np.empty(n, dtype=np.intp)
+        top = k @ w_hv                      # m = a + the row max of S - a
+        lse = np.empty(n, dtype=dtype)
+        ck = np.empty_like(k)
+        for r0, r1 in blocks(n):
+            s = left[r0:r1] @ right.T
+            at = s.argmax(axis=1)
+            peak = s[np.arange(r1 - r0), at]
+            if not np.isfinite(peak).all() or not np.isfinite(s.min()):
+                raise NumericError("self_attention: non-finite similarity")
+            s -= peak[:, None]
+            np.exp(s, out=s)
+            pk = s @ left                   # [P K, row sums of P]
+            np.divide(pk[:, :width], pk[:, width:], out=ck[r0:r1])
+            top_at[r0:r1] = at
+            top[r0:r1] += peak
+            lse[r0:r1] = peak + np.log(pk[:, width])
+        beta = np.exp(top - top.max())
+        beta /= beta.sum()
+        q2c[i] = beta @ k
+        c2q[i, live] = ck
+        saved.append((top_at, lse, beta))
+
+    p_w = proj_w.data.astype(dtype, copy=False).reshape(4, width, -1)
+    x2 = x.reshape(-1, width)
+    c2q2 = c2q.reshape(-1, width)
+    mq = (x * q2c[:, None]).reshape(-1, width)
+    out = x2 @ p_w[0]
+    out += c2q2 @ p_w[1]
+    out += (x2 * c2q2) @ p_w[2]
+    out += mq @ p_w[3]
+    out += proj_b.data
+    result = out.reshape(M.shape[:-1] + (p_w.shape[-1],))
+    if not _tracking(M, w_h, w_u, proj_w, proj_b):
+        return Tensor(result)
+
+    def bwd(g):
+        gdt = np.result_type(g, dtype)
+        g2 = g.reshape(-1, p_w.shape[-1])
+        _accum(proj_w, np.concatenate([x2.T @ g2, c2q2.T @ g2, (x2 * c2q2).T @ g2,
+                                       mq.T @ g2]))
+        _accum(proj_b, g2.sum(axis=0))
+        d_m, d_c2q, d_mc, d_mq = (g2 @ p.T for p in p_w)
+        d_q2c = (d_mq * x2).reshape(n_seq, t_len, width).sum(axis=1)
+        d_c2q += d_mc * x2
+        d_m += d_mc * c2q2
+        d_mq *= np.repeat(q2c, t_len, axis=0)
+        d_m += d_mq
+        del d_mc, d_mq
+        d_c2q = d_c2q.reshape(n_seq, t_len, width)
+        dx = d_m.reshape(n_seq, t_len, width)
+        dw_h = np.zeros(width, dtype=gdt)
+        dw_u = np.zeros(width, dtype=gdt)
+        for i, (live, (top_at, lse, beta)) in enumerate(zip(rows, saved)):
+            k = x[i, live]
+            n = len(k)
+            left, right = sides(k)
+            dck = d_c2q[i, live]
+            row_dot = (dck * c2q[i, live]).sum(axis=1)
+            # q2c = beta^T K and beta = softmax(m)
+            d_beta = k @ d_q2c[i]
+            d_top = beta * (d_beta - beta @ d_beta)
+            dk = np.outer(beta, d_q2c[i])
+            d_right = np.zeros((n, width + 1), dtype=gdt)
+            for r0, r1 in blocks(n):
+                p = left[r0:r1] @ right.T
+                p -= lse[r0:r1, None]
+                np.exp(p, out=p)
+                ds = dck[r0:r1] @ k.T
+                dk += p.T @ dck[r0:r1]
+                ds -= row_dot[r0:r1, None]
+                ds *= p
+                ds[np.arange(r1 - r0), top_at[r0:r1]] += d_top[r0:r1]
+                dk[r0:r1] += ds @ k
+                d_right += ds.T @ left[r0:r1]
+            dk += d_right[:, :width]
+            d_b = d_right[:, width]
+            dk += np.outer(d_top, w_hv)
+            dk += np.outer(d_b, w_uv)
+            dw_h += k.T @ d_top
+            dw_u += k.T @ d_b
+            dx[i, live] += dk
+        _accum(M, dx.reshape(M.shape))
+        _accum(w_h, dw_h[:, None])
+        _accum(w_u, dw_u[:, None])
+
+    return _make(result, (M, w_h, w_u, proj_w, proj_b), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,26 @@ def _word_chars(token: str, vocab: Vocab, width: int) -> list[int]:
     return ids + [PAD_ID] * (width - len(ids))
 
 
+def _token_ids(seqs: list[list[str]], vocab: Vocab, width: int,
+               length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Word ids (len(seqs), length) and char ids (len(seqs), length, width)
+    of token sequences, zero-padded. Each distinct token is looked up once."""
+    index: dict[str, int] = {}
+    codes = np.array([index.setdefault(tok, len(index)) for seq in seqs for tok in seq],
+                     dtype=np.intp)
+    words = np.array([vocab.word_id(tok) for tok in index], dtype=np.int64)
+    chars = np.array([_word_chars(tok, vocab, width) for tok in index],
+                     dtype=np.int64).reshape(len(index), width)
+    lens = [len(seq) for seq in seqs]
+    rows = np.repeat(np.arange(len(seqs)), lens)
+    cols = np.arange(len(codes)) - np.repeat(np.cumsum(lens) - lens, lens)
+    word_ids = np.zeros((len(seqs), length), dtype=np.int64)
+    char_ids = np.zeros((len(seqs), length, width), dtype=np.int64)
+    word_ids[rows, cols] = words[codes]
+    char_ids[rows, cols] = chars[codes]
+    return word_ids, char_ids
+
+
 def make_batches(examples: list[Example], vocab: Vocab, batch_size: int,
                  max_context_tokens: int = MAX_CONTEXT_TOKENS,
                  max_word_len: int = 16, rng: np.random.Generator | None = None,
@@ -424,10 +444,8 @@ def _assemble(chunk: list[Example], vocab: Vocab, w: int) -> Batch:
     j_max = max(len(ex.question_tokens) for ex in chunk)
     s_max = max(len(ex.sentence_spans) for ex in chunk)
 
-    cw = np.zeros((b, t_max), dtype=np.int64)
-    cc = np.zeros((b, t_max, w), dtype=np.int64)
-    qw = np.zeros((b, j_max), dtype=np.int64)
-    qc = np.zeros((b, j_max, w), dtype=np.int64)
+    cw, cc = _token_ids([ex.context_tokens for ex in chunk], vocab, w, t_max)
+    qw, qc = _token_ids([ex.question_tokens for ex in chunk], vocab, w, j_max)
     cmask = np.zeros((b, t_max), dtype=np.float32)
     qmask = np.zeros((b, j_max), dtype=np.float32)
     sbounds = np.zeros((b, s_max, 2), dtype=np.int64)
@@ -439,12 +457,6 @@ def _assemble(chunk: list[Example], vocab: Vocab, w: int) -> Batch:
     sup = np.zeros((b, s_max), dtype=np.float32)
 
     for i, ex in enumerate(chunk):
-        for k, tok in enumerate(ex.context_tokens):
-            cw[i, k] = vocab.word_id(tok)
-            cc[i, k] = _word_chars(tok, vocab, w)
-        for k, tok in enumerate(ex.question_tokens):
-            qw[i, k] = vocab.word_id(tok)
-            qc[i, k] = _word_chars(tok, vocab, w)
         cmask[i, :ex.n_tokens] = 1.0
         qmask[i, :len(ex.question_tokens)] = 1.0
         for k, span in enumerate(ex.sentence_spans):

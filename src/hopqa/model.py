@@ -7,6 +7,11 @@ a modeling BiGRU with self-attention, and four stacked prediction BiGRUs
 attention strategies sit behind config flags so the ablation grid
 (baseline / decomposition only / fine-grained only / both) runs on one
 implementation.
+
+Self-attention is one ``ad.self_attention`` node: each sequence attends
+over its real positions only, a block of query rows at a time, so no
+T x T array is built in training or evaluation. Its padded rows get a zero
+context-to-query readout; nothing downstream reads them.
 """
 
 from __future__ import annotations
@@ -106,13 +111,15 @@ class SelfAttentionParams:
 
 
 def self_attention(M: Tensor, p: SelfAttentionParams, mask=None) -> Tensor:
-    """Bidirectional attention of a sequence against itself, fused the
-    conventional way and projected back to the input width."""
-    s = similarity(M, M, p.sim, context_mask=mask, query_mask=mask)
-    c2q = context2query(M, s)
-    q2c = vanilla_q2c(M, s)
-    fused = fuse_g(M, c2q, q2c, variant="bidaf")
-    return linear(fused, p.proj_w, p.proj_b)
+    """Bidirectional attention of a sequence against itself over its real
+    positions, fused the conventional way ([M, c2q, M * c2q, M * q2c]) and
+    projected back to the input width; one ``ad.self_attention`` node.
+
+    At padded rows the context-to-query readout is 0, so the output there
+    is [M, 0, 0, M * q2c] projected. Nothing reads those rows: a masked GRU
+    step ignores its input. A sequence with no real position raises
+    ``DataError``."""
+    return ad.self_attention(M, p.sim.w_h, p.sim.w_u, p.proj_w, p.proj_b, mask)
 
 
 class Model:

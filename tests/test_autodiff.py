@@ -324,6 +324,27 @@ def test_dropout_expectation():
     assert np.allclose(surviving, 3.0 / 0.8)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.2, 0.3])
+def test_dropout_bit_identical_to_scaled_float_mask(rate, dtype):
+    # the former formula: a float keep mask divided by (1 - rate)
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((6, 7)).astype(dtype)
+    data[0, :3] = [-0.0, 0.0, -1e-30]
+    x = Tensor(data, requires_grad=True)
+    out = dropout(x, rate, training=True, rng=np.random.default_rng(8))
+    keep = (np.random.default_rng(8).random(data.shape) >= rate).astype(dtype) / (1.0 - rate)
+    want = data * keep
+    assert out.data.dtype == dtype
+    assert np.array_equal(out.data, want)
+    assert np.array_equal(np.signbit(out.data), np.signbit(want))
+    g = rng.standard_normal(data.shape).astype(dtype)
+    g[1, :2] = -0.0
+    backward(reduce_sum(ad.mul(out, Tensor(g))))
+    assert np.array_equal(x.grad, g * keep)
+    assert np.array_equal(np.signbit(x.grad), np.signbit(g * keep))
+
+
 def test_dropout_bad_rate():
     with pytest.raises(UsageError):
         dropout(tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))

@@ -291,6 +291,40 @@ def test_batch_label_arrays_align():
         assert batch.sup_labels[i].sum() == 2
 
 
+def _per_token_ids(seqs, vocab, w, length):
+    """The per-token loop that batch assembly replaced, kept as reference."""
+    words = np.zeros((len(seqs), length), dtype=np.int64)
+    chars = np.zeros((len(seqs), length, w), dtype=np.int64)
+    for i, seq in enumerate(seqs):
+        for k, tok in enumerate(seq):
+            words[i, k] = vocab.word_id(tok)
+            ids = [vocab.char_id(c) for c in tok[:w]]
+            chars[i, k] = ids + [0] * (w - len(ids))
+    return words, chars
+
+
+def test_batch_token_ids_match_per_token_lookup():
+    examples = synth_two_hop(5, seed=4)
+    vocab = build_vocab(examples[:3])           # the last two bring unknown words
+    long_word = "Supercalifragilistic"          # longer than max_word_len
+    examples[0].context_tokens[3] = long_word
+    examples[0].question_tokens[0] = long_word
+    examples[1].context_tokens[0] = "Ωμέγα"    # characters outside the vocab
+    examples.append(_long_example())            # truncated to the cap
+    batches, stats = make_batches(examples, vocab, batch_size=3, max_word_len=8)
+    assert stats.truncated_examples == 1
+    for batch in batches:
+        t, j = batch.context_words.shape[1], batch.question_words.shape[1]
+        cw, cc = _per_token_ids([ex.context_tokens for ex in batch.examples], vocab, 8, t)
+        qw, qc = _per_token_ids([ex.question_tokens for ex in batch.examples], vocab, 8, j)
+        assert np.array_equal(batch.context_words, cw)
+        assert np.array_equal(batch.context_chars, cc)
+        assert np.array_equal(batch.question_words, qw)
+        assert np.array_equal(batch.question_chars, qc)
+    assert (batches[0].context_words == UNK_ID).any()
+    assert (batches[0].context_chars == UNK_ID).any()
+
+
 # ---------------------------------------------------------------------------
 # synthetic data
 

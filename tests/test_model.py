@@ -19,8 +19,17 @@ from hopqa.model import (
     predictions_to_json,
     self_attention,
 )
-from hopqa.attention import SimilarityParams
-from hopqa.layers import xavier_uniform
+import tracemalloc
+
+from hopqa.attention import (
+    SimilarityParams,
+    context2query,
+    fuse_g,
+    similarity,
+    vanilla_q2c,
+)
+from hopqa.autodiff import DataError
+from hopqa.layers import linear, xavier_uniform
 from hopqa.verification import full_model_check, tiny_batch
 
 
@@ -170,6 +179,115 @@ def test_self_attention_grad_check():
         {"m": m, "w_h": p.sim.w_h, "proj_w": p.proj_w},
         rng=np.random.default_rng(5))
     assert report.worst_rel_err < 1e-3
+
+
+def _reference_self_attention(M, p, mask=None):
+    """Self-attention as the attention primitives compose it: a masked T x T
+    similarity, its row softmax and row max, the bidaf fusion and a linear."""
+    s = similarity(M, M, p.sim, context_mask=mask, query_mask=mask)
+    fused = fuse_g(M, context2query(M, s), vanilla_q2c(M, s), variant="bidaf")
+    return linear(fused, p.proj_w, p.proj_b)
+
+
+def _self_attention_case(shape, dtype, seed=0):
+    """Params, an input in (-1, 1) like the BiGRU states it attends over, a
+    mask with a padded tail (and, at rank 3 with three or more sequences, a
+    hole in the middle) and a probe that reads real rows only."""
+    rng = np.random.default_rng(seed)
+    width = shape[-1]
+    p = SelfAttentionParams(
+        sim=SimilarityParams.create(width, rng, dtype=dtype),
+        proj_w=Tensor(xavier_uniform(rng, 4 * width, width, dtype=dtype), requires_grad=True),
+        proj_b=Tensor(rng.standard_normal(width).astype(dtype), requires_grad=True))
+    m = Tensor(rng.uniform(-1, 1, shape).astype(dtype), requires_grad=True)
+    mask = None
+    if len(shape) == 3 and shape[1] > 1:
+        mask = np.ones(shape[:2], dtype=dtype)
+        mask[0, 2 * shape[1] // 3:] = 0.0
+        if shape[0] > 2:
+            mask[2, 1] = 0.0
+    live = np.ones(shape[:-1], dtype=dtype) if mask is None else mask
+    probe = constant((rng.standard_normal(shape) * live[..., None]).astype(dtype), dtype=dtype)
+    return p, m, mask, live, probe
+
+
+def _self_attention_grads(fn, p, m, mask, probe):
+    params = [m, p.sim.w_h, p.sim.w_u, p.proj_w, p.proj_b]
+    zero_grads(params)
+    out = fn(m, p, mask)
+    backward(ad.reduce_sum(ad.mul(out, probe)))
+    return out.data, [t.grad for t in params]
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+@pytest.mark.parametrize("shape", [(6, 3), (3, 7, 4), (1, 3), (2, 1, 3), (2, 300, 2)])
+def test_self_attention_matches_reference_on_real_rows(shape, dtype, tol):
+    # (2, 300, 2) crosses the 256-row attention block. The tolerance is
+    # absolute, scaled by the reference's largest magnitude where that is
+    # above 1: weight gradients sum hundreds of rows in another order.
+    p, m, mask, live, probe = _self_attention_case(shape, dtype)
+    out, grads = _self_attention_grads(self_attention, p, m, mask, probe)
+    ref_out, ref_grads = _self_attention_grads(_reference_self_attention, p, m, mask, probe)
+    real = live.astype(bool)
+    pairs = [("out", out[real], ref_out[real])]
+    pairs += zip(("m", "w_h", "w_u", "proj_w", "proj_b"), grads, ref_grads)
+    for name, got, want in pairs:
+        assert got.dtype == dtype, name
+        bound = tol * max(1.0, float(np.abs(want).max()))
+        assert np.max(np.abs(got - want)) <= bound, name
+
+
+def test_self_attention_padded_rows_see_no_c2q():
+    p, m, mask, live, _ = _self_attention_case((3, 7, 4), np.float64)
+    out = self_attention(m, p, mask).data
+    s = similarity(m, m, p.sim, context_mask=mask, query_mask=mask)
+    q2c = vanilla_q2c(m, s).data
+    w = p.proj_w.data.reshape(4, 4, 4)
+    want = m.data @ w[0] + (m.data * q2c) @ w[3] + p.proj_b.data
+    pad = ~live.astype(bool)
+    assert pad.sum() == 4
+    assert np.allclose(out[pad], want[pad], atol=1e-12)
+
+
+def test_self_attention_no_grad_is_bit_identical_to_tracking():
+    p, m, mask, _, _ = _self_attention_case((3, 300, 4), np.float32)
+    tracked = self_attention(m, p, mask)
+    assert tracked.requires_grad
+    with no_grad():
+        plain = self_attention(m, p, mask)
+    assert not plain.requires_grad
+    assert np.array_equal(tracked.data, plain.data)
+
+
+def test_self_attention_sequence_without_real_position_raises():
+    p, m, mask, _, _ = _self_attention_case((3, 7, 4), np.float32)
+    mask[1] = 0.0
+    with pytest.raises(DataError, match="sequence 1"):
+        self_attention(m, p, mask)
+    with pytest.raises(DataError, match="sequence 0"):
+        self_attention(constant(np.zeros((0, 4), dtype=np.float32)), p)
+
+
+def _self_attention_peak_bytes(t_len: int, with_backward: bool) -> int:
+    p, m, _, _, _ = _self_attention_case((t_len, 4), np.float32)
+    tracemalloc.start()
+    try:
+        if with_backward:
+            backward(ad.reduce_sum(self_attention(m, p)))
+        else:
+            with no_grad():
+                self_attention(m, p)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("with_backward", [False, True])
+def test_self_attention_memory_is_linear_in_length(with_backward):
+    # doubling T doubles linear memory and quadruples a T x T array
+    ratio = (_self_attention_peak_bytes(2048, with_backward)
+             / _self_attention_peak_bytes(1024, with_backward))
+    assert ratio < 3.0, ratio
 
 
 # ---------------------------------------------------------------------------
