@@ -13,7 +13,7 @@ backward through time run inside the op, in one loop over the steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -38,6 +38,45 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
+@dataclass
+class Linear:
+    """Weights of ``linear``: Xavier-initialised (in x out) ``w``, zero ``b``."""
+
+    w: Tensor
+    b: Tensor
+
+    @classmethod
+    def create(cls, in_dim: int, out_dim: int, rng: np.random.Generator,
+               dtype=np.float32) -> "Linear":
+        return cls(w=Tensor(xavier_uniform(rng, in_dim, out_dim, dtype=dtype), requires_grad=True),
+                   b=Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True))
+
+
+def named_tensors(tree, prefix: str = "") -> dict[str, Tensor]:
+    """Every tensor in a tree of parameter bundles by dotted path, in tree order.
+
+    Dict keys, dataclass fields and list positions are path segments. An
+    ``EmbeddingTable`` stands for its ``weights``, and other non-tensors
+    (``CharCnnParams.kernel``) are skipped. A bundle with a ``names()``
+    method is walked as the subtree that method returns."""
+    if isinstance(tree, Tensor):
+        return {prefix: tree}
+    if isinstance(tree, EmbeddingTable):
+        return {prefix: tree.weights}
+    if hasattr(tree, "names"):
+        tree = tree.names()
+    if is_dataclass(tree):
+        tree = {f.name: getattr(tree, f.name) for f in fields(tree)}
+    elif isinstance(tree, list):
+        tree = dict(enumerate(tree))
+    elif not isinstance(tree, dict):
+        return {}
+    out: dict[str, Tensor] = {}
+    for key, sub in tree.items():
+        out.update(named_tensors(sub, f"{prefix}.{key}" if prefix else str(key)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
@@ -47,17 +86,14 @@ class EmbeddingTable:
     """Row-per-id lookup table. Row 0 is the padding row: zero at init and
     never updated (its gradient is dropped even when the table trains)."""
 
-    vocab_size: int
-    dim: int
     weights: Tensor
-    trainable: bool
 
     @classmethod
     def random(cls, vocab_size: int, dim: int, rng: np.random.Generator,
                trainable: bool, scale: float = 0.1, dtype=np.float32) -> "EmbeddingTable":
         w = (rng.standard_normal((vocab_size, dim)) * scale).astype(dtype)
         w[PAD_ID] = 0.0
-        return cls(vocab_size, dim, Tensor(w, requires_grad=trainable), trainable)
+        return cls(Tensor(w, requires_grad=trainable))
 
     def lookup(self, ids: np.ndarray) -> Tensor:
         return gather_rows(self.weights, ids, pad_guard=True)
@@ -164,6 +200,11 @@ class HighwayParams:
         return cls(gates_w=[mk() for _ in range(layers)], gates_b=[zb() for _ in range(layers)],
                    trans_w=[mk() for _ in range(layers)], trans_b=[zb() for _ in range(layers)])
 
+    def names(self) -> list[dict[str, Tensor]]:
+        """Checkpoint layout, one entry per layer: ``{i}.gate_w`` and so on."""
+        return [{"gate_w": gw, "gate_b": gb, "trans_w": tw, "trans_b": tb}
+                for gw, gb, tw, tb in zip(self.gates_w, self.gates_b, self.trans_w, self.trans_b)]
+
 
 def highway(x: Tensor, p: HighwayParams) -> Tensor:
     """Gated residual stack: y = t * relu(W_h x + b_h) + (1 - t) * x."""
@@ -236,3 +277,4 @@ def bigru(x: Tensor, p: BiGruParams, mask: np.ndarray | None = None) -> Tensor:
     previous hidden state in both directions.
     """
     return ad.bigru(x, p.fw.stacked(), p.bw.stacked(), mask=mask)
+

@@ -16,7 +16,6 @@ context-to-query readout; nothing downstream reads them.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,12 +39,13 @@ from .layers import (
     CharCnnParams,
     EmbeddingTable,
     HighwayParams,
+    Linear,
     bigru,
     char_cnn,
     embed_words,
     highway,
     linear,
-    xavier_uniform,
+    named_tensors,
 )
 
 
@@ -109,6 +109,10 @@ class SelfAttentionParams:
     proj_w: Tensor      # (8d, 2d)
     proj_b: Tensor
 
+    def names(self) -> dict:
+        """Checkpoint layout: ``sim.w_h``, ``sim.w_u``, ``proj.w``, ``proj.b``."""
+        return {"sim": self.sim, "proj": Linear(self.proj_w, self.proj_b)}
+
 
 def self_attention(M: Tensor, p: SelfAttentionParams, mask=None) -> Tensor:
     """Bidirectional attention of a sequence against itself over its real
@@ -123,113 +127,75 @@ def self_attention(M: Tensor, p: SelfAttentionParams, mask=None) -> Tensor:
 
 
 class Model:
-    """Parameter container plus the forward pass."""
+    """Parameter container plus the forward pass.
+
+    A tensor's name, in ``parameters()`` and in checkpoints, is its path
+    through the bundle tree of ``_tree`` (``layers.named_tensors``), e.g.
+    ``encoder.fw.wx_z``. ``names()`` methods exist only to keep the names of
+    format-2 checkpoints. The word table trains only with
+    ``config.train_word_emb``, but is saved and loaded either way."""
 
     def __init__(self, config: ModelConfig, n_words: int, n_chars: int,
                  rng: np.random.Generator, word_vectors: np.ndarray | None = None):
         self.config = config
         dt = config.np_dtype
         d = config.d
-        self._params: dict[str, Tensor] = {}
+        width = 2 * d
 
-        if word_vectors is not None:
-            if word_vectors.shape != (n_words, config.word_dim):
-                raise ShapeError(f"word vectors {word_vectors.shape} != "
-                                 f"({n_words}, {config.word_dim})")
-            wt = word_vectors.astype(dt)
+        if word_vectors is None:
+            self.word_table = EmbeddingTable.random(n_words, config.word_dim, rng,
+                                                    trainable=config.train_word_emb, dtype=dt)
+        elif word_vectors.shape != (n_words, config.word_dim):
+            raise ShapeError(f"word vectors {word_vectors.shape} != "
+                             f"({n_words}, {config.word_dim})")
         else:
-            wt = (rng.standard_normal((n_words, config.word_dim)) * 0.1).astype(dt)
-            wt[0] = 0.0
-        self.word_table = EmbeddingTable(n_words, config.word_dim,
-                                         Tensor(wt, requires_grad=config.train_word_emb),
-                                         trainable=config.train_word_emb)
-        if config.train_word_emb:
-            self._params["embed.word.table"] = self.word_table.weights
+            self.word_table = EmbeddingTable(Tensor(word_vectors.astype(dt),
+                                                    requires_grad=config.train_word_emb))
         self.unk_row = Tensor((rng.standard_normal((1, config.word_dim)) * 0.1).astype(dt),
                               requires_grad=True)
-        self._params["embed.word.unk"] = self.unk_row
-
         self.char_params = CharCnnParams.create(n_chars, config.char_dim,
                                                 config.char_filters, rng, dtype=dt)
-        self._params["embed.char.table"] = self.char_params.table.weights
-        self._params["embed.char.conv_w"] = self.char_params.conv_w
-        self._params["embed.char.conv_b"] = self.char_params.conv_b
-
-        fused_in = config.word_dim + config.char_filters
-        self.proj_w = Tensor(xavier_uniform(rng, fused_in, d, dtype=dt), requires_grad=True)
-        self.proj_b = Tensor(np.zeros(d, dtype=dt), requires_grad=True)
-        self._params["embed.proj.w"] = self.proj_w
-        self._params["embed.proj.b"] = self.proj_b
-
+        self.proj = Linear.create(config.word_dim + config.char_filters, d, rng, dtype=dt)
         self.highway = HighwayParams.create(d, rng, dtype=dt)
-        for i in range(len(self.highway.gates_w)):
-            self._params[f"highway.{i}.gate_w"] = self.highway.gates_w[i]
-            self._params[f"highway.{i}.gate_b"] = self.highway.gates_b[i]
-            self._params[f"highway.{i}.trans_w"] = self.highway.trans_w[i]
-            self._params[f"highway.{i}.trans_b"] = self.highway.trans_b[i]
-
         self.encoder = BiGruParams.create(d, d, rng, dtype=dt)
-        self._register_gru("encoder", self.encoder)
-
-        width = 2 * d
         self.sim = SimilarityParams.create(width, rng, dtype=dt)
-        self._params["att.sim.w_h"] = self.sim.w_h
-        self._params["att.sim.w_u"] = self.sim.w_u
         self.fusion = FusionParams.create(width, rng, dtype=dt)
-        self._params["att.fusion.w_s"] = self.fusion.w_s
-
         self.modeling = BiGruParams.create(4 * width, d, rng, dtype=dt)
-        self._register_gru("modeling", self.modeling)
-
-        self.selfatt = SelfAttentionParams(
-            sim=SimilarityParams.create(width, rng, dtype=dt),
-            proj_w=Tensor(xavier_uniform(rng, 4 * width, width, dtype=dt), requires_grad=True),
-            proj_b=Tensor(np.zeros(width, dtype=dt), requires_grad=True))
-        self._params["selfatt.sim.w_h"] = self.selfatt.sim.w_h
-        self._params["selfatt.sim.w_u"] = self.selfatt.sim.w_u
-        self._params["selfatt.proj.w"] = self.selfatt.proj_w
-        self._params["selfatt.proj.b"] = self.selfatt.proj_b
-
+        selfatt_sim = SimilarityParams.create(width, rng, dtype=dt)
+        selfatt_proj = Linear.create(4 * width, width, rng, dtype=dt)
+        self.selfatt = SelfAttentionParams(selfatt_sim, selfatt_proj.w, selfatt_proj.b)
         r_width = 4 * width + width                   # fused block + modeling output
         self.pred_grus = [BiGruParams.create(r_width, d, rng, dtype=dt)]
         for _ in range(3):
             self.pred_grus.append(BiGruParams.create(r_width + width, d, rng, dtype=dt))
-        for i, p in enumerate(self.pred_grus, start=1):
-            self._register_gru(f"pred{i}", p)
+        self.sup_head = Linear.create(2 * width, 1, rng, dtype=dt)
+        self.start_head = Linear.create(width, 1, rng, dtype=dt)
+        self.end_head = Linear.create(width, 1, rng, dtype=dt)
+        self.type_head = Linear.create(width, 3, rng, dtype=dt)
 
-        def head(name, in_dim, out_dim):
-            w = Tensor(xavier_uniform(rng, in_dim, out_dim, dtype=dt), requires_grad=True)
-            b = Tensor(np.zeros(out_dim, dtype=dt), requires_grad=True)
-            self._params[f"head.{name}.w"] = w
-            self._params[f"head.{name}.b"] = b
-            return w, b
-
-        self.sup_head = head("sup", 2 * width, 1)
-        self.start_head = head("start", width, 1)
-        self.end_head = head("end", width, 1)
-        self.type_head = head("type", width, 3)
-
-    def _register_gru(self, name: str, p: BiGruParams) -> None:
-        for dname, cell in (("fw", p.fw), ("bw", p.bw)):
-            for f in dataclasses.fields(cell):
-                self._params[f"{name}.{dname}.{f.name}"] = getattr(cell, f.name)
+    def _tree(self) -> dict:
+        return {"embed": {"word": {"table": self.word_table, "unk": self.unk_row},
+                          "char": self.char_params, "proj": self.proj},
+                "highway": self.highway,
+                "encoder": self.encoder,
+                "att": {"sim": self.sim, "fusion": self.fusion},
+                "modeling": self.modeling,
+                "selfatt": self.selfatt,
+                **{f"pred{i}": p for i, p in enumerate(self.pred_grus, start=1)},
+                "head": {"sup": self.sup_head, "start": self.start_head,
+                         "end": self.end_head, "type": self.type_head}}
 
     def parameters(self) -> dict[str, Tensor]:
-        """Trainable tensors by name, in registration order."""
-        return dict(self._params)
+        """Trainable tensors by name, in tree order."""
+        return {name: t for name, t in named_tensors(self._tree()).items() if t.requires_grad}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """All persistent arrays, including a frozen word table."""
-        out = {name: t.data for name, t in self._params.items()}
-        if not self.config.train_word_emb:
-            out["embed.word.table"] = self.word_table.weights.data
-        return out
+        return {name: t.data for name, t in named_tensors(self._tree()).items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         dt = self.config.np_dtype
-        own = dict(self._params)
-        own["embed.word.table"] = self.word_table.weights
-        for name, t in own.items():
+        for name, t in named_tensors(self._tree()).items():
             if name not in arrays:
                 raise KeyError(f"checkpoint missing tensor {name!r}")
             arr = arrays[name]
@@ -246,7 +212,7 @@ class Model:
     def _embed(self, word_ids, char_ids, training, rng) -> Tensor:
         words = embed_words(self.word_table, word_ids, unk_row=self.unk_row)
         chars = self._drop(char_cnn(char_ids, self.char_params), training, rng)
-        fused = linear(concat([words, chars], axis=-1), self.proj_w, self.proj_b)
+        fused = linear(concat([words, chars], axis=-1), self.proj.w, self.proj.b)
         return highway(fused, self.highway)
 
     def forward(self, batch: Batch, training: bool = False,
@@ -315,15 +281,13 @@ class Model:
         firsts = ad.gather_rows(flat, first_idx)
         lasts = ad.gather_rows(flat, last_idx)
         pooled = concat([firsts, lasts], axis=-1)     # (B*S, 2*width)
-        w, bias = self.sup_head
-        logits = linear(self._drop(pooled, training, rng), w, bias)
+        logits = linear(self._drop(pooled, training, rng), self.sup_head.w, self.sup_head.b)
         logits = ad.reshape(logits, (b, s_max))
         bias_mask = (1.0 - batch.sentence_mask.astype(logits.data.dtype)) * MASK_FILL
         return logits + Tensor(bias_mask)
 
-    def _position_logits(self, g: Tensor, head, cmask, training, rng) -> Tensor:
-        w, bias = head
-        logits = linear(self._drop(g, training, rng), w, bias)
+    def _position_logits(self, g: Tensor, head: Linear, cmask, training, rng) -> Tensor:
+        logits = linear(self._drop(g, training, rng), head.w, head.b)
         logits = ad.reshape(logits, logits.shape[:-1])
         return logits + Tensor((1.0 - cmask) * MASK_FILL)
 
@@ -331,8 +295,7 @@ class Model:
         summed = ad.reduce_sum(g4 * Tensor(cmask[..., None]), axis=-2)
         inv_len = (1.0 / cmask.sum(axis=-1, keepdims=True)).astype(g4.data.dtype)
         pooled = summed * Tensor(inv_len)
-        w, bias = self.type_head
-        return linear(self._drop(pooled, training, rng), w, bias)
+        return linear(self._drop(pooled, training, rng), self.type_head.w, self.type_head.b)
 
 
 # ---------------------------------------------------------------------------

@@ -145,9 +145,6 @@ class EmaWeights:
         for n, t in self.params.items():
             self.shadow[n] = d * self.shadow[n] + (1.0 - d) * t.data
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {n: a.copy() for n, a in self.shadow.items()}
-
     @contextlib.contextmanager
     def swapped(self):
         saved = {n: t.data for n, t in self.params.items()}

@@ -76,6 +76,12 @@ def evaluate_model(model: Model, examples: list[Example], vocab: Vocab,
     return aggregate(scores)
 
 
+def _averaged_state(model: Model, ema: EmaWeights) -> dict[str, np.ndarray]:
+    """Copies of all the model's persistent arrays, with the averaged weights in."""
+    with ema.swapped():
+        return {name: a.copy() for name, a in model.state_arrays().items()}
+
+
 def train(model: Model, train_examples: list[Example],
           dev_examples: list[Example], vocab: Vocab, tcfg: TrainConfig,
           on_epoch: Callable[[int, Model, EmaWeights, TrainResult], bool] | None = None
@@ -136,10 +142,7 @@ def train(model: Model, train_examples: list[Example],
             if metric > result.best_metric:
                 result.best_metric = metric
                 result.best_epoch = epoch
-                result.best_state = ema.snapshot()
-                if not model.config.train_word_emb:
-                    result.best_state["embed.word.table"] = \
-                        model.word_table.weights.data.copy()
+                result.best_state = _averaged_state(model, ema)
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -149,8 +152,6 @@ def train(model: Model, train_examples: list[Example],
         if on_epoch is not None and on_epoch(epoch, model, ema, result):
             break
     if result.best_state is None:
-        result.best_state = ema.snapshot()
-        if not model.config.train_word_emb:
-            result.best_state["embed.word.table"] = model.word_table.weights.data.copy()
+        result.best_state = _averaged_state(model, ema)
         result.best_epoch = len(result.epoch_logs)
     return result

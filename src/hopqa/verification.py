@@ -34,7 +34,8 @@ def full_model_check(dtype_name: str, d: int = 4, seed: int = 0,
     """Gradient-check the joint loss of the whole model on the tiny batch.
 
     One representative parameter per block is sampled unless
-    ``param_filter`` lists explicit names.
+    ``param_filter`` lists explicit names; a name that is not a parameter
+    raises ``KeyError``.
     """
     batch = tiny_batch()
     vocab_words = int(batch.context_words.max() + 1)
@@ -59,7 +60,8 @@ def full_model_check(dtype_name: str, d: int = 4, seed: int = 0,
             "pred1.fw.wh_z", "pred2.bw.wx_n", "pred3.fw.b_z", "pred4.bw.wh_r",
             "head.sup.w", "head.start.w", "head.end.w", "head.type.w",
         ]
-    params = {name: t for name, t in model.parameters().items() if name in param_filter}
+    params = model.parameters()
+    params = {name: params[name] for name in param_filter}
     report = grad_check(f, params, max_coords=max_coords,
                         rng=np.random.default_rng(seed + 7))
     return report.worst_rel_err, report, model

@@ -28,8 +28,10 @@ from hopqa.attention import (
     similarity,
     vanilla_q2c,
 )
-from hopqa.autodiff import DataError
+from hopqa.autodiff import DataError, ShapeError
 from hopqa.layers import linear, xavier_uniform
+from hopqa.serialization import load_tensors, save_tensors
+from hopqa.training import TrainConfig, train
 from hopqa.verification import full_model_check, tiny_batch
 
 
@@ -340,6 +342,83 @@ def test_zero_sup_weight_decouples_sup_head():
 def test_joint_loss_grad_check_tiny_dims():
     worst, report, _ = full_model_check("float32")
     assert worst < 1e-3, f"worst {worst:.2e} at {report.worst_param()}"
+
+
+def test_full_model_check_rejects_unknown_parameter_name():
+    with pytest.raises(KeyError, match="att.sim.w_x"):
+        full_model_check("float64", param_filter=["att.sim.w_h", "att.sim.w_x"])
+
+
+# ---------------------------------------------------------------------------
+# parameter names and checkpoints
+
+_GRU_NAMES = [f"{direction}.{w}" for direction in ("fw", "bw")
+              for w in ("wx_z", "wx_r", "wx_n", "wh_z", "wh_r", "wh_n", "b_z", "b_r", "b_n")]
+
+# Trainable tensors in order, as format-2 checkpoints name them; the word
+# table ("embed.word.table") comes first when it trains.
+PARAMETER_NAMES = (
+    ["embed.word.unk", "embed.char.table", "embed.char.conv_w", "embed.char.conv_b",
+     "embed.proj.w", "embed.proj.b"]
+    + [f"highway.{i}.{w}" for i in range(2) for w in ("gate_w", "gate_b", "trans_w", "trans_b")]
+    + [f"encoder.{w}" for w in _GRU_NAMES]
+    + ["att.sim.w_h", "att.sim.w_u", "att.fusion.w_s"]
+    + [f"modeling.{w}" for w in _GRU_NAMES]
+    + ["selfatt.sim.w_h", "selfatt.sim.w_u", "selfatt.proj.w", "selfatt.proj.b"]
+    + [f"pred{k}.{w}" for k in range(1, 5) for w in _GRU_NAMES]
+    + [f"head.{h}.{w}" for h in ("sup", "start", "end", "type") for w in ("w", "b")])
+
+
+@pytest.mark.parametrize("train_word_emb", [False, True])
+def test_parameter_and_checkpoint_names_are_stable(train_word_emb):
+    model = Model(tiny_config(train_word_emb=train_word_emb), 20, 20, np.random.default_rng(0))
+    assert len(PARAMETER_NAMES) == 137
+    want = (["embed.word.table"] if train_word_emb else []) + PARAMETER_NAMES
+    assert list(model.parameters()) == want
+    state = model.state_arrays()
+    assert len(state) == 138
+    assert set(state) == {"embed.word.table", *PARAMETER_NAMES}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_checkpoint_round_trip_gives_bit_identical_forward(tmp_path, dtype):
+    model, batch, vocab = make_model_and_batch(dtype=dtype)
+    save_tensors(str(tmp_path / "model"), model.state_arrays())
+    arrays, _ = load_tensors(str(tmp_path / "model"))
+    fresh = Model(model.config, vocab.n_words, vocab.n_chars, np.random.default_rng(1))
+    want = model.forward(batch)
+    assert not np.array_equal(fresh.forward(batch).start_logits.data, want.start_logits.data)
+    fresh.load_state(arrays)
+    for name, arr in fresh.state_arrays().items():
+        assert arr.dtype == np.dtype(dtype), name
+    got = fresh.forward(batch)
+    for head in ("type_logits", "start_logits", "end_logits", "sup_logits"):
+        assert np.array_equal(getattr(got, head).data, getattr(want, head).data), head
+
+
+@pytest.mark.parametrize("train_word_emb", [False, True])
+def test_best_state_loads_into_fresh_model(train_word_emb):
+    examples = synth_two_hop(4, seed=5)
+    vocab = build_vocab(examples)
+    config = tiny_config(train_word_emb=train_word_emb)
+    model = Model(config, vocab.n_words, vocab.n_chars, np.random.default_rng(0))
+    result = train(model, examples[:2], examples[2:], vocab,
+                   TrainConfig(epochs=2, batch_size=2, ema_decay=0.5, patience=2))
+    fresh = Model(config, vocab.n_words, vocab.n_chars, np.random.default_rng(1))
+    fresh.load_state(result.best_state)
+    state = fresh.state_arrays()
+    assert set(state) == set(result.best_state)
+    for name, arr in state.items():
+        assert np.array_equal(arr, result.best_state[name]), name
+
+
+def test_load_state_rejects_missing_and_misshapen_tensors():
+    model, _, _ = make_model_and_batch()
+    state = model.state_arrays()
+    with pytest.raises(KeyError, match="head.type.b"):
+        model.load_state({name: a for name, a in state.items() if name != "head.type.b"})
+    with pytest.raises(ShapeError, match="embed.word.table"):
+        model.load_state({**state, "embed.word.table": state["embed.word.table"][:-1]})
 
 
 # ---------------------------------------------------------------------------
