@@ -468,12 +468,6 @@ def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
     return _make(out, (x,), bwd)
 
 
-def reduce_mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    n = x.data.size if axis is None else x.shape[_norm_axis(axis, x.ndim, "reduce_mean")]
-    s = reduce_sum(x, axis=axis, keepdims=keepdims)
-    return mul(s, _as_tensor(1.0 / n, x.dtype))
-
-
 # ---------------------------------------------------------------------------
 # losses and regularization
 

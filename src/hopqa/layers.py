@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor, concat, gather_rows, matmul, narrow
+from .autodiff import ShapeError, Tensor, concat, gather_rows, matmul
 
 PAD_ID = 0
 UNK_ID = 1
@@ -101,7 +101,7 @@ class EmbeddingTable:
 
 def embed_words(table: EmbeddingTable, ids: np.ndarray,
                 unk_row: Tensor | None = None) -> Tensor:
-    """Gather word vectors; an optional trainable ``unk_row`` replaces the
+    """Gather word vectors; an optional trainable ``unk_row`` is added to the
     table's (frozen) row for ids equal to UNK_ID."""
     out = table.lookup(ids)
     if unk_row is not None:
@@ -167,18 +167,22 @@ class CharCnnParams:
 
 def char_cnn(char_ids: np.ndarray, p: CharCnnParams) -> Tensor:
     """Per-word character features: embed, width-``kernel`` convolution over
-    the character axis, relu, max-pool over window positions.
+    the character axis, max-pool over window positions, bias, relu.
 
     ``char_ids`` has shape (..., W) with W >= kernel; output (..., filters).
+    Pooling comes before the bias and relu: both are non-decreasing, also
+    after float rounding, so each commutes exactly with a max, and
+    max_i relu(x_i + b) equals relu(max_i x_i + b) bit for bit. The bias and
+    relu then run on the pooled (..., filters) array only.
     """
     w = char_ids.shape[-1]
     if w < p.kernel:
         raise ShapeError(f"char_cnn: word width {w} shorter than kernel {p.kernel}")
-    emb = p.table.lookup(char_ids)                       # (..., W, char_dim)
-    windows = [narrow(emb, -2, k, w - p.kernel + 1) for k in range(p.kernel)]
-    unfolded = concat(windows, axis=-1)                  # (..., W-k+1, kernel*char_dim)
-    conv = ad.relu(linear(unfolded, p.conv_w, p.conv_b))
-    return ad.max_reduce(conv, axis=-2)
+    windows = np.lib.stride_tricks.sliding_window_view(char_ids, p.kernel, axis=-1)
+    emb = p.table.lookup(windows)                        # (..., W-k+1, kernel, char_dim)
+    unfolded = ad.reshape(emb, windows.shape[:-1] + (-1,))
+    pooled = ad.max_reduce(matmul(unfolded, p.conv_w), axis=-2)
+    return ad.relu(pooled + p.conv_b)
 
 
 # ---------------------------------------------------------------------------

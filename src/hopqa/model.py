@@ -57,8 +57,6 @@ class ModelConfig:
     use_fgin: bool = True
     lambda_a: float = 0.5
     lambda_s: float = 2.0
-    c2q_source: str = "decomposed"      # decomposed | original
-    fusion_variant: str = "paper"       # paper | bidaf
     max_span_len: int = 30
     sup_threshold: float = 0.5
     word_dim: int = 300
@@ -74,10 +72,6 @@ class ModelConfig:
             raise ValueError("loss weights must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.c2q_source not in ("decomposed", "original"):
-            raise ValueError(f"unknown c2q_source {self.c2q_source!r}")
-        if self.fusion_variant not in ("paper", "bidaf"):
-            raise ValueError(f"unknown fusion_variant {self.fusion_variant!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"unknown dtype {self.dtype!r}")
 
@@ -194,15 +188,17 @@ class Model:
         return {name: t.data for name, t in named_tensors(self._tree()).items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        dt = self.config.np_dtype
-        for name, t in named_tensors(self._tree()).items():
+        """Assign every persistent array, or none: all names and shapes are
+        checked before any tensor changes."""
+        named = named_tensors(self._tree())
+        for name, t in named.items():
             if name not in arrays:
                 raise KeyError(f"checkpoint missing tensor {name!r}")
-            arr = arrays[name]
-            if tuple(arr.shape) != t.shape:
+            if tuple(arrays[name].shape) != t.shape:
                 raise ShapeError(f"checkpoint tensor {name!r} has shape "
-                                 f"{arr.shape}, expected {t.shape}")
-            t.data = arr.astype(dt)
+                                 f"{arrays[name].shape}, expected {t.shape}")
+        for name, t in named.items():
+            t.data = arrays[name].astype(self.config.np_dtype)
 
     # ------------------------------------------------------------------
 
@@ -249,9 +245,8 @@ class Model:
             q2c = fgin_q2c(H, S2, trace=trace)
         else:
             q2c = vanilla_q2c(H, S2, trace=trace)
-        c2q_rows = q_bar if cfg.c2q_source == "decomposed" else U
-        c2q = context2query(c2q_rows, S2, trace=trace)
-        G = fuse_g(H, c2q, q2c, variant=cfg.fusion_variant, trace=trace)
+        c2q = context2query(q_bar, S2, trace=trace)
+        G = fuse_g(H, c2q, q2c, trace=trace)
         G = G * Tensor(cmask[..., None])              # zero padded rows
 
         M0 = bigru(self._drop(G, training, rng), self.modeling, mask=cmask)
@@ -275,12 +270,8 @@ class Model:
         b, t_len, width = g1.shape
         s_max = batch.sentence_bounds.shape[1]
         flat = ad.reshape(g1, (b * t_len, width))
-        offsets = (np.arange(b)[:, None] * t_len)
-        first_idx = (batch.sentence_bounds[:, :, 0] + offsets).reshape(-1)
-        last_idx = (batch.sentence_bounds[:, :, 1] + offsets).reshape(-1)
-        firsts = ad.gather_rows(flat, first_idx)
-        lasts = ad.gather_rows(flat, last_idx)
-        pooled = concat([firsts, lasts], axis=-1)     # (B*S, 2*width)
+        bounds = batch.sentence_bounds + np.arange(b)[:, None, None] * t_len   # (B, S, 2)
+        pooled = ad.reshape(ad.gather_rows(flat, bounds), (b * s_max, 2 * width))
         logits = linear(self._drop(pooled, training, rng), self.sup_head.w, self.sup_head.b)
         logits = ad.reshape(logits, (b, s_max))
         bias_mask = (1.0 - batch.sentence_mask.astype(logits.data.dtype)) * MASK_FILL

@@ -25,7 +25,6 @@ from hopqa.autodiff import (
     narrow,
     no_grad,
     parameter,
-    reduce_mean,
     reduce_sum,
     relu,
     reshape,
@@ -409,12 +408,6 @@ def test_broadcast_to_sums_gradient_back():
     y = broadcast_to(x, (3, 2))
     backward(reduce_sum(y))
     assert x.grad.tolist() == [[3.0, 3.0]]
-
-
-def test_reduce_mean_gradient():
-    x = parameter([1.0, 3.0, 5.0, 7.0])
-    backward(reduce_mean(x))
-    assert np.allclose(x.grad, 0.25)
 
 
 def test_backward_twice_gives_same_leaf_grads():

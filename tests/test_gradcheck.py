@@ -14,7 +14,6 @@ from hopqa.autodiff import (
     max_reduce,
     narrow,
     parameter,
-    reduce_mean,
     reduce_sum,
     relu,
     reshape,
@@ -80,8 +79,6 @@ def test_primitive_ops_pass_grad_check(dtype):
         "gather_rows": (lambda: reduce_sum(ad.mul(gather_rows(table, ids),
                                                   constant(_rand(np.random.default_rng(1), (4, 4), dtype), dtype=dtype))),
                         {"table": table}),
-        "reduce_mean": (lambda: reduce_sum(ad.mul(reduce_mean(x, axis=0, keepdims=True),
-                                                  narrow(probe @ transpose(w), 0, 0, 1))), {"x": x}),
         "cross_entropy": (lambda: cross_entropy(x, labels, reduction="mean"), {"x": x}),
         "bce": (lambda: binary_cross_entropy(x, blabels, reduction="mean"), {"x": x}),
         "dropout": (lambda: reduce_sum(ad.mul(

@@ -114,6 +114,51 @@ def test_char_cnn_extra_pad_column_no_change():
     assert np.array_equal(base, padded)
 
 
+def _reference_char_cnn(char_ids: np.ndarray, p: CharCnnParams) -> Tensor:
+    """Windows cut by ``narrow`` and joined by ``concat``, then linear, relu
+    and a max over window positions: the composition ``char_cnn`` must match."""
+    n_windows = char_ids.shape[-1] - p.kernel + 1
+    emb = p.table.lookup(char_ids)
+    unfolded = ad.concat([ad.narrow(emb, -2, k, n_windows) for k in range(p.kernel)], axis=-1)
+    return ad.max_reduce(ad.relu(linear(unfolded, p.conv_w, p.conv_b)), axis=-2)
+
+
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_char_cnn_matches_narrow_concat_reference(dtype, atol):
+    rng = np.random.default_rng(25)
+    p = CharCnnParams.create(9, 3, 6, rng, dtype=dtype)
+    p.conv_b.data[:] = rng.standard_normal(6)        # some filters off for every window
+    ids = rng.integers(1, 9, size=(2, 5, 10))
+    ids[:, :, 7:] = 0                                 # padded character columns
+    ids[1, 3] = 0                                     # an all-pad word
+    probe = constant(rng.standard_normal((2, 5, 6)).astype(dtype), dtype=dtype)
+    tensors = {"table": p.table.weights, "conv_w": p.conv_w, "conv_b": p.conv_b}
+
+    def run(fn):
+        for t in tensors.values():
+            t.grad = None
+        out = fn(ids, p)
+        backward(reduce_sum(ad.mul(out, probe)))
+        return out.data, {name: t.grad for name, t in tensors.items()}
+
+    out, grads = run(char_cnn)
+    ref_out, ref_grads = run(_reference_char_cnn)
+    assert out.dtype == dtype
+    assert np.array_equal(out, ref_out)
+    for name in tensors:
+        assert grads[name].dtype == dtype
+        assert np.allclose(grads[name], ref_grads[name], rtol=0, atol=atol), name
+
+
+def test_char_cnn_graph_size_does_not_depend_on_kernel():
+    def reachable(kernel):
+        rng = np.random.default_rng(26)
+        p = CharCnnParams.create(8, 3, 5, rng, kernel=kernel)
+        return len(ad._toposort(char_cnn(rng.integers(0, 8, size=(2, 4, 9)), p)))
+
+    assert reachable(2) == reachable(5)
+
+
 # ---------------------------------------------------------------------------
 # highway
 

@@ -421,6 +421,43 @@ def test_load_state_rejects_missing_and_misshapen_tensors():
         model.load_state({**state, "embed.word.table": state["embed.word.table"][:-1]})
 
 
+@pytest.mark.parametrize("case", ["missing", "misshapen"])
+def test_failed_load_leaves_every_array_unchanged(case):
+    model, _, vocab = make_model_and_batch()
+    before = {name: a.copy() for name, a in model.state_arrays().items()}
+    other = Model(model.config, vocab.n_words, vocab.n_chars, np.random.default_rng(1))
+    state = other.state_arrays()
+    if case == "missing":
+        del state["head.type.b"]                 # the last name in tree order
+        error = KeyError
+    else:
+        state["head.type.w"] = state["head.type.w"][:-1]
+        error = ShapeError
+    with pytest.raises(error, match="head.type"):
+        model.load_state(state)
+    after = model.state_arrays()
+    assert list(after) == list(before)
+    for name, arr in after.items():
+        assert np.array_equal(arr, before[name]), name
+
+
+def test_training_graph_size_does_not_depend_on_context_length():
+    def nodes_per_step(n_distractors):
+        examples = synth_two_hop(2, seed=6, n_distractors=n_distractors)
+        vocab = build_vocab(examples)
+        (batch,), _ = make_batches(examples, vocab, batch_size=2, max_word_len=8)
+        model = Model(tiny_config(dropout=0.2), vocab.n_words, vocab.n_chars,
+                      np.random.default_rng(0))
+        out = model.forward(batch, training=True, rng=np.random.default_rng(1))
+        loss, _ = joint_loss(out, batch, model.config.lambda_a, model.config.lambda_s)
+        return batch.context_words.shape[1], sum(
+            node._backward is not None for node in ad._toposort(loss))
+
+    (short_len, short_nodes), (long_len, long_nodes) = nodes_per_step(0), nodes_per_step(6)
+    assert long_len > 3 * short_len
+    assert short_nodes == long_nodes
+
+
 # ---------------------------------------------------------------------------
 # decode
 
