@@ -368,7 +368,9 @@ def gather_rows(table: Tensor, ids: np.ndarray, pad_guard: bool = False) -> Tens
     """Row lookup ``table[ids]``; ids may have any rank.
 
     With ``pad_guard`` the gradient into row 0 is dropped, keeping a
-    reserved padding row inert under training.
+    reserved padding row inert under training. The backward sorts the ids
+    once (stably, so each row's terms keep their order) and sums each
+    touched row's gradient rows as one segment.
     """
     if table.ndim != 2:
         raise ShapeError(f"gather_rows: table must be rank 2, got {table.shape}")
@@ -384,7 +386,14 @@ def gather_rows(table: Tensor, ids: np.ndarray, pad_guard: bool = False) -> Tens
 
     def bwd(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
+        flat = ids.reshape(-1)
+        if flat.size:
+            # the narrowest unsigned key: numpy radix-sorts 8- and 16-bit keys
+            keys = flat.astype(np.min_scalar_type(table.shape[0] - 1))
+            order = np.argsort(keys, kind="stable")
+            ranked = flat[order]
+            starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+            gt[ranked[starts]] = np.add.reduceat(g.reshape(flat.size, -1)[order], starts)
         if pad_guard:
             gt[0] = 0.0
         _accum(table, gt)
@@ -575,9 +584,15 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 BIGRU_CHUNK = 256
 
 
-def bigru(x: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor],
+def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor], bw: Sequence[Tensor],
           mask: np.ndarray | None = None) -> Tensor:
     """Bidirectional GRU over axis -2 as a single graph node.
+
+    ``x`` is the input, or a list of parts that make the input when joined
+    on the last axis; the joined input is never built. Part k meets its own
+    rows of each ``w_x``, so the input projection is a sum of part GEMMs,
+    and the backward gives each part ``da @ w_x[rows_k]^T`` and each
+    ``w_x`` its rows ``part_k^T @ da``.
 
     ``fw`` and ``bw`` are ``(w_x, w_h, b)`` with the gates stacked in order
     ``[z | r | n]``: ``w_x`` is in x 3h, ``w_h`` is h x 3h and ``b`` is 3h.
@@ -593,59 +608,91 @@ def bigru(x: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor],
     (2, N, .) slot, N being the product of the leading axes. A sigmoid is
     0.5 tanh(a/2) + 0.5; the halving is folded into the z/r weights and
     biases, which is exact in binary floating point. The input projection
-    is made ``BIGRU_CHUNK`` steps at a time, and the gate activations are
-    kept for every step only when tracking. The backward walks the steps
-    once in reverse with the mask folded into local derivatives computed
-    for all steps at once, then gets the input and weight gradients from a
-    few GEMMs over all steps.
+    is made ``BIGRU_CHUNK`` steps at a time, and only over each sequence's
+    positions [0, L_n), L_n being one past its last position with
+    ``mask != 0`` (0 if none): one contiguous slice per sequence, chunk and
+    direction. The scratch past L_n is written as zeros, since a masked
+    step multiplies its input by 0 and whatever the input holds there (NaN
+    too) would otherwise reach the state. The gate activations are kept
+    for every step only when tracking. The backward walks the steps once
+    in reverse with the mask folded into local derivatives computed for
+    all steps at once, then gets the input and weight gradients from a few
+    GEMMs over all steps; it assumes the input is finite everywhere.
     """
-    if x.ndim < 2:
-        raise ShapeError(f"bigru: input must be at least rank 2, got {x.shape}")
-    t_len, d_in = x.shape[-2:]
+    parts = [x] if isinstance(x, Tensor) else list(x)
+    if not parts:
+        raise ShapeError("bigru: need at least one input part")
+    if parts[0].ndim < 2:
+        raise ShapeError(f"bigru: input must be at least rank 2, got {parts[0].shape}")
+    lead = parts[0].shape[:-1]
+    for p in parts[1:]:
+        if p.shape[:-1] != lead:
+            raise ShapeError(f"bigru: input parts {parts[0].shape} and {p.shape} differ "
+                             "before the last axis")
+    t_len = lead[-1]
     if t_len < 1:
         raise ShapeError("bigru: empty sequence")
+    widths = [p.shape[-1] for p in parts]
+    d_in = sum(widths)
     hid = fw[1].shape[0]
     for w_x, w_h, b in (fw, bw):
         if w_h.shape != (hid, 3 * hid) or w_x.shape != (d_in, 3 * hid) \
                 or b.shape != (3 * hid,):
             raise ShapeError(f"bigru: stacked weights {w_x.shape}, {w_h.shape}, {b.shape} "
-                             f"do not fit input width {d_in} and hidden size {hid}")
-    n_seq = int(np.prod(x.shape[:-2]))
-    dtype = np.result_type(x.data, *(t.data for t in (*fw, *bw)))
+                             f"do not fit input widths {widths} and hidden size {hid}")
+    n_seq = int(np.prod(lead[:-1]))
+    dtype = np.result_type(*(p.data for p in parts), *(t.data for t in (*fw, *bw)))
     # mask per step and direction, step-major like every per-step array
     m = np.ones((t_len, 2, n_seq, 1), dtype=dtype)
+    ends = np.full(n_seq, t_len)                        # L_n per sequence
     if mask is not None:
         mk = np.asarray(mask)
-        if mk.shape != x.shape[:-1]:
-            raise ShapeError(f"bigru: mask shape {mk.shape} != sequence shape {x.shape[:-1]}")
-        mk = mk.reshape(n_seq, t_len).T
-        m[:, 0, :, 0] = mk
-        m[:, 1, :, 0] = mk[::-1]
+        if mk.shape != lead:
+            raise ShapeError(f"bigru: mask shape {mk.shape} != sequence shape {lead}")
+        mk = mk.reshape(n_seq, t_len)
+        real = mk != 0
+        ends = np.where(real.any(axis=1), t_len - np.argmax(real[:, ::-1], axis=1), 0)
+        m[:, 0, :, 0] = mk.T
+        m[:, 1, :, 0] = mk.T[::-1]
     m_half = 0.5 * m
 
-    # weights with the z/r halving folded in; the n-gate hidden weights are
-    # halved too because the loop multiplies them by 2r
+    # weights with the z/r halving folded in, split by rows into the parts'
+    # blocks; the n-gate hidden weights are halved too because the loop
+    # multiplies them by 2r
+    splits = np.cumsum(widths)[:-1]
     half = np.repeat(np.array([0.5, 0.5, 1.0], dtype=dtype), hid)
-    proj = [(w_x.data * half, b.data * half) for w_x, _, b in (fw, bw)]
+    proj = [(np.split(w_x.data * half, splits), b.data * half) for w_x, _, b in (fw, bw)]
     wh_zr = 0.5 * np.stack([fw[1].data[:, :2 * hid], bw[1].data[:, :2 * hid]])
     wh_n = 0.5 * np.stack([fw[1].data[:, 2 * hid:], bw[1].data[:, 2 * hid:]])
 
-    x3 = x.data.reshape(n_seq, t_len, d_in)
+    xs = [p.data.reshape(n_seq, t_len, w) for p, w in zip(parts, widths)]
     chunk = min(t_len, BIGRU_CHUNK)
     x_zr = np.empty((chunk, 2, n_seq, 2 * hid), dtype=dtype)
     x_n = np.empty((chunk, 2, n_seq, hid), dtype=dtype)
 
     def project(s0: int, s1: int) -> None:
         c = s1 - s0
-        for d, (w, bias) in enumerate(proj):
-            if d == 0:
-                p = (x3[:, s0:s1] @ w).transpose(1, 0, 2)
-            else:
-                p = (x3[:, t_len - s1:t_len - s0] @ w)[:, ::-1].transpose(1, 0, 2)
-            np.add(p[..., :2 * hid], bias[:2 * hid], out=x_zr[:c, d])
-            np.add(p[..., 2 * hid:], bias[2 * hid:], out=x_n[:c, d])
+        for n, end in enumerate(ends):
+            for d, (ws, bias) in enumerate(proj):
+                # the chunk's positions are [lo, lo + c); its real ones fill
+                # the first k steps forward and the last k steps backward
+                lo = s0 if d == 0 else t_len - s1
+                k = min(max(end - lo, 0), c)
+                dst, pad = (slice(0, k), slice(k, c)) if d == 0 else \
+                    (slice(c - k, c), slice(0, c - k))
+                if k < c:
+                    x_zr[pad, d, n] = 0.0
+                    x_n[pad, d, n] = 0.0
+                if k:
+                    p = xs[0][n, lo:lo + k] @ ws[0]
+                    for xk, wk in zip(xs[1:], ws[1:]):
+                        p += xk[n, lo:lo + k] @ wk
+                    if d:
+                        p = p[::-1]
+                    np.add(p[:, :2 * hid], bias[:2 * hid], out=x_zr[dst, d, n])
+                    np.add(p[:, 2 * hid:], bias[2 * hid:], out=x_n[dst, d, n])
 
-    tracking = _tracking(x, *fw, *bw)
+    tracking = _tracking(*parts, *fw, *bw)
     kept = t_len if tracking else 1
     u = np.empty((kept, 2, n_seq, 2 * hid), dtype=dtype)   # 2 * sigmoid of z, r
     nn = np.empty((kept, 2, n_seq, hid), dtype=dtype)
@@ -668,7 +715,7 @@ def bigru(x: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor],
         h += step
         out[:, s, :hid] = h[0]
         out[:, t_len - 1 - s, hid:] = h[1]
-    result = out.reshape(x.shape[:-1] + (2 * hid,))
+    result = out.reshape(lead + (2 * hid,))
     if not tracking:
         return Tensor(result)
 
@@ -715,9 +762,10 @@ def bigru(x: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor],
         da[:, :, 3 * hid:5 * hid] = da_zr[::-1, 1].transpose(1, 0, 2)
         da[:, :, 5 * hid:] = da_n[::-1, 1].transpose(1, 0, 2)
         flat = da.reshape(-1, 6 * hid)
-        w_x_t = np.concatenate([fw[0].data, bw[0].data], axis=1).T
-        _accum(x, (da @ w_x_t).reshape(x.shape))
-        dw_x = x3.reshape(-1, d_in).T @ flat
+        w_rows = np.split(np.concatenate([fw[0].data, bw[0].data], axis=1), splits)
+        for p, w in zip(parts, w_rows):
+            _accum(p, (da @ w.T).reshape(p.shape))
+        dw_x = np.concatenate([xk.reshape(-1, xk.shape[-1]).T @ flat for xk in xs])
         db = flat.sum(axis=0)
         rh = r * h_prev
         for d, (w_x, w_h, b) in enumerate((fw, bw)):
@@ -728,7 +776,7 @@ def bigru(x: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor],
                  rh[:, d].reshape(-1, hid).T @ da_n[:, d].reshape(-1, hid)], axis=1))
             _accum(b, db[cols])
 
-    return _make(result, (x, *fw, *bw), bwd)
+    return _make(result, (*parts, *fw, *bw), bwd)
 
 
 # ---------------------------------------------------------------------------

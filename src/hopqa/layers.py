@@ -8,12 +8,16 @@ batched ones (B x T x ...): every op works on the trailing axes.
 Each BiGRU is one ``ad.bigru`` graph node whatever the sequence length:
 the per-gate weights of each direction are stacked in gate order
 ``[z | r | n]`` by three small concat nodes, and both recurrences and their
-backward through time run inside the op, in one loop over the steps.
+backward through time run inside the op, in one loop over the steps. A
+BiGRU whose input is several tensors side by side takes them as a list of
+parts, so the joined input is never copied, and each sequence's input is
+projected only up to its last real position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -273,12 +277,16 @@ class BiGruParams:
                    bw=GruCellParams.create(in_dim, hidden, rng, dtype))
 
 
-def bigru(x: Tensor, p: BiGruParams, mask: np.ndarray | None = None) -> Tensor:
+def bigru(x: Tensor | Sequence[Tensor], p: BiGruParams,
+          mask: np.ndarray | None = None) -> Tensor:
     """Bidirectional GRU over axis -2; outputs the two directions
     concatenated per position: (..., T, 2 * hidden).
 
-    ``mask`` is (..., T) with 1.0 at real positions; padded steps keep the
-    previous hidden state in both directions.
+    ``x`` is the input or a list of parts whose join on the last axis is the
+    input, in the order of the rows of the ``wx_*`` weights; the join is
+    never built. ``mask`` is (..., T) with 1.0 at real positions; padded
+    steps keep the previous hidden state in both directions, and positions
+    past a sequence's last real one are not projected at all.
     """
     return ad.bigru(x, p.fw.stacked(), p.bw.stacked(), mask=mask)
 

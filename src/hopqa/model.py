@@ -8,6 +8,10 @@ attention strategies sit behind config flags so the ablation grid
 (baseline / decomposition only / fine-grained only / both) runs on one
 implementation.
 
+The prediction BiGRUs take the fused block G, the modeling output M and
+the previous BiGRU's output as input parts, so their joined inputs are
+never built.
+
 Self-attention is one ``ad.self_attention`` node: each sequence attends
 over its real positions only, a block of query rows at a time, so no
 T x T array is built in training or evaluation. Its padded rows get a zero
@@ -205,6 +209,14 @@ class Model:
     def _drop(self, x: Tensor, training: bool, rng) -> Tensor:
         return ad.dropout(x, self.config.dropout, training, rng)
 
+    def _drop_parts(self, parts: list[Tensor], training: bool, rng) -> list[Tensor]:
+        """Dropout of the parts' join on the last axis. It is drawn at the
+        joined shape, so the random stream is that of one tensor; without
+        dropout the parts are returned and nothing is joined."""
+        if not training or self.config.dropout == 0.0:
+            return parts
+        return [self._drop(concat(parts, axis=-1), training, rng)]
+
     def _embed(self, word_ids, char_ids, training, rng) -> Tensor:
         words = embed_words(self.word_table, word_ids, unk_row=self.unk_row)
         chars = self._drop(char_cnn(char_ids, self.char_params), training, rng)
@@ -247,20 +259,20 @@ class Model:
             q2c = vanilla_q2c(H, S2, trace=trace)
         c2q = context2query(q_bar, S2, trace=trace)
         G = fuse_g(H, c2q, q2c, trace=trace)
-        G = G * Tensor(cmask[..., None])              # zero padded rows
+        del H, U, S, S2, q_bar, q2c, c2q
 
-        M0 = bigru(self._drop(G, training, rng), self.modeling, mask=cmask)
-        M = self_attention(M0, self.selfatt, mask=cmask)
-        R = concat([G, M], axis=-1)
-
-        g1 = bigru(self._drop(R, training, rng), self.pred_grus[0], mask=cmask)
-        sup_logits = self._sup_logits(g1, batch, training, rng)
-        g2 = bigru(concat([R, g1], axis=-1), self.pred_grus[1], mask=cmask)
-        start_logits = self._position_logits(g2, self.start_head, cmask, training, rng)
-        g3 = bigru(concat([R, g2], axis=-1), self.pred_grus[2], mask=cmask)
-        end_logits = self._position_logits(g3, self.end_head, cmask, training, rng)
-        g4 = bigru(concat([R, g3], axis=-1), self.pred_grus[3], mask=cmask)
-        type_logits = self._type_logits(g4, cmask, training, rng)
+        M = self_attention(bigru(self._drop(G, training, rng), self.modeling, mask=cmask),
+                           self.selfatt, mask=cmask)
+        # each prediction BiGRU reads [G, M] (and the previous one's output)
+        # as parts; g is rebound, so each output is dropped once used
+        g = bigru(self._drop_parts([G, M], training, rng), self.pred_grus[0], mask=cmask)
+        sup_logits = self._sup_logits(g, batch, training, rng)
+        g = bigru([G, M, g], self.pred_grus[1], mask=cmask)
+        start_logits = self._position_logits(g, self.start_head, cmask, training, rng)
+        g = bigru([G, M, g], self.pred_grus[2], mask=cmask)
+        end_logits = self._position_logits(g, self.end_head, cmask, training, rng)
+        g = bigru([G, M, g], self.pred_grus[3], mask=cmask)
+        type_logits = self._type_logits(g, cmask, training, rng)
         return ModelOutputs(type_logits=type_logits, start_logits=start_logits,
                             end_logits=end_logits, sup_logits=sup_logits, trace=trace)
 

@@ -253,6 +253,28 @@ def test_gather_rows_and_pad_guard():
         gather_rows(table, np.array([4]))
 
 
+@pytest.mark.parametrize("pad_guard", [False, True])
+@pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_gather_rows_backward_matches_add_at(dtype, rtol, pad_guard):
+    rng = np.random.default_rng(5)
+    table = parameter(rng.standard_normal((300, 4)), dtype=dtype)
+    ids = rng.integers(0, 40, size=(6, 50, 3))        # rows 0-39 repeat, 40-299 untouched
+    ids[0, 0] = 0
+    g = rng.standard_normal(ids.shape + (4,)).astype(dtype)
+    gather_rows(table, ids, pad_guard=pad_guard)._backward(g)
+    ref = np.zeros_like(table.data)
+    np.add.at(ref, ids, g)
+    if pad_guard:
+        ref[0] = 0.0
+    assert table.grad.dtype == dtype
+    assert not table.grad[40:].any()
+    assert np.allclose(table.grad, ref, rtol=rtol, atol=rtol)
+    assert np.array_equal(table.grad[0] == 0, np.full(4, pad_guard))
+    table.grad = None
+    gather_rows(table, np.zeros((2, 0), dtype=np.int64))._backward(np.zeros((2, 0, 4), dtype))
+    assert table.grad.shape == table.shape and not table.grad.any()
+
+
 # ---------------------------------------------------------------------------
 # cross entropy
 

@@ -57,6 +57,9 @@ def test_primitive_ops_pass_grad_check(dtype):
     att_w = [parameter(_rand(rng, shape, dtype), dtype=dtype)
              for shape in ((3, 1), (3, 1), (12, 3), (3,))]
     att_probe = constant(_rand(rng, (2, 4, 3), dtype), dtype=dtype)
+    seq2 = parameter(_rand(rng, (2, 4, 2), dtype), dtype=dtype)
+    fw2, bw2 = ([parameter(_rand(rng, shape, dtype), dtype=dtype)
+                 for shape in ((5, 6), (2, 6), (6,))] for _ in range(2))
 
     cases = {
         "matmul": (lambda: reduce_sum(ad.mul(matmul(x, w), probe)), {"x": x}),
@@ -87,6 +90,10 @@ def test_primitive_ops_pass_grad_check(dtype):
         "bigru": (lambda: reduce_sum(ad.mul(ad.bigru(seq, fw, bw, mask=seq_mask), seq_probe)),
                   {"seq": seq, **{f"{d}.{n}": t for d, ts in (("fw", fw), ("bw", bw))
                                   for n, t in zip(("w_x", "w_h", "b"), ts)}}),
+        "bigru_parts": (lambda: reduce_sum(ad.mul(ad.bigru([seq, seq2], fw2, bw2, mask=seq_mask),
+                                                  seq_probe)),
+                        {"seq": seq, "seq2": seq2, **{f"{d}.{n}": t for d, ts in (("fw", fw2), ("bw", bw2))
+                                                      for n, t in zip(("w_x", "w_h", "b"), ts)}}),
         "self_attention": (lambda: reduce_sum(ad.mul(ad.self_attention(seq, *att_w, mask=seq_mask),
                                                      att_probe)),
                            {"seq": seq, **dict(zip(("w_h", "w_u", "proj_w"), att_w))}),

@@ -432,3 +432,118 @@ def test_bigru_graph_size_does_not_grow_with_length():
         return len(ad._toposort(bigru(x, p, mask=mask)))
 
     assert reachable(4) == reachable(64)
+
+
+# ---------------------------------------------------------------------------
+# bigru over input parts
+
+# one sequence per mask case: no padding, trailing padding, leading padding,
+# an interior hole, no real position
+MASK_CASES = ("full", "trailing", "leading", "hole", "empty")
+
+
+def _case_masks(t_len: int, dtype) -> np.ndarray:
+    mask = np.ones((len(MASK_CASES), t_len), dtype=dtype)
+    mask[1, t_len - t_len // 3:] = 0.0
+    mask[2, :t_len // 3] = 0.0
+    mask[3, t_len // 3:t_len // 2 + 2] = 0.0
+    mask[3, -1] = 0.0
+    mask[4] = 0.0
+    return mask
+
+
+def _stacked_weights(rng, d_in: int, hid: int, dtype):
+    return [[parameter(rng.standard_normal(shape).astype(dtype) * 0.3, dtype=dtype)
+             for shape in ((d_in, 3 * hid), (hid, 3 * hid), (3 * hid,))] for _ in range(2)]
+
+
+@pytest.mark.parametrize("t_len", [7, ad.BIGRU_CHUNK + 44], ids=["short", "past_chunk"])
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_bigru_parts_match_joined_input(dtype, atol, t_len):
+    rng = np.random.default_rng(25)
+    widths = (3, 2, 4)
+    parts = [parameter(rng.standard_normal((len(MASK_CASES), t_len, w)).astype(dtype) * 0.5,
+                       dtype=dtype) for w in widths]
+    fw, bw = _stacked_weights(rng, sum(widths), 3, dtype)
+    mask = _case_masks(t_len, dtype)
+    probe = constant(rng.standard_normal((len(MASK_CASES), t_len, 6)).astype(dtype) * 0.1,
+                     dtype=dtype)
+    tensors = [*parts, *fw, *bw]
+
+    def run(x):
+        for t in tensors:
+            t.grad = None
+        out = ad.bigru(x, fw, bw, mask=mask)
+        backward(reduce_sum(ad.mul(out, probe)))
+        return out.data, [t.grad for t in tensors]
+
+    out, grads = run(parts)
+    ref_out, ref_grads = run(ad.concat(parts, axis=-1))
+    assert out.dtype == dtype
+    assert np.allclose(out, ref_out, rtol=0, atol=atol)
+    for t, g, ref in zip(tensors, grads, ref_grads):
+        # the weight gradients sum over every step and grow past 1 with T:
+        # the bound is relative to a gradient's largest entry from there
+        assert g.dtype == dtype and g.shape == t.shape
+        assert np.abs(g - ref).max() <= atol * max(1.0, np.abs(ref).max())
+    for g in grads[:len(parts)]:                 # no gradient past the last real position
+        assert not g[1, t_len - t_len // 3:].any() and not g[4].any()
+
+
+def test_bigru_parts_mask_cases_match_per_timestep_reference():
+    rng = np.random.default_rng(28)
+    t_len = ad.BIGRU_CHUNK + 44
+    p = BiGruParams.create(5, 2, rng, dtype=np.float64)
+    parts = [Tensor(rng.standard_normal((len(MASK_CASES), t_len, w)), requires_grad=True)
+             for w in (3, 2)]
+    mask = _case_masks(t_len, np.float64)
+    probe = constant(rng.standard_normal((len(MASK_CASES), t_len, 4)))
+    tensors = [*parts, p.fw.wx_z, p.fw.wh_r, p.bw.wx_n, p.bw.b_z]
+
+    def run(out):
+        for t in tensors:
+            t.grad = None
+        backward(reduce_sum(ad.mul(out, probe)))
+        return out.data, [t.grad for t in tensors]
+
+    out, grads = run(bigru(parts, p, mask=mask))
+    ref_out, ref_grads = run(_reference_bigru(ad.concat(parts, axis=-1), p, mask))
+    assert np.allclose(out, ref_out, rtol=0, atol=1e-12)
+    for g, ref in zip(grads, ref_grads):
+        assert np.allclose(g, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("nan_part", [0, 1])
+def test_bigru_ignores_nan_past_last_real_position(nan_part):
+    rng = np.random.default_rng(26)
+    t_len = ad.BIGRU_CHUNK + 44
+    mask = _case_masks(t_len, np.float32)
+    ends = [t_len, t_len - t_len // 3, t_len, t_len - 1, 0]        # one past the last real position
+    zeroed = [rng.standard_normal((len(MASK_CASES), t_len, w)).astype(np.float32) for w in (3, 2)]
+    for n, end in enumerate(ends):
+        for x in zeroed:
+            x[n, end:] = 0.0
+    poisoned = [x.copy() for x in zeroed]
+    for n, end in enumerate(ends):
+        poisoned[nan_part][n, end:] = np.nan
+    fw, bw = _stacked_weights(rng, 5, 4, np.float32)
+    with ad.no_grad():
+        ref = ad.bigru([constant(x) for x in zeroed], fw, bw, mask=mask).data
+        out = ad.bigru([constant(x) for x in poisoned], fw, bw, mask=mask).data
+    assert np.isfinite(ref).all()
+    assert np.array_equal(out, ref)
+
+
+def test_bigru_parts_must_share_leading_shape_and_fill_w_x():
+    rng = np.random.default_rng(27)
+    fw, bw = _stacked_weights(rng, 5, 2, np.float32)
+    part = lambda *shape: constant(np.zeros(shape, dtype=np.float32))
+    assert ad.bigru([part(2, 4, 3), part(2, 4, 2)], fw, bw).shape == (2, 4, 4)
+    with pytest.raises(ShapeError):
+        ad.bigru([part(2, 4, 3), part(2, 5, 2)], fw, bw)
+    with pytest.raises(ShapeError):
+        ad.bigru([part(2, 4, 3), part(1, 4, 2)], fw, bw)
+    with pytest.raises(ShapeError):
+        ad.bigru([part(2, 4, 3), part(2, 4, 1)], fw, bw)
+    with pytest.raises(ShapeError):
+        ad.bigru([part(2, 4, 3), part(2, 4, 3)], fw, bw)

@@ -108,6 +108,24 @@ def test_cascade_connectivity():
         assert not np.allclose(a[live], b[live]), name
 
 
+def test_eval_forward_joins_only_the_embeddings(monkeypatch):
+    # the prediction BiGRUs take [G, M] and [G, M, g] as parts: neither R nor
+    # any prediction input is built, and each _embed makes the one concat
+    import hopqa.model as hm
+    model, batch, _ = make_model_and_batch()
+
+    def spy(parts, axis):
+        widths.append([p.shape[-1] for p in parts])
+        return ad.concat(parts, axis)
+
+    widths = []
+    monkeypatch.setattr(hm, "concat", spy)
+    with no_grad():
+        model.forward(batch)
+    cfg = model.config
+    assert widths == [[cfg.word_dim, cfg.char_filters]] * 2
+
+
 # ---------------------------------------------------------------------------
 # ablation algebra
 
