@@ -551,15 +551,33 @@ def binary_cross_entropy(logits: Tensor, labels, reduction: str = "mean",
     return _make(out, (logits,), bwd)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval mode."""
+def dropout(x: Tensor | Sequence[Tensor], rate: float, training: bool,
+            rng: np.random.Generator | None = None) -> Tensor | list[Tensor]:
+    """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval mode.
+
+    ``x`` may be a list of parts that make one tensor when joined on the last
+    axis. The keep mask is then drawn at the joined shape, so the random
+    stream is that of the join, and each part is returned dropped by its
+    columns of the mask, as a list; the join is never built."""
     if not 0.0 <= rate < 1.0:
         raise UsageError(f"dropout: rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return x
+        return x if isinstance(x, Tensor) else list(x)
     if rng is None:
         raise UsageError("dropout: training mode requires an rng")
-    keep = rng.random(x.shape) >= rate
+    if not isinstance(x, Tensor):
+        parts = list(x)
+        if not parts or any(p.shape[:-1] != parts[0].shape[:-1] for p in parts):
+            raise ShapeError(f"dropout: need parts that agree before the last axis, got "
+                             f"{[p.shape for p in parts]}")
+        widths = [p.shape[-1] for p in parts]
+        keep = rng.random(parts[0].shape[:-1] + (sum(widths),)) >= rate
+        masks = np.split(keep, np.cumsum(widths)[:-1], axis=-1)
+        return [_drop(p, k, rate) for p, k in zip(parts, masks)]
+    return _drop(x, rng.random(x.shape) >= rate, rate)
+
+
+def _drop(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
     dt = x.data.dtype.type
     scale = dt(1) / dt(1.0 - rate)
     out = x.data * keep
@@ -584,8 +602,8 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 BIGRU_CHUNK = 256
 
 
-def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor], bw: Sequence[Tensor],
-          mask: np.ndarray | None = None) -> Tensor:
+def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
+          bw: Sequence[Tensor | Sequence[Tensor]], mask: np.ndarray | None = None) -> Tensor:
     """Bidirectional GRU over axis -2 as a single graph node.
 
     ``x`` is the input, or a list of parts that make the input when joined
@@ -596,6 +614,9 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor], bw: Sequence[Tenso
 
     ``fw`` and ``bw`` are ``(w_x, w_h, b)`` with the gates stacked in order
     ``[z | r | n]``: ``w_x`` is in x 3h, ``w_h`` is h x 3h and ``b`` is 3h.
+    Each of the three is one tensor or, like ``x``, a list of blocks joined
+    on the last axis, such as the per-gate tensors ``[w_z, w_r, w_n]``; the
+    op joins them once and the backward gives each block its columns.
     Per direction and step, from h = 0: z = sigmoid(x_t W_xz + b_z + h W_hz),
     r likewise, n = tanh(x_t W_xn + b_n + (r * h) W_hn) and
     h' = h + m_t z (n - h), where m_t is ``mask`` (..., T) or 1, so padded
@@ -634,14 +655,18 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor], bw: Sequence[Tenso
         raise ShapeError("bigru: empty sequence")
     widths = [p.shape[-1] for p in parts]
     d_in = sum(widths)
-    hid = fw[1].shape[0]
-    for w_x, w_h, b in (fw, bw):
+    # per direction, the blocks of w_x, w_h and b, and their joins
+    blocks = [[[w] if isinstance(w, Tensor) else list(w) for w in cell] for cell in (fw, bw)]
+    weights = [t for cell in blocks for bl in cell for t in bl]
+    joined = [[_join_blocks(bl) for bl in cell] for cell in blocks]
+    hid = joined[0][1].shape[0]
+    for w_x, w_h, b in joined:
         if w_h.shape != (hid, 3 * hid) or w_x.shape != (d_in, 3 * hid) \
                 or b.shape != (3 * hid,):
             raise ShapeError(f"bigru: stacked weights {w_x.shape}, {w_h.shape}, {b.shape} "
                              f"do not fit input widths {widths} and hidden size {hid}")
     n_seq = int(np.prod(lead[:-1]))
-    dtype = np.result_type(*(p.data for p in parts), *(t.data for t in (*fw, *bw)))
+    dtype = np.result_type(*(p.data for p in parts), *(t.data for t in weights))
     # mask per step and direction, step-major like every per-step array
     m = np.ones((t_len, 2, n_seq, 1), dtype=dtype)
     ends = np.full(n_seq, t_len)                        # L_n per sequence
@@ -661,9 +686,10 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor], bw: Sequence[Tenso
     # multiplies them by 2r
     splits = np.cumsum(widths)[:-1]
     half = np.repeat(np.array([0.5, 0.5, 1.0], dtype=dtype), hid)
-    proj = [(np.split(w_x.data * half, splits), b.data * half) for w_x, _, b in (fw, bw)]
-    wh_zr = 0.5 * np.stack([fw[1].data[:, :2 * hid], bw[1].data[:, :2 * hid]])
-    wh_n = 0.5 * np.stack([fw[1].data[:, 2 * hid:], bw[1].data[:, 2 * hid:]])
+    proj = [(np.split(w_x * half, splits), b * half) for w_x, _, b in joined]
+    (fw_x, fw_h, _), (bw_x, bw_h, _) = joined
+    wh_zr = 0.5 * np.stack([fw_h[:, :2 * hid], bw_h[:, :2 * hid]])
+    wh_n = 0.5 * np.stack([fw_h[:, 2 * hid:], bw_h[:, 2 * hid:]])
 
     xs = [p.data.reshape(n_seq, t_len, w) for p, w in zip(parts, widths)]
     chunk = min(t_len, BIGRU_CHUNK)
@@ -692,7 +718,7 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor], bw: Sequence[Tenso
                     np.add(p[:, :2 * hid], bias[:2 * hid], out=x_zr[dst, d, n])
                     np.add(p[:, 2 * hid:], bias[2 * hid:], out=x_n[dst, d, n])
 
-    tracking = _tracking(*parts, *fw, *bw)
+    tracking = _tracking(*parts, *weights)
     kept = t_len if tracking else 1
     u = np.empty((kept, 2, n_seq, 2 * hid), dtype=dtype)   # 2 * sigmoid of z, r
     nn = np.empty((kept, 2, n_seq, hid), dtype=dtype)
@@ -740,8 +766,8 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor], bw: Sequence[Tenso
         dr_da = r * (1.0 - r)
         dr_da *= h_prev
         del z, mz
-        wh_zr_t = np.stack([fw[1].data[:, :2 * hid].T, bw[1].data[:, :2 * hid].T])
-        wh_n_t = np.stack([fw[1].data[:, 2 * hid:].T, bw[1].data[:, 2 * hid:].T])
+        wh_zr_t = np.stack([fw_h[:, :2 * hid].T, bw_h[:, :2 * hid].T])
+        wh_n_t = np.stack([fw_h[:, 2 * hid:].T, bw_h[:, 2 * hid:].T])
         da_zr = np.empty((t_len, 2, n_seq, 2 * hid), dtype=gdt)
         da_n = np.empty((t_len, 2, n_seq, hid), dtype=gdt)
         dh = np.zeros((2, n_seq, hid), dtype=gdt)
@@ -762,21 +788,39 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor], bw: Sequence[Tenso
         da[:, :, 3 * hid:5 * hid] = da_zr[::-1, 1].transpose(1, 0, 2)
         da[:, :, 5 * hid:] = da_n[::-1, 1].transpose(1, 0, 2)
         flat = da.reshape(-1, 6 * hid)
-        w_rows = np.split(np.concatenate([fw[0].data, bw[0].data], axis=1), splits)
+        w_rows = np.split(np.concatenate([fw_x, bw_x], axis=1), splits)
         for p, w in zip(parts, w_rows):
             _accum(p, (da @ w.T).reshape(p.shape))
         dw_x = np.concatenate([xk.reshape(-1, xk.shape[-1]).T @ flat for xk in xs])
         db = flat.sum(axis=0)
         rh = r * h_prev
-        for d, (w_x, w_h, b) in enumerate((fw, bw)):
+        for d, (bx, bh, bb) in enumerate(blocks):
             cols = slice(3 * hid * d, 3 * hid * (d + 1))
-            _accum(w_x, dw_x[:, cols])
-            _accum(w_h, np.concatenate(
+            _accum_blocks(bx, dw_x[:, cols])
+            _accum_blocks(bh, np.concatenate(
                 [h_prev[:, d].reshape(-1, hid).T @ da_zr[:, d].reshape(-1, 2 * hid),
                  rh[:, d].reshape(-1, hid).T @ da_n[:, d].reshape(-1, hid)], axis=1))
-            _accum(b, db[cols])
+            _accum_blocks(bb, db[cols])
 
-    return _make(result, (*parts, *fw, *bw), bwd)
+    return _make(result, (*parts, *weights), bwd)
+
+
+def _join_blocks(blocks: list[Tensor]) -> np.ndarray:
+    """The data of tensors joined on the last axis."""
+    for t in blocks[1:]:
+        if t.shape[:-1] != blocks[0].shape[:-1]:
+            raise ShapeError(f"bigru: weight blocks {blocks[0].shape} and {t.shape} differ "
+                             "before the last axis")
+    return np.concatenate([t.data for t in blocks], axis=-1)
+
+
+def _accum_blocks(blocks: list[Tensor], g: np.ndarray) -> None:
+    """Give each of ``blocks`` its columns of ``g``, the gradient of their join."""
+    ofs = 0
+    for t in blocks:
+        n = t.shape[-1]
+        _accum(t, g[..., ofs:ofs + n])
+        ofs += n
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,8 @@ def _split_sentences(tokens: list[Token]) -> list[tuple[int, int]]:
 def load_squad(path: str) -> tuple[list[Example], LoadStats]:
     """Parse SQuAD v1.1 JSON; char answer offsets are snapped to covering
     tokens (counted when not already aligned). Supporting-fact labels stay
-    empty: the single paragraph is one document."""
+    empty: the single paragraph is one document. A question without answers
+    raises ``DataError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -259,8 +260,10 @@ def load_squad(path: str) -> tuple[list[Example], LoadStats]:
                      for i, (s, e) in enumerate(_split_sentences(toks))]
             for qa in para.get("qas", []):
                 question_tokens = [t.text for t in tokenize(qa["question"])]
+                if not qa.get("answers"):
+                    raise DataError(f"{path}: question {qa.get('id')!r} has no answers")
                 answers = []
-                for a in qa.get("answers", []):
+                for a in qa["answers"]:
                     if a["text"] not in answers:
                         answers.append(a["text"])
                 first = qa["answers"][0]
@@ -281,7 +284,7 @@ def load_squad(path: str) -> tuple[list[Example], LoadStats]:
                     sentence_spans=list(spans), answer_type="span",
                     answer_text=first["text"], answer_span=span,
                     sup_labels=[0] * len(spans), gold_sup=[],
-                    answers=answers or [first["text"]]))
+                    answers=answers))
     return examples, stats
 
 

@@ -5,12 +5,12 @@ holds per-call state, so bundles can be shared read-only between optimizer
 steps. Forward functions accept either single-sequence inputs (T x ...) or
 batched ones (B x T x ...): every op works on the trailing axes.
 
-Each BiGRU is one ``ad.bigru`` graph node whatever the sequence length:
-the per-gate weights of each direction are stacked in gate order
-``[z | r | n]`` by three small concat nodes, and both recurrences and their
-backward through time run inside the op, in one loop over the steps. A
-BiGRU whose input is several tensors side by side takes them as a list of
-parts, so the joined input is never copied, and each sequence's input is
+Each BiGRU is exactly one ``ad.bigru`` graph node whatever the sequence
+length: the op reads each direction's per-gate weights as they are stored,
+as lists of gate blocks ``[z, r, n]``, and both recurrences and their
+backward through time run inside it, in one loop over the steps. A BiGRU
+whose input is several tensors side by side takes them as a list of parts,
+so the joined input is never copied, and each sequence's input is
 projected only up to its last real position.
 """
 
@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor, concat, gather_rows, matmul
+from .autodiff import ShapeError, Tensor, gather_rows, matmul
 
 PAD_ID = 0
 UNK_ID = 1
@@ -236,7 +236,7 @@ class GruCellParams:
     weights for the input and hidden paths, plus biases.
 
     The nine per-gate tensors are the parameters (and checkpoint entries);
-    ``stacked`` joins them in gate order ``[z | r | n]`` for ``ad.bigru``."""
+    ``gates`` lists them in gate order ``[z, r, n]`` as ``ad.bigru`` reads them."""
 
     wx_z: Tensor
     wx_r: Tensor
@@ -258,11 +258,11 @@ class GruCellParams:
                    wh_z=wh(), wh_r=wh(), wh_n=wh(),
                    b_z=b(), b_r=b(), b_n=b())
 
-    def stacked(self) -> tuple[Tensor, Tensor, Tensor]:
-        """(w_x in x 3h, w_h h x 3h, b 3h), one concat node each."""
-        return (concat([self.wx_z, self.wx_r, self.wx_n], axis=-1),
-                concat([self.wh_z, self.wh_r, self.wh_n], axis=-1),
-                concat([self.b_z, self.b_r, self.b_n], axis=-1))
+    def gates(self) -> tuple[list[Tensor], list[Tensor], list[Tensor]]:
+        """The blocks of ``w_x`` (in x 3h), ``w_h`` (h x 3h) and ``b`` (3h)."""
+        return ([self.wx_z, self.wx_r, self.wx_n],
+                [self.wh_z, self.wh_r, self.wh_n],
+                [self.b_z, self.b_r, self.b_n])
 
 
 @dataclass
@@ -288,5 +288,5 @@ def bigru(x: Tensor | Sequence[Tensor], p: BiGruParams,
     steps keep the previous hidden state in both directions, and positions
     past a sequence's last real one are not projected at all.
     """
-    return ad.bigru(x, p.fw.stacked(), p.bw.stacked(), mask=mask)
+    return ad.bigru(x, p.fw.gates(), p.bw.gates(), mask=mask)
 

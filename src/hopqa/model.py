@@ -10,7 +10,9 @@ implementation.
 
 The prediction BiGRUs take the fused block G, the modeling output M and
 the previous BiGRU's output as input parts, so their joined inputs are
-never built.
+never built, in training too: the first one's dropout is drawn at the
+joined shape and applied to [G, M] part by part. Each BiGRU is one graph
+node that reads its per-gate weights as they are stored.
 
 Self-attention is one ``ad.self_attention`` node: each sequence attends
 over its real positions only, a block of query rows at a time, so no
@@ -206,16 +208,8 @@ class Model:
 
     # ------------------------------------------------------------------
 
-    def _drop(self, x: Tensor, training: bool, rng) -> Tensor:
+    def _drop(self, x: Tensor | list[Tensor], training: bool, rng) -> Tensor | list[Tensor]:
         return ad.dropout(x, self.config.dropout, training, rng)
-
-    def _drop_parts(self, parts: list[Tensor], training: bool, rng) -> list[Tensor]:
-        """Dropout of the parts' join on the last axis. It is drawn at the
-        joined shape, so the random stream is that of one tensor; without
-        dropout the parts are returned and nothing is joined."""
-        if not training or self.config.dropout == 0.0:
-            return parts
-        return [self._drop(concat(parts, axis=-1), training, rng)]
 
     def _embed(self, word_ids, char_ids, training, rng) -> Tensor:
         words = embed_words(self.word_table, word_ids, unk_row=self.unk_row)
@@ -265,7 +259,7 @@ class Model:
                            self.selfatt, mask=cmask)
         # each prediction BiGRU reads [G, M] (and the previous one's output)
         # as parts; g is rebound, so each output is dropped once used
-        g = bigru(self._drop_parts([G, M], training, rng), self.pred_grus[0], mask=cmask)
+        g = bigru(self._drop([G, M], training, rng), self.pred_grus[0], mask=cmask)
         sup_logits = self._sup_logits(g, batch, training, rng)
         g = bigru([G, M, g], self.pred_grus[1], mask=cmask)
         start_logits = self._position_logits(g, self.start_head, cmask, training, rng)

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .autodiff import NumericError, Tensor
+from .autodiff import NumericError, ShapeError, Tensor
 
 
 def clip_global_norm(params: Mapping[str, Tensor], max_norm: float) -> float:
@@ -34,19 +34,54 @@ def clip_global_norm(params: Mapping[str, Tensor], max_norm: float) -> float:
     return norm
 
 
-class Adam:
+class _SlotState:
+    """Per-parameter state slots (``SLOTS``), saved and loaded by name.
+
+    A slot ``m`` is a dict ``self.m`` from parameter name to array, saved as
+    ``m.<name>``. Loading checks every key and shape before it assigns
+    anything, so a bad state leaves the optimizer as it was."""
+
+    KIND = ""
+    SLOTS: tuple[str, ...] = ()
+
+    def __init__(self, params: Mapping[str, Tensor]):
+        self.params = dict(params)
+        self.step_count = 0
+        for slot in self.SLOTS:
+            setattr(self, slot, {n: np.zeros_like(t.data) for n, t in self.params.items()})
+
+    def state_arrays(self) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+        out = {f"{slot}.{n}": getattr(self, slot)[n] for n in self.params for slot in self.SLOTS}
+        return out, {"optimizer": self.KIND, "step": str(self.step_count)}
+
+    def load_state_arrays(self, arrays: dict[str, np.ndarray], meta: dict[str, str]) -> None:
+        step = int(meta.get("step", "0"))
+        for key, have in self.state_arrays()[0].items():
+            if key not in arrays:
+                raise KeyError(f"{self.KIND} state missing {key!r}")
+            if tuple(arrays[key].shape) != have.shape:
+                raise ShapeError(f"{self.KIND} state {key!r} has shape "
+                                 f"{arrays[key].shape}, expected {have.shape}")
+        self.step_count = step
+        for n in self.params:
+            for slot in self.SLOTS:
+                table = getattr(self, slot)
+                table[n] = arrays[f"{slot}.{n}"].astype(table[n].dtype)
+
+
+class Adam(_SlotState):
     """Adam with bias correction."""
+
+    KIND = "adam"
+    SLOTS = ("m", "v")
 
     def __init__(self, params: Mapping[str, Tensor], lr: float = 0.001,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = dict(params)
+        super().__init__(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.step_count = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in self.params.items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in self.params.items()}
 
     def step(self) -> None:
         self.step_count += 1
@@ -64,32 +99,19 @@ class Adam:
             v_hat = self.v[name] / c2
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def state_arrays(self) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-        out: dict[str, np.ndarray] = {}
-        for n in self.params:
-            out[f"m.{n}"] = self.m[n]
-            out[f"v.{n}"] = self.v[n]
-        return out, {"optimizer": "adam", "step": str(self.step_count)}
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], meta: dict[str, str]) -> None:
-        self.step_count = int(meta.get("step", "0"))
-        for n in self.params:
-            self.m[n] = arrays[f"m.{n}"].astype(self.m[n].dtype)
-            self.v[n] = arrays[f"v.{n}"].astype(self.v[n].dtype)
-
-
-class AdaDelta:
+class AdaDelta(_SlotState):
     """AdaDelta; the learning rate scales the RMS-ratio update."""
+
+    KIND = "adadelta"
+    SLOTS = ("sq_grad", "sq_update")
 
     def __init__(self, params: Mapping[str, Tensor], lr: float = 1.0,
                  rho: float = 0.95, eps: float = 1e-6):
-        self.params = dict(params)
+        super().__init__(params)
         self.lr = lr
         self.rho = rho
         self.eps = eps
-        self.step_count = 0
-        self.sq_grad = {n: np.zeros_like(t.data) for n, t in self.params.items()}
-        self.sq_update = {n: np.zeros_like(t.data) for n, t in self.params.items()}
 
     def step(self) -> None:
         self.step_count += 1
@@ -104,19 +126,6 @@ class AdaDelta:
                              / (self.sq_grad[name] + self.eps)) * g
             self.sq_update[name] = self.rho * self.sq_update[name] + (1.0 - self.rho) * (delta * delta)
             p.data = p.data + self.lr * delta
-
-    def state_arrays(self) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-        out: dict[str, np.ndarray] = {}
-        for n in self.params:
-            out[f"sq_grad.{n}"] = self.sq_grad[n]
-            out[f"sq_update.{n}"] = self.sq_update[n]
-        return out, {"optimizer": "adadelta", "step": str(self.step_count)}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], meta: dict[str, str]) -> None:
-        self.step_count = int(meta.get("step", "0"))
-        for n in self.params:
-            self.sq_grad[n] = arrays[f"sq_grad.{n}"].astype(self.sq_grad[n].dtype)
-            self.sq_update[n] = arrays[f"sq_update.{n}"].astype(self.sq_update[n].dtype)
 
 
 def make_optimizer(kind: str, params: Mapping[str, Tensor], lr: float):

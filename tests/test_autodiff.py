@@ -366,6 +366,41 @@ def test_dropout_bit_identical_to_scaled_float_mask(rate, dtype):
     assert np.array_equal(np.signbit(x.grad), np.signbit(g * keep))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_parts_equal_slices_of_dropout_on_their_join(dtype):
+    rng = np.random.default_rng(9)
+    widths = (3, 1, 4)
+    parts = [Tensor(rng.standard_normal((2, 5, w)).astype(dtype), requires_grad=True)
+             for w in widths]
+    g = rng.standard_normal((2, 5, sum(widths))).astype(dtype)
+
+    def run(drop):
+        for p in parts:
+            p.grad = None
+        outs = drop(np.random.default_rng(4))
+        backward(reduce_sum(ad.mul(concat(outs, axis=-1), Tensor(g))))
+        return [o.data for o in outs], [p.grad for p in parts]
+
+    outs, grads = run(lambda r: dropout(parts, 0.3, training=True, rng=r))
+    joined, ref_grads = run(lambda r: [dropout(concat(parts, axis=-1), 0.3, True, r)])
+    cuts = np.cumsum(widths)[:-1]
+    assert len(outs) == len(parts)
+    for out, want in zip(outs, np.split(joined[0], cuts, axis=-1)):
+        assert out.dtype == dtype and np.array_equal(out, want)
+    for grad, want in zip(grads, ref_grads):
+        assert np.array_equal(grad, want)
+
+
+def test_dropout_parts_eval_identity_and_bad_parts():
+    parts = [tensor([[1.0, 2.0]]), tensor([[3.0]])]
+    kept = dropout(parts, 0.2, training=False)
+    assert len(kept) == 2 and all(a is b for a, b in zip(kept, parts))
+    with pytest.raises(ShapeError):
+        dropout([tensor([[1.0]]), tensor([[1.0], [2.0]])], 0.2, True, np.random.default_rng(0))
+    with pytest.raises(ShapeError):
+        dropout([], 0.2, training=True, rng=np.random.default_rng(0))
+
+
 def test_dropout_bad_rate():
     with pytest.raises(UsageError):
         dropout(tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))

@@ -176,6 +176,15 @@ def test_squad_gold_span_normalizes_to_gold_answer(tmp_path):
         normalize_answer(ex.answers[0])
 
 
+def test_squad_question_without_answers_raises_data_error(tmp_path):
+    payload = _squad_payload()
+    payload["data"][0]["paragraphs"][0]["qas"][1]["answers"] = []
+    path = tmp_path / "squad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="'q2'"):
+        load_squad(str(path))
+
+
 # ---------------------------------------------------------------------------
 # vocab
 

@@ -434,6 +434,54 @@ def test_bigru_graph_size_does_not_grow_with_length():
     assert reachable(4) == reachable(64)
 
 
+def test_bigru_layer_is_one_graph_node():
+    rng = np.random.default_rng(29)
+    p = BiGruParams.create(3, 2, rng)
+    x = parameter(rng.standard_normal((2, 5, 3)).astype(np.float32))
+    out = bigru(x, p, mask=np.ones((2, 5), dtype=np.float32))
+    nodes = [n for n in ad._toposort(out) if n._backward is not None]
+    assert len(nodes) == 1 and nodes[0] is out
+
+
+@pytest.mark.parametrize("t_len", [7, ad.BIGRU_CHUNK + 44], ids=["short", "past_chunk"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bigru_gate_lists_match_stacked_weights(dtype, t_len):
+    rng = np.random.default_rng(30)
+    p = BiGruParams.create(5, 3, rng, dtype=dtype)
+    x = Tensor(rng.standard_normal((len(MASK_CASES), t_len, 5)).astype(dtype), requires_grad=True)
+    mask = _case_masks(t_len, dtype)
+    probe = constant(rng.standard_normal((len(MASK_CASES), t_len, 6)).astype(dtype), dtype=dtype)
+    cells = (p.fw, p.bw)
+    tensors = [x, *(t for cell in cells for blocks in cell.gates() for t in blocks)]
+
+    def run(weights):
+        for t in tensors:
+            t.grad = None
+        out = ad.bigru(x, *weights, mask=mask)
+        backward(reduce_sum(ad.mul(out, probe)))
+        return out.data, [t.grad for t in tensors]
+
+    out, grads = run([cell.gates() for cell in cells])
+    ref_out, ref_grads = run([[ad.concat(blocks, axis=-1) for blocks in cell.gates()]
+                              for cell in cells])
+    assert np.array_equal(out, ref_out)
+    for t, g, ref in zip(tensors, grads, ref_grads):
+        assert g.dtype == dtype and g.shape == t.shape
+        assert np.array_equal(g, ref)
+
+
+def test_bigru_gate_blocks_must_join_to_the_stacked_shapes():
+    rng = np.random.default_rng(31)
+    fw, bw = _stacked_weights(rng, 5, 2, np.float32)
+    x = constant(np.zeros((2, 4, 5), dtype=np.float32))
+    split = lambda w, *cuts: [constant(a) for a in np.split(w.data, cuts, axis=-1)]
+    assert ad.bigru(x, [split(fw[0], 2, 4), fw[1], split(fw[2], 2)], bw).shape == (2, 4, 4)
+    with pytest.raises(ShapeError):                   # blocks differ before the last axis
+        ad.bigru(x, [[constant(fw[0].data[:, :2]), constant(fw[0].data[1:, 2:])], *fw[1:]], bw)
+    with pytest.raises(ShapeError):                   # a block missing from the join
+        ad.bigru(x, fw, [split(bw[0], 2, 4)[:2], *bw[1:]])
+
+
 # ---------------------------------------------------------------------------
 # bigru over input parts
 

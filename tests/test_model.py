@@ -126,6 +126,22 @@ def test_eval_forward_joins_only_the_embeddings(monkeypatch):
     assert widths == [[cfg.word_dim, cfg.char_filters]] * 2
 
 
+def test_training_forward_joins_only_the_embeddings(monkeypatch):
+    # with dropout on, pred1's [G, M] is dropped part by part, not joined
+    import hopqa.model as hm
+    model, batch, _ = make_model_and_batch(dropout=0.2)
+
+    def spy(parts, axis):
+        widths.append([p.shape[-1] for p in parts])
+        return ad.concat(parts, axis)
+
+    widths = []
+    monkeypatch.setattr(hm, "concat", spy)
+    model.forward(batch, training=True, rng=np.random.default_rng(0))
+    cfg = model.config
+    assert widths == [[cfg.word_dim, cfg.char_filters]] * 2
+
+
 # ---------------------------------------------------------------------------
 # ablation algebra
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hopqa.autodiff import NumericError, Tensor, parameter
+from hopqa.autodiff import NumericError, ShapeError, Tensor, parameter
 from hopqa.optim import Adam, AdaDelta, EmaWeights, clip_global_norm, make_optimizer
 from hopqa.serialization import load_tensors, save_tensors
 
@@ -134,6 +134,33 @@ def test_adam_state_round_trip(tmp_path):
     opt2.load_state_arrays(loaded, lmeta)
     assert opt2.step_count == 1
     assert np.array_equal(opt2.m["p"], opt.m["p"])
+
+
+@pytest.mark.parametrize("cls", [Adam, AdaDelta])
+def test_optimizer_state_loads_all_or_nothing(cls):
+    rng = np.random.default_rng(3)
+    params = {"a": _param(rng.standard_normal(3)), "b": _param(rng.standard_normal((2, 2)))}
+    opt = cls(params)
+    for t in params.values():
+        t.grad = rng.standard_normal(t.shape).astype(np.float32)
+    opt.step()
+    arrays, _ = opt.state_arrays()
+    before = {k: a.copy() for k, a in arrays.items()}
+    last = list(arrays)[-1]
+    bad_shape = dict(arrays, **{list(arrays)[0]: np.zeros(1, dtype=np.float32)})
+    missing = {k: a for k, a in arrays.items() if k != last}
+    fresh = {k: a + 1.0 for k, a in arrays.items()}
+    for bad, error in ((bad_shape, ShapeError), (missing, KeyError)):
+        with pytest.raises(error):
+            opt.load_state_arrays({k: a + 1.0 for k, a in bad.items()}, {"step": "7"})
+        assert opt.step_count == 1
+        now, _ = opt.state_arrays()
+        assert all(np.array_equal(now[k], before[k]) for k in before)
+    opt.load_state_arrays(fresh, {"step": "7"})
+    assert opt.step_count == 7
+    now, _ = opt.state_arrays()
+    assert list(now) == list(arrays)
+    assert all(np.array_equal(now[k], fresh[k]) for k in fresh)
 
 
 def test_make_optimizer_rejects_unknown():
