@@ -58,7 +58,11 @@ def no_grad():
 
 
 class Tensor:
-    """N-d float array with an optional gradient slot and graph lineage."""
+    """N-d float array with an optional gradient slot and graph lineage.
+
+    A leaf has no ``_backward``; every interior node is made by ``_make``
+    with ``requires_grad=True``, so ``requires_grad`` alone tells whether a
+    tensor takes part in the backward."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -138,14 +142,12 @@ def _tracking(*tensors: Tensor) -> bool:
     return _grad_enabled and any(t.requires_grad for t in tensors)
 
 
-def _make(data: np.ndarray, parents: tuple, backward: Callable | None) -> Tensor:
-    if backward is None:
-        return Tensor(data)
+def _make(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     return Tensor(data, requires_grad=True, parents=parents, backward=backward)
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad and t._backward is None:
+    if not t.requires_grad:
         return
     t.grad = g if t.grad is None else t.grad + g
 
@@ -594,6 +596,89 @@ def _drop(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# highway
+
+
+def highway(x: Tensor, gates_w: Sequence[Tensor], gates_b: Sequence[Tensor],
+            trans_w: Sequence[Tensor], trans_b: Sequence[Tensor]) -> Tensor:
+    """A stack of highway layers (Srivastava et al. 2015) as a single graph node.
+
+    Layer i maps its input y (..., w) to y' = t * h + (1 - t) * y, with the
+    gate t = sigmoid(y gates_w[i] + gates_b[i]) and the transform
+    h = relu(y trans_w[i] + trans_b[i]); each weight is (w, w) and each bias
+    (w,). The four lists must have one entry per layer.
+
+    Each step is the numpy expression of the op it stands for, at the same
+    shapes (``y @ W + b``, ``_stable_sigmoid``, ``np.maximum(., 0.0)`` and
+    ``t * h + (1.0 - t) * y``), or an in-place form of it that rounds the
+    same, so the output is bit-identical to composing ``matmul``, ``add``,
+    ``sigmoid``, ``relu``, ``mul`` and ``sub``.
+
+    Only when tracking does a layer keep its input, t and h (its output is
+    the next layer's input); under ``no_grad`` nothing is kept. The backward
+    walks the layers in reverse: with g the gradient of y',
+    dt = g (h - y) t (1 - t) and dh = g t [h > 0] are the gradients of the
+    two pre-activations, y gets g (1 - t) + dt W_g^T + dh W_h^T, and each
+    weight gets one GEMM over all positions, y^T dt or y^T dh.
+    """
+    params = (gates_w, gates_b, trans_w, trans_b)
+    if not gates_w or len({len(p) for p in params}) != 1:
+        raise ShapeError(f"highway: need one gate and transform weight and bias per layer, "
+                         f"got {[len(p) for p in params]}")
+    width = x.shape[-1]
+    layers = list(zip(*params))
+    for gw, gb, tw, tb in layers:
+        if gw.shape != (width, width) or tw.shape != (width, width) \
+                or gb.shape != (width,) or tb.shape != (width,):
+            raise ShapeError(f"highway: weights {gw.shape}, {tw.shape} and biases {gb.shape}, "
+                             f"{tb.shape} do not fit input width {width}")
+    weights = [t for layer in layers for t in layer]
+    dtype = np.result_type(x.data, *(t.data for t in weights))
+    data = [[t.data.astype(dtype, copy=False) for t in layer] for layer in layers]
+    tracking = _tracking(x, *weights)
+    saved = []          # per layer when tracking: its input, t and h
+    y = x.data.astype(dtype, copy=False)
+    for gw, gb, tw, tb in data:
+        t = y @ gw
+        t += gb
+        t = _stable_sigmoid(t)
+        h = y @ tw
+        h += tb
+        np.maximum(h, 0.0, out=h)
+        out = 1.0 - t               # (1 - t) y + t h: a sum rounds the same either way
+        out *= y
+        out += t * h
+        if tracking:
+            saved.append((y, t, h))
+        y = out
+    if not tracking:
+        return Tensor(y)
+
+    def bwd(g):
+        go = g.reshape(-1, width)
+        for (gw_t, gb_t, tw_t, tb_t), (gw, _, tw, _), (y, t, h) in \
+                zip(reversed(layers), reversed(data), reversed(saved)):
+            y2, t2, h2 = (a.reshape(-1, width) for a in (y, t, h))
+            carry = 1.0 - t2
+            da_g = go * (h2 - y2)
+            da_g *= t2
+            da_g *= carry
+            da_h = go * t2
+            da_h *= h2 > 0
+            dy = go * carry
+            dy += da_g @ gw.T
+            dy += da_h @ tw.T
+            _accum(gw_t, y2.T @ da_g)
+            _accum(gb_t, da_g.sum(axis=0))
+            _accum(tw_t, y2.T @ da_h)
+            _accum(tb_t, da_h.sum(axis=0))
+            go = dy
+        _accum(x, go.reshape(x.shape))
+
+    return _make(y, (x, *weights), bwd)
+
+
+# ---------------------------------------------------------------------------
 # recurrence
 
 
@@ -1008,7 +1093,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
         visited.add(nid)
         stack.append((node, True))
         for p in node._parents:
-            if p._backward is not None or p.requires_grad:
+            if p.requires_grad:
                 stack.append((p, False))
     return order
 

@@ -156,7 +156,12 @@ def _example_from_hotpot_record(rec: dict, index: int, stats: LoadStats) -> Exam
     sent_texts: list[str] = []
     sent_tokens: list[list[Token]] = []
     for doc_idx, entry in enumerate(context):
-        title, sentences = entry[0], entry[1]
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], (list, tuple))
+                and all(isinstance(sent, str) for sent in entry[1])):
+            raise DataError(f"record {index}: context entry {doc_idx} is not "
+                            f"[title, [sentences]]: {entry!r}")
+        title, sentences = entry
         doc_start = len(context_tokens)
         for sid, sent in enumerate(sentences):
             toks = tokenize(sent)
@@ -175,7 +180,12 @@ def _example_from_hotpot_record(rec: dict, index: int, stats: LoadStats) -> Exam
     sup_labels = [0] * len(spans)
     gold_sup: list[tuple[str, int]] = []
     for fact in supporting:
-        key = (fact[0], int(fact[1]))
+        try:
+            doc, sid = fact
+            key = (doc, int(sid))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"record {index}: supporting fact {fact!r} is not "
+                            "[title, sentence id]") from exc
         k = by_title_sid.get(key)
         if k is None:
             stats.sup_dropped += 1
@@ -250,24 +260,33 @@ def load_squad(path: str) -> tuple[list[Example], LoadStats]:
             raise DataError(f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}") from exc
     stats = LoadStats()
     examples: list[Example] = []
-    for article in payload.get("data", []):
+    for article_idx, article in enumerate(payload.get("data", [])):
         title = article.get("title", "untitled")
-        for para in article.get("paragraphs", []):
-            context = para["context"]
+        for para_idx, para in enumerate(article.get("paragraphs", [])):
+            where = f"{path}: article {article_idx} paragraph {para_idx}"
+            try:
+                context = para["context"]
+            except (KeyError, TypeError) as exc:
+                raise DataError(f"{where}: missing field {exc}") from exc
             toks = tokenize(context)
             texts = [t.text for t in toks]
             spans = [SentenceSpan(s, e, 0, i)
                      for i, (s, e) in enumerate(_split_sentences(toks))]
-            for qa in para.get("qas", []):
-                question_tokens = [t.text for t in tokenize(qa["question"])]
+            for qa_idx, qa in enumerate(para.get("qas", [])):
+                try:
+                    qid = str(qa["id"])
+                    question_tokens = [t.text for t in tokenize(qa["question"])]
+                except (KeyError, TypeError) as exc:
+                    raise DataError(f"{where} question {qa_idx}: missing field {exc}") from exc
                 if not qa.get("answers"):
-                    raise DataError(f"{path}: question {qa.get('id')!r} has no answers")
-                answers = []
-                for a in qa["answers"]:
-                    if a["text"] not in answers:
-                        answers.append(a["text"])
-                first = qa["answers"][0]
-                lo = int(first["answer_start"])
+                    raise DataError(f"{path}: question {qid!r} has no answers")
+                try:
+                    answers = list(dict.fromkeys(a["text"] for a in qa["answers"]))
+                    first = qa["answers"][0]
+                    lo = int(first["answer_start"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise DataError(f"{path}: question {qid!r}: malformed answer "
+                                    f"({type(exc).__name__}: {exc})") from exc
                 hi = lo + len(first["text"])
                 hit = _char_span_to_tokens(toks, lo, hi)
                 if hit is None:
@@ -278,7 +297,7 @@ def load_squad(path: str) -> tuple[list[Example], LoadStats]:
                     if toks[hit[0]].start != lo or toks[hit[1]].end != hi:
                         stats.offsets_snapped += 1
                 examples.append(Example(
-                    id=str(qa["id"]), question_tokens=question_tokens,
+                    id=qid, question_tokens=question_tokens,
                     context_tokens=list(texts),
                     doc_boundaries=[(title, 0, len(texts))],
                     sentence_spans=list(spans), answer_type="span",

@@ -11,7 +11,9 @@ as lists of gate blocks ``[z, r, n]``, and both recurrences and their
 backward through time run inside it, in one loop over the steps. A BiGRU
 whose input is several tensors side by side takes them as a list of parts,
 so the joined input is never copied, and each sequence's input is
-projected only up to its last real position.
+projected only up to its last real position. A highway stack is likewise
+one ``ad.highway`` node: all its layers and their backward run inside it,
+and its output is bit-identical to the composition of primitive ops.
 """
 
 from __future__ import annotations
@@ -215,15 +217,12 @@ class HighwayParams:
 
 
 def highway(x: Tensor, p: HighwayParams) -> Tensor:
-    """Gated residual stack: y = t * relu(W_h x + b_h) + (1 - t) * x."""
+    """Gated residual stack, per layer y' = t * relu(y W_h + b_h) + (1 - t) * y
+    with the gate t = sigmoid(y W_g + b_g), as one ``ad.highway`` node.
+    Raises ``ShapeError`` when ``x``'s width is not the parameters' width."""
     if x.shape[-1] != p.gates_w[0].shape[0]:
         raise ShapeError(f"highway: width {x.shape[-1]} != params width {p.gates_w[0].shape[0]}")
-    out = x
-    for gw, gb, tw, tb in zip(p.gates_w, p.gates_b, p.trans_w, p.trans_b):
-        t = ad.sigmoid(linear(out, gw, gb))
-        h = ad.relu(linear(out, tw, tb))
-        out = t * h + (1.0 - t) * out
-    return out
+    return ad.highway(x, p.gates_w, p.gates_b, p.trans_w, p.trans_b)
 
 
 # ---------------------------------------------------------------------------

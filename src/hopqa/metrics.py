@@ -87,11 +87,6 @@ class MetricReport:
     joint_f1: float = 0.0
     per_example: list[ExampleScore] = field(default_factory=list)
 
-    def as_row(self) -> str:
-        return (f"{self.answer_em:.4f} {self.answer_f1:.4f} "
-                f"{self.sup_em:.4f} {self.sup_f1:.4f} "
-                f"{self.joint_em:.4f} {self.joint_f1:.4f}")
-
 
 def score_example(ex_id: str, pred_answer: str, gold_answers: list[str],
                   pred_sup: Iterable[tuple[str, int]],

@@ -226,7 +226,6 @@ class Model:
         dt = cfg.np_dtype
         cmask = batch.context_mask.astype(dt)
         qmask = batch.question_mask.astype(dt)
-        b, t_len = cmask.shape
 
         ctx = self._embed(batch.context_words, batch.context_chars, training, rng)
         qry = self._embed(batch.question_words, batch.question_chars, training, rng)

@@ -40,11 +40,6 @@ class EpochLog:
     dev: MetricReport | None
     seconds: float
 
-    def line(self) -> str:
-        dev = self.dev.as_row() if self.dev is not None else "-"
-        return (f"epoch {self.epoch} train_loss {self.train_loss:.6f} "
-                f"dev {dev} seconds {self.seconds:.1f}")
-
 
 @dataclass
 class TrainResult:

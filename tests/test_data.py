@@ -115,6 +115,24 @@ def test_hotpot_answer_prefers_gold_sentence():
     assert ex.doc_boundaries[span.doc_index][0] == "Khia"
 
 
+def _hotpot_with(field: str, value):
+    rec = _table_record()
+    rec[field] = value
+    return rec
+
+
+@pytest.mark.parametrize("rec", [
+    _hotpot_with("context", [["Rex"]]),
+    _hotpot_with("context", ["Rex"]),
+    _hotpot_with("supporting_facts", [["Rex"]]),
+    _hotpot_with("supporting_facts", [["Rex", "x"]]),
+], ids=["entry_without_sentences", "entry_as_string", "fact_without_sentence_id",
+        "fact_with_text_sentence_id"])
+def test_hotpot_malformed_record_raises_data_error(rec):
+    with pytest.raises(DataError, match="record 1"):
+        examples_from_hotpot_records([_table_record(), rec])
+
+
 def test_hotpot_truncated_json_raises(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('[{"_id": "x", "question": "q"')
@@ -182,6 +200,30 @@ def test_squad_question_without_answers_raises_data_error(tmp_path):
     path = tmp_path / "squad.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(DataError, match="'q2'"):
+        load_squad(str(path))
+
+
+def _without(where: str, key: str) -> dict:
+    """The SQuAD payload with ``key`` removed from the object at ``where``:
+    "para" is the paragraph, "qa" its second question, "answer" that
+    question's first answer."""
+    payload = _squad_payload()
+    para = payload["data"][0]["paragraphs"][0]
+    qa = para["qas"][1]
+    del {"para": para, "qa": qa, "answer": qa["answers"][0]}[where][key]
+    return payload
+
+
+@pytest.mark.parametrize("payload,match", [
+    (_without("qa", "question"), "paragraph 0 question 1: missing field 'question'"),
+    (_without("qa", "id"), "paragraph 0 question 1: missing field 'id'"),
+    (_without("answer", "answer_start"), "question 'q2': malformed answer"),
+    (_without("para", "context"), "article 0 paragraph 0: missing field 'context'"),
+], ids=["question", "id", "answer_start", "context"])
+def test_squad_missing_field_raises_data_error(tmp_path, payload, match):
+    path = tmp_path / "squad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=match):
         load_squad(str(path))
 
 

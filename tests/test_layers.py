@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,87 @@ def test_highway_preserves_shape_and_checks_width():
     assert highway(x, p).shape == (5, 4)
     with pytest.raises(ShapeError):
         highway(constant(np.zeros((5, 3), dtype=np.float32)), p)
+
+
+def _reference_highway(x: Tensor, p: HighwayParams) -> Tensor:
+    """The composition of primitive ops that ``highway`` fuses."""
+    out = x
+    for gw, gb, tw, tb in zip(p.gates_w, p.gates_b, p.trans_w, p.trans_b):
+        t = ad.sigmoid(linear(out, gw, gb))
+        h = ad.relu(linear(out, tw, tb))
+        out = t * h + (1.0 - t) * out
+    return out
+
+
+def test_highway_layer_is_one_graph_node():
+    rng = np.random.default_rng(31)
+    p = HighwayParams.create(4, rng)
+    x = parameter(rng.standard_normal((2, 5, 4)).astype(np.float32))
+    out = highway(x, p)
+    nodes = [n for n in ad._toposort(out) if n._backward is not None]
+    assert len(nodes) == 1 and nodes[0] is out
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_highway_matches_composed_reference(dtype, rtol):
+    rng = np.random.default_rng(32)
+    p = HighwayParams.create(6, rng, dtype=dtype)
+    for b in p.gates_b + p.trans_b:       # nonzero biases, some relu units shut
+        b.data[:] = rng.standard_normal(6)
+    x = Tensor(rng.standard_normal((3, 9, 6)).astype(dtype), requires_grad=True)
+    probe = constant(rng.standard_normal((3, 9, 6)).astype(dtype), dtype=dtype)
+    tensors = {"x": x, **{f"{i}.{k}": t for i, layer in enumerate(p.names())
+                          for k, t in layer.items()}}
+
+    def run(fn):
+        for t in tensors.values():
+            t.grad = None
+        out = fn(x, p)
+        backward(reduce_sum(ad.mul(out, probe)))
+        with ad.no_grad():
+            untracked = fn(x, p)
+        assert not untracked.requires_grad
+        return out.data, untracked.data, {name: t.grad for name, t in tensors.items()}
+
+    out, untracked, grads = run(highway)
+    ref_out, ref_untracked, ref_grads = run(_reference_highway)
+    assert out.dtype == dtype
+    assert np.array_equal(out, ref_out) and np.array_equal(untracked, ref_untracked)
+    assert np.array_equal(out, untracked)
+    assert len(grads) == 9
+    for name, g in grads.items():
+        ref = ref_grads[name]
+        assert g.dtype == dtype and g.shape == ref.shape, name
+        assert np.max(np.abs(g - ref)) <= rtol * np.max(np.abs(ref)), name
+
+
+def test_highway_forward_keeps_six_arrays_of_its_input_size():
+    # each of the two layers keeps t, h and its output; the parts of the
+    # composed graph kept twenty arrays the size of the input
+    rng = np.random.default_rng(33)
+    p = HighwayParams.create(80, rng)
+    x = parameter(rng.standard_normal((4, 512, 80)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        out = highway(x, p)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held <= 7 * x.data.nbytes, held / x.data.nbytes
+
+
+def test_highway_op_rejects_params_that_do_not_fit():
+    p = HighwayParams.create(4, np.random.default_rng(34))
+    x = constant(np.zeros((5, 4), dtype=np.float32))
+    with pytest.raises(ShapeError):
+        ad.highway(x, p.gates_w, p.gates_b[:1], p.trans_w, p.trans_b)
+    with pytest.raises(ShapeError):
+        ad.highway(x, p.gates_w, p.gates_b, [p.trans_w[0], constant(np.zeros((4, 3)))],
+                   p.trans_b)
+    with pytest.raises(ShapeError):
+        ad.highway(x, p.gates_w, [p.gates_b[0], constant(np.zeros((1, 4)))], p.trans_w,
+                   p.trans_b)
 
 
 # ---------------------------------------------------------------------------
