@@ -139,6 +139,13 @@ def _locate_answer(answer: str, sent_texts: list[str], sent_tokens: list[list[To
     return None
 
 
+def _check_type(value, kind: type, where: str, name: str) -> None:
+    """Raise ``DataError`` unless ``value``, the field ``name``, is a ``kind``."""
+    if not isinstance(value, kind):
+        raise DataError(f"{where}: field {name!r} must be a {kind.__name__}, "
+                        f"got {type(value).__name__} {value!r}")
+
+
 def _example_from_hotpot_record(rec: dict, index: int, stats: LoadStats) -> Example:
     try:
         rec_id = str(rec["_id"])
@@ -148,6 +155,11 @@ def _example_from_hotpot_record(rec: dict, index: int, stats: LoadStats) -> Exam
         supporting = rec.get("supporting_facts", [])
     except (KeyError, TypeError) as exc:
         raise DataError(f"record {index}: missing field {exc}") from exc
+    where = f"record {index} ({rec_id!r})"
+    _check_type(question, str, where, "question")
+    _check_type(answer, str, where, "answer")
+    _check_type(context, list, where, "context")
+    _check_type(supporting, list, where, "supporting_facts")
 
     question_tokens = [t.text for t in tokenize(question)]
     context_tokens: list[str] = []
@@ -268,6 +280,7 @@ def load_squad(path: str) -> tuple[list[Example], LoadStats]:
                 context = para["context"]
             except (KeyError, TypeError) as exc:
                 raise DataError(f"{where}: missing field {exc}") from exc
+            _check_type(context, str, where, "context")
             toks = tokenize(context)
             texts = [t.text for t in toks]
             spans = [SentenceSpan(s, e, 0, i)
@@ -275,18 +288,23 @@ def load_squad(path: str) -> tuple[list[Example], LoadStats]:
             for qa_idx, qa in enumerate(para.get("qas", [])):
                 try:
                     qid = str(qa["id"])
-                    question_tokens = [t.text for t in tokenize(qa["question"])]
+                    question = qa["question"]
                 except (KeyError, TypeError) as exc:
                     raise DataError(f"{where} question {qa_idx}: missing field {exc}") from exc
+                _check_type(question, str, f"{path}: question {qid!r}", "question")
+                question_tokens = [t.text for t in tokenize(question)]
                 if not qa.get("answers"):
                     raise DataError(f"{path}: question {qid!r} has no answers")
                 try:
-                    answers = list(dict.fromkeys(a["text"] for a in qa["answers"]))
+                    answer_texts = [a["text"] for a in qa["answers"]]
                     first = qa["answers"][0]
                     lo = int(first["answer_start"])
                 except (KeyError, TypeError, ValueError) as exc:
                     raise DataError(f"{path}: question {qid!r}: malformed answer "
                                     f"({type(exc).__name__}: {exc})") from exc
+                for text in answer_texts:
+                    _check_type(text, str, f"{path}: question {qid!r} answer", "text")
+                answers = list(dict.fromkeys(answer_texts))
                 hi = lo + len(first["text"])
                 hit = _char_span_to_tokens(toks, lo, hi)
                 if hit is None:
@@ -437,10 +455,12 @@ def make_batches(examples: list[Example], vocab: Vocab, batch_size: int,
     """Pad examples into fixed arrays per batch. Training mode shuffles with
     the given rng; otherwise file order is kept. Raises ``DataError`` for an
     example left with no context tokens (empty, or a first sentence longer
-    than ``max_context_tokens``)."""
+    than ``max_context_tokens``) or with no question tokens."""
     stats = BatchStats()
     prepared: list[Example] = []
     for ex in examples:
+        if not ex.question_tokens:
+            raise DataError(f"make_batches: example {ex.id!r} has no question tokens")
         trimmed, truncated, span_lost = truncate_example(ex, max_context_tokens)
         if trimmed.n_tokens == 0:
             raise DataError(f"make_batches: example {ex.id!r} has no context tokens "

@@ -8,6 +8,15 @@ attention strategies sit behind config flags so the ablation grid
 (baseline / decomposition only / fine-grained only / both) runs on one
 implementation.
 
+The embedding runs once per row of the batch's table of distinct tokens
+(``[word id, char ids...]``, over the context and question together), not
+per position. Without dropout the whole embedding runs on the table and is
+gathered to the positions at the highway output; in training with dropout
+only the char-CNN runs on the table, and its output is gathered before the
+char dropout, which is drawn at the per-position shapes, so the random
+stream does not change. The padding row is an ordinary table row
+(``Model._embed``).
+
 The prediction BiGRUs take the fused block G, the modeling output M and
 the previous BiGRU's output as input parts, so their joined inputs are
 never built, in training too: the first one's dropout is drawn at the
@@ -38,7 +47,7 @@ from .attention import (
     similarity,
     vanilla_q2c,
 )
-from .autodiff import MASK_FILL, ShapeError, Tensor, UsageError, concat, no_grad
+from .autodiff import MASK_FILL, ShapeError, Tensor, UsageError, concat, gather_rows, no_grad
 from .data import ANSWER_TYPES, Batch, Example
 from .layers import (
     BiGruParams,
@@ -48,6 +57,7 @@ from .layers import (
     Linear,
     bigru,
     char_cnn,
+    distinct_tokens,
     embed_words,
     highway,
     linear,
@@ -211,9 +221,36 @@ class Model:
     def _drop(self, x: Tensor | list[Tensor], training: bool, rng) -> Tensor | list[Tensor]:
         return ad.dropout(x, self.config.dropout, training, rng)
 
-    def _embed(self, word_ids, char_ids, training, rng) -> Tensor:
+    def _embed(self, batch: Batch, training, rng) -> tuple[Tensor, Tensor]:
+        """The context (B, T, d) and question (B, J, d) token vectors.
+
+        Everything up to the highway output depends only on the token, its
+        row ``[word id, char ids...]``, so the char-CNN runs once per row of
+        the batch's table of distinct tokens (``distinct_tokens``, over the
+        context and question together). When no dropout is drawn, the word
+        lookup, projection and highway run on the table's rows too, and one
+        ``gather_rows`` each puts the result back at the context and
+        question positions. In training with dropout, the char features are
+        gathered to the positions first, and the char dropout is drawn at
+        the context's shape, then the question's, as a per-position
+        embedding draws it: the random stream does not change. The padding
+        row is an ordinary table row, and row 0 may be a real token, so the
+        gathers take no ``pad_guard``."""
+        words, chars, (ctx_rows, qry_rows) = distinct_tokens(
+            (batch.context_words, batch.context_chars),
+            (batch.question_words, batch.question_chars))
+        char_feats = char_cnn(chars, self.char_params)
+        if training and self.config.dropout > 0:
+            return (self._embed_rows(batch.context_words, gather_rows(char_feats, ctx_rows),
+                                     training, rng),
+                    self._embed_rows(batch.question_words, gather_rows(char_feats, qry_rows),
+                                     training, rng))
+        table = self._embed_rows(words, char_feats, training, rng)
+        return gather_rows(table, ctx_rows), gather_rows(table, qry_rows)
+
+    def _embed_rows(self, word_ids, char_feats: Tensor, training, rng) -> Tensor:
         words = embed_words(self.word_table, word_ids, unk_row=self.unk_row)
-        chars = self._drop(char_cnn(char_ids, self.char_params), training, rng)
+        chars = self._drop(char_feats, training, rng)
         fused = linear(concat([words, chars], axis=-1), self.proj.w, self.proj.b)
         return highway(fused, self.highway)
 
@@ -227,8 +264,7 @@ class Model:
         cmask = batch.context_mask.astype(dt)
         qmask = batch.question_mask.astype(dt)
 
-        ctx = self._embed(batch.context_words, batch.context_chars, training, rng)
-        qry = self._embed(batch.question_words, batch.question_chars, training, rng)
+        ctx, qry = self._embed(batch, training, rng)
         H = bigru(self._drop(ctx, training, rng), self.encoder, mask=cmask)
         U = bigru(self._drop(qry, training, rng), self.encoder, mask=qmask)
 

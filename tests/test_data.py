@@ -133,6 +133,14 @@ def test_hotpot_malformed_record_raises_data_error(rec):
         examples_from_hotpot_records([_table_record(), rec])
 
 
+@pytest.mark.parametrize("field,value", [
+    ("answer", 5), ("answer", None), ("question", 7), ("supporting_facts", 5),
+], ids=["numeric_answer", "null_answer", "numeric_question", "numeric_facts"])
+def test_hotpot_wrong_typed_field_raises_data_error(field, value):
+    with pytest.raises(DataError, match=f"record 1 .*'{field}'"):
+        examples_from_hotpot_records([_table_record(), _hotpot_with(field, value)])
+
+
 def test_hotpot_truncated_json_raises(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('[{"_id": "x", "question": "q"')
@@ -227,6 +235,28 @@ def test_squad_missing_field_raises_data_error(tmp_path, payload, match):
         load_squad(str(path))
 
 
+def _squad_with(where: str, key: str, value) -> dict:
+    """The SQuAD payload with ``key`` set to ``value`` in the object at
+    ``where``, as in ``_without``."""
+    payload = _squad_payload()
+    para = payload["data"][0]["paragraphs"][0]
+    qa = para["qas"][1]
+    {"para": para, "qa": qa, "answer": qa["answers"][0]}[where][key] = value
+    return payload
+
+
+@pytest.mark.parametrize("payload,match", [
+    (_squad_with("answer", "text", 5), "question 'q2' answer: field 'text'"),
+    (_squad_with("para", "context", 5), "article 0 paragraph 0: field 'context'"),
+    (_squad_with("qa", "question", 7), "question 'q2': field 'question'"),
+], ids=["numeric_answer_text", "numeric_context", "numeric_question"])
+def test_squad_wrong_typed_field_raises_data_error(tmp_path, payload, match):
+    path = tmp_path / "squad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=match):
+        load_squad(str(path))
+
+
 # ---------------------------------------------------------------------------
 # vocab
 
@@ -303,6 +333,16 @@ def test_fully_truncated_context_raises_data_error():
     vocab = build_vocab(examples)
     with pytest.raises(DataError, match=examples[1].id):
         make_batches(examples, vocab, batch_size=3, max_context_tokens=11)
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["alone", "in_a_batch"])
+def test_empty_question_raises_data_error(n):
+    # alone, its char ids would be (1, 0, W); beside others, a fully masked query
+    examples = synth_two_hop(n, seed=1)
+    examples[-1].question_tokens = []
+    vocab = build_vocab(examples)
+    with pytest.raises(DataError, match=f"{examples[-1].id!r} has no question tokens"):
+        make_batches(examples, vocab, batch_size=n)
 
 
 def test_batch_masks_match_lengths():

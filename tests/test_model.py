@@ -20,6 +20,7 @@ from hopqa.model import (
     self_attention,
 )
 import tracemalloc
+from types import SimpleNamespace
 
 from hopqa.attention import (
     SimilarityParams,
@@ -29,7 +30,7 @@ from hopqa.attention import (
     vanilla_q2c,
 )
 from hopqa.autodiff import DataError, ShapeError
-from hopqa.layers import linear, xavier_uniform
+from hopqa.layers import UNK_ID, char_cnn, embed_words, highway, linear, xavier_uniform
 from hopqa.serialization import load_tensors, save_tensors
 from hopqa.training import TrainConfig, train
 from hopqa.verification import full_model_check, tiny_batch
@@ -110,7 +111,8 @@ def test_cascade_connectivity():
 
 def test_eval_forward_joins_only_the_embeddings(monkeypatch):
     # the prediction BiGRUs take [G, M] and [G, M, g] as parts: neither R nor
-    # any prediction input is built, and each _embed makes the one concat
+    # any prediction input is built, and the embedding makes the one concat,
+    # over the table of distinct tokens
     import hopqa.model as hm
     model, batch, _ = make_model_and_batch()
 
@@ -123,7 +125,7 @@ def test_eval_forward_joins_only_the_embeddings(monkeypatch):
     with no_grad():
         model.forward(batch)
     cfg = model.config
-    assert widths == [[cfg.word_dim, cfg.char_filters]] * 2
+    assert widths == [[cfg.word_dim, cfg.char_filters]]
 
 
 def test_training_forward_joins_only_the_embeddings(monkeypatch):
@@ -140,6 +142,136 @@ def test_training_forward_joins_only_the_embeddings(monkeypatch):
     model.forward(batch, training=True, rng=np.random.default_rng(0))
     cfg = model.config
     assert widths == [[cfg.word_dim, cfg.char_filters]] * 2
+
+
+# ---------------------------------------------------------------------------
+# embedding once per distinct token
+
+
+def _reference_embed(model, batch, training, rng):
+    """The embedding run at every position, the context's then the
+    question's: word lookup with the unk row, char-CNN, char dropout,
+    projection and highway."""
+    def embed(word_ids, char_ids):
+        words = embed_words(model.word_table, word_ids, unk_row=model.unk_row)
+        chars = ad.dropout(char_cnn(char_ids, model.char_params), model.config.dropout,
+                           training, rng)
+        fused = linear(ad.concat([words, chars], axis=-1), model.proj.w, model.proj.b)
+        return highway(fused, model.highway)
+
+    return (embed(batch.context_words, batch.context_chars),
+            embed(batch.question_words, batch.question_chars))
+
+
+def _embed_case(dtype="float32", **cfg_kw):
+    """A model and a batch with repeated tokens, case variants of one word
+    (one word id, different chars), unk tokens (hapaxes under min_freq=2) and
+    padding."""
+    examples = synth_two_hop(3, seed=11)
+    vocab = build_vocab(examples, min_freq=2)
+    (batch,), _ = make_batches(examples, vocab, batch_size=3, max_word_len=8)
+    words = np.concatenate([batch.context_words.ravel(), batch.question_words.ravel()])
+    assert (words == UNK_ID).any() and (batch.context_mask == 0).any()
+    assert vocab.word_id("The") == vocab.word_id("the")
+    assert {"The", "the"} <= set(examples[0].context_tokens)
+    model = Model(tiny_config(dtype=dtype, train_word_emb=True, **cfg_kw),
+                  vocab.n_words, vocab.n_chars, np.random.default_rng(5))
+    return model, batch
+
+
+def _distinct_rows(batch) -> int:
+    rows = set()
+    for words, chars in ((batch.context_words, batch.context_chars),
+                         (batch.question_words, batch.question_chars)):
+        for w, c in zip(words.ravel(), chars.reshape(words.size, -1)):
+            rows.add((int(w), *c.tolist()))
+    return len(rows)
+
+
+_HEADS = ("type_logits", "start_logits", "end_logits", "sup_logits")
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_eval_embedding_matches_per_position_reference(monkeypatch, dtype):
+    model, batch = _embed_case(dtype)
+    got = [model.forward(batch)]
+    with no_grad():
+        got.append(model.forward(batch))
+    monkeypatch.setattr(Model, "_embed", _reference_embed)
+    want = model.forward(batch)
+    for out in got:
+        for name in _HEADS:
+            assert np.array_equal(getattr(out, name).data, getattr(want, name).data), name
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
+def test_training_embedding_matches_per_position_reference(monkeypatch, dtype, tol, dropout):
+    # summing each token's gradient before the char-CNN backward (or, without
+    # dropout, before the highway's) changes only the order of the sums
+    model, batch = _embed_case(dtype, dropout=dropout)
+    params = model.parameters()
+
+    def step():
+        zero_grads(list(params.values()))
+        out = model.forward(batch, training=True, rng=np.random.default_rng(123))
+        loss, _ = joint_loss(out, batch, model.config.lambda_a, model.config.lambda_s)
+        backward(loss)
+        return loss.item(), {name: p.grad.copy() for name, p in params.items()}
+
+    loss, grads = step()
+    monkeypatch.setattr(Model, "_embed", _reference_embed)
+    ref_loss, ref_grads = step()
+    assert loss == ref_loss
+    for name, g in grads.items():
+        ref = ref_grads[name]
+        assert np.max(np.abs(g - ref)) <= tol * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_char_cnn_runs_once_per_distinct_token(monkeypatch, training):
+    import hopqa.model as hm
+    model, batch = _embed_case(dropout=0.2)
+    original, calls = hm.char_cnn, []
+
+    def spy(char_ids, p):
+        calls.append(char_ids.shape)
+        return original(char_ids, p)
+
+    monkeypatch.setattr(hm, "char_cnn", spy)
+    model.forward(batch, training=training, rng=np.random.default_rng(0))
+    assert calls == [(_distinct_rows(batch), batch.context_chars.shape[-1])]
+
+
+def _embed_peak_bytes(embed, model, batch) -> int:
+    tracemalloc.start()
+    try:
+        with no_grad():
+            embed(model, batch, False, None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_embedding_memory_follows_distinct_tokens():
+    # a (16, 2048) context of 50 distinct tokens: the per-position char-CNN
+    # holds its (16, 2048, 12, filters) window products, the table 50 rows
+    rng = np.random.default_rng(0)
+    n_chars, width = 30, 16
+    vocab_rows = np.concatenate([[[0] * (width + 1)],
+                                 np.c_[rng.integers(2, 40, 49),
+                                       rng.integers(1, n_chars, (49, width))]])
+    assert len({tuple(r) for r in vocab_rows.tolist()}) == 50
+    pick = lambda shape: vocab_rows[rng.integers(1, 50, shape)]
+    ctx, qry = pick((16, 2048)), pick((16, 20))
+    ctx[:, 1500:] = 0
+    batch = SimpleNamespace(context_words=ctx[..., 0], context_chars=ctx[..., 1:],
+                            question_words=qry[..., 0], question_chars=qry[..., 1:])
+    model = Model(ModelConfig(d=8, word_dim=16, char_dim=8, char_filters=20),
+                  40, n_chars, np.random.default_rng(1))
+    peak = _embed_peak_bytes(Model._embed, model, batch)
+    ref_peak = _embed_peak_bytes(_reference_embed, model, batch)
+    assert peak <= ref_peak / 4, (peak, ref_peak)
 
 
 # ---------------------------------------------------------------------------
