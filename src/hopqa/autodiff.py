@@ -8,11 +8,20 @@ silently fanning out.
 
 Gradient buffers are never mutated in place; a backward closure may hand
 the same array object to several consumers, which is safe under that rule.
+
+Two forwards, ``bigru`` and ``self_attention``, split work over a pool of
+worker threads made on first use (``_workers``). Workers run numpy only;
+they never make a ``Tensor``, and every array a worker writes is allocated
+by the calling thread and passed in. Grad mode is per thread, so callers in
+several threads may each run ``no_grad`` blocks.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -42,19 +51,78 @@ class UsageError(RuntimeError):
     """The op was called in a way its contract forbids."""
 
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction inside the block (evaluation mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph construction inside the block (evaluation mode), in the
+    calling thread only."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
+
+
+def _workers() -> tuple[ThreadPoolExecutor, int]:
+    """The worker pool and its size, made on first use: one thread per CPU
+    this process may run on, at most two. It assumes BLAS runs one thread, as
+    a pool worker and a BLAS thread would otherwise compete for one core."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool is None:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+                else os.cpu_count() or 1
+            _pool_size = min(2, cpus)
+            _pool = ThreadPoolExecutor(_pool_size, thread_name_prefix="hopqa-worker")
+        return _pool, _pool_size
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the parent's threads, and the lock may have
+    # been held by one of them
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):     # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _submit(pool: ThreadPoolExecutor | None, fn: Callable, *args) -> Future:
+    """Run ``fn(*args)`` on ``pool`` under the caller's numpy error handling,
+    which numpy keeps per thread, or, without a pool, now in this thread."""
+    if pool is None:
+        done: Future = Future()
+        done.set_result(fn(*args))
+        return done
+    errors = np.geterr()
+
+    def task():
+        with np.errstate(**errors):
+            return fn(*args)
+
+    return pool.submit(task)
+
+
+def _join(futures: Sequence[Future]) -> None:
+    """Wait for every task, then raise the first task's error, if any, so no
+    task still writes the caller's arrays once the caller sees an error."""
+    errors = [f.exception() for f in futures]
+    for e in errors:
+        if e is not None:
+            raise e
 
 
 class Tensor:
@@ -139,7 +207,7 @@ def _as_tensor(x, dtype) -> Tensor:
 
 
 def _tracking(*tensors: Tensor) -> bool:
-    return _grad_enabled and any(t.requires_grad for t in tensors)
+    return _grad_mode.enabled and any(t.requires_grad for t in tensors)
 
 
 def _make(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
@@ -719,7 +787,15 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
     ``mask != 0`` (0 if none): one contiguous slice per sequence, chunk and
     direction. The scratch past L_n is written as zeros, since a masked
     step multiplies its input by 0 and whatever the input holds there (NaN
-    too) would otherwise reach the state. The gate activations are kept
+    too) would otherwise reach the state. When T spans more than one chunk,
+    the projection runs on the worker pool (``_workers``), one task per
+    direction: while the step loop reads chunk c from one of two chunk
+    buffers, the tasks fill the other with chunk c + 1, and the loop waits
+    for both tasks at each chunk boundary. With one chunk there is nothing
+    to overlap, and the calling thread projects it. The chunk buffers and
+    each task's GEMM outputs are allocated here and passed in; a task
+    computes what the calling thread would, so the output does not depend
+    on where it ran. The gate activations are kept
     for every step only when tracking. The backward walks the steps once
     in reverse with the mask folded into local derivatives computed for
     all steps at once, then gets the input and weight gradients from a few
@@ -778,30 +854,39 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
 
     xs = [p.data.reshape(n_seq, t_len, w) for p, w in zip(parts, widths)]
     chunk = min(t_len, BIGRU_CHUNK)
-    x_zr = np.empty((chunk, 2, n_seq, 2 * hid), dtype=dtype)
-    x_n = np.empty((chunk, 2, n_seq, hid), dtype=dtype)
+    # two chunks of projected input, one read by the step loop while the
+    # pool fills the other, and per direction a GEMM product and addend
+    x_zr = np.empty((2, chunk, 2, n_seq, 2 * hid), dtype=dtype)
+    x_n = np.empty((2, chunk, 2, n_seq, hid), dtype=dtype)
+    prods = np.empty((2, 2, chunk, 3 * hid), dtype=dtype)
 
-    def project(s0: int, s1: int) -> None:
+    def project(d: int, s0: int, s1: int, buf: int) -> None:
+        """Steps [s0, s1) of direction d into chunk scratch ``buf``."""
         c = s1 - s0
+        ws, bias = proj[d]
+        acc, term = prods[d]
+        zr, xn = x_zr[buf, :, d], x_n[buf, :, d]
+        # the chunk's positions are [lo, lo + c); a sequence's real ones
+        # fill the first k steps forward and the last k steps backward
+        lo = s0 if d == 0 else t_len - s1
         for n, end in enumerate(ends):
-            for d, (ws, bias) in enumerate(proj):
-                # the chunk's positions are [lo, lo + c); its real ones fill
-                # the first k steps forward and the last k steps backward
-                lo = s0 if d == 0 else t_len - s1
-                k = min(max(end - lo, 0), c)
-                dst, pad = (slice(0, k), slice(k, c)) if d == 0 else \
-                    (slice(c - k, c), slice(0, c - k))
-                if k < c:
-                    x_zr[pad, d, n] = 0.0
-                    x_n[pad, d, n] = 0.0
-                if k:
-                    p = xs[0][n, lo:lo + k] @ ws[0]
-                    for xk, wk in zip(xs[1:], ws[1:]):
-                        p += xk[n, lo:lo + k] @ wk
-                    if d:
-                        p = p[::-1]
-                    np.add(p[:, :2 * hid], bias[:2 * hid], out=x_zr[dst, d, n])
-                    np.add(p[:, 2 * hid:], bias[2 * hid:], out=x_n[dst, d, n])
+            k = min(max(end - lo, 0), c)
+            dst, pad = (slice(0, k), slice(k, c)) if d == 0 else \
+                (slice(c - k, c), slice(0, c - k))
+            if k < c:
+                zr[pad, n] = 0.0
+                xn[pad, n] = 0.0
+            if k:
+                p = np.matmul(xs[0][n, lo:lo + k], ws[0], out=acc[:k])
+                for xk, wk in zip(xs[1:], ws[1:]):
+                    p += np.matmul(xk[n, lo:lo + k], wk, out=term[:k])
+                if d:
+                    p = p[::-1]
+                np.add(p[:, :2 * hid], bias[:2 * hid], out=zr[dst, n])
+                np.add(p[:, 2 * hid:], bias[2 * hid:], out=xn[dst, n])
+
+    def submit(s0: int, buf: int) -> list[Future]:
+        return [_submit(pool, project, d, s0, min(s0 + chunk, t_len), buf) for d in (0, 1)]
 
     tracking = _tracking(*parts, *weights)
     kept = t_len if tracking else 1
@@ -809,17 +894,24 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
     nn = np.empty((kept, 2, n_seq, hid), dtype=dtype)
     out = np.empty((n_seq, t_len, 2 * hid), dtype=dtype)
     h = np.zeros((2, n_seq, hid), dtype=dtype)
+    # with one chunk there is no step loop to overlap, so it is projected here
+    pool = _workers()[0] if t_len > chunk else None
+    tasks = submit(0, 0)
     for s in range(t_len):
         i = s % chunk
         if i == 0:
-            project(s, min(s + chunk, t_len))
+            _join(tasks)
+            buf = s // chunk % 2
+            if s + chunk < t_len:
+                tasks = submit(s + chunk, 1 - buf)
+            zr_in, n_in = x_zr[buf], x_n[buf]
         us, ns = (u[s], nn[s]) if tracking else (u[0], nn[0])
         np.matmul(h, wh_zr, out=us)
-        us += x_zr[i]
+        us += zr_in[i]
         np.tanh(us, out=us)
         us += 1.0
         np.matmul(us[..., hid:] * h, wh_n, out=ns)
-        ns += x_n[i]
+        ns += n_in[i]
         np.tanh(ns, out=ns)
         step = ns - h
         step *= m_half[s] * us[..., :hid]
@@ -939,6 +1031,18 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
     a = K w_h is constant along each row of S, so the row softmax does not
     see it: a block is the one GEMM [K, 1] @ [K, b]^T with b = K w_u, a is
     added to the row maxima only, and its gradient is that of m.
+
+    When T exceeds ``ATTENTION_BLOCK``, the forward runs on the worker pool
+    (``_workers``), one task per worker; with n workers, task j takes
+    sequences j, j + n, ... Shorter sequences are too little work to hand
+    over, and the calling thread runs them as one task. A task makes each of
+    its sequences' c2q, q2c and out rows, the four projection terms added in
+    the order above. This thread allocates every array a task writes: c2q
+    and out, and per task [K, 1], [K, b], a block of S, its [P K, row sums]
+    and two row buffers of one sequence, so a no-grad call holds c2q and
+    out beside per-task scratch of O(T w + ATTENTION_BLOCK T). A non-finite
+    similarity raises ``NumericError`` once every task has finished. The
+    backward runs in the calling thread and recomputes M * q2c.
     """
     if M.ndim < 2:
         raise ShapeError(f"self_attention: input must be at least rank 2, got {M.shape}")
@@ -952,6 +1056,7 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
     x = M.data.astype(dtype, copy=False).reshape(n_seq, t_len, width)
     # real rows of each sequence: a slice when they are contiguous
     rows: list = [slice(0, t_len)] * n_seq
+    sizes = np.full(n_seq, t_len)
     if mask is not None:
         mk = np.asarray(mask)
         if mk.shape != M.shape[:-1]:
@@ -959,14 +1064,18 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
                              f"{M.shape[:-1]}")
         for i, row in enumerate(mk.reshape(n_seq, t_len)):
             idx = np.flatnonzero(row)
+            sizes[i] = idx.size
             contiguous = idx.size and idx[-1] - idx[0] + 1 == idx.size
             rows[i] = slice(idx[0], idx[-1] + 1) if contiguous else idx
+    if n_seq and not sizes.min():
+        raise DataError(f"self_attention: sequence {np.argmin(sizes)} has no real position")
     w_hv = w_h.data[:, 0].astype(dtype, copy=False)
     w_uv = w_u.data[:, 0].astype(dtype, copy=False)
+    p_w = proj_w.data.astype(dtype, copy=False).reshape(4, width, -1)
+    w_out = p_w.shape[-1]
 
-    def sides(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        left = np.empty((len(k), width + 1), dtype=dtype)
-        right = np.empty_like(left)
+    def sides(k: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fill ``left`` = [K, 1] and ``right`` = [K, K w_u], both (n, w + 1)."""
         left[:, :width] = right[:, :width] = k
         left[:, width] = 1.0
         right[:, width] = k @ w_uv
@@ -978,52 +1087,69 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
 
     c2q = np.zeros_like(x)
     q2c = np.empty((n_seq, width), dtype=dtype)
-    saved = []      # per sequence: row maximizers, log-sum-exps, q2c weights
-    for i, live in enumerate(rows):
-        k = x[i, live]
-        n = len(k)
-        if n == 0:
-            raise DataError(f"self_attention: sequence {i} has no real position")
-        left, right = sides(k)
-        top_at = np.empty(n, dtype=np.intp)
-        top = k @ w_hv                      # m = a + the row max of S - a
-        lse = np.empty(n, dtype=dtype)
-        ck = np.empty_like(k)
-        for r0, r1 in blocks(n):
-            s = left[r0:r1] @ right.T
-            at = s.argmax(axis=1)
-            peak = s[np.arange(r1 - r0), at]
-            if not np.isfinite(peak).all() or not np.isfinite(s.min()):
-                raise NumericError("self_attention: non-finite similarity")
-            s -= peak[:, None]
-            np.exp(s, out=s)
-            pk = s @ left                   # [P K, row sums of P]
-            np.divide(pk[:, :width], pk[:, width:], out=ck[r0:r1])
-            top_at[r0:r1] = at
-            top[r0:r1] += peak
-            lse[r0:r1] = peak + np.log(pk[:, width])
-        beta = np.exp(top - top.max())
-        beta /= beta.sum()
-        q2c[i] = beta @ k
-        c2q[i, live] = ck
-        saved.append((top_at, lse, beta))
+    out = np.empty((n_seq, t_len, w_out), dtype=dtype)
+    saved: list = [None] * n_seq     # per sequence: row maximizers, log-sum-exps, q2c weights
 
-    p_w = proj_w.data.astype(dtype, copy=False).reshape(4, width, -1)
-    x2 = x.reshape(-1, width)
-    c2q2 = c2q.reshape(-1, width)
-    mq = (x * q2c[:, None]).reshape(-1, width)
-    out = x2 @ p_w[0]
-    out += c2q2 @ p_w[1]
-    out += (x2 * c2q2) @ p_w[2]
-    out += mq @ p_w[3]
-    out += proj_b.data
-    result = out.reshape(M.shape[:-1] + (p_w.shape[-1],))
+    def attend(seqs: range, left: np.ndarray, right: np.ndarray, s_buf: np.ndarray,
+               pk_buf: np.ndarray, row_buf: np.ndarray, prod: np.ndarray) -> None:
+        """c2q, q2c and out of each sequence in ``seqs``, in the scratch given."""
+        for i in seqs:
+            live = rows[i]
+            k = x[i, live]
+            n = len(k)
+            lk, rk = sides(k, left[:n], right[:n])
+            top_at = np.empty(n, dtype=np.intp)
+            top = k @ w_hv                      # m = a + the row max of S - a
+            lse = np.empty(n, dtype=dtype)
+            ck = row_buf[:n]
+            for r0, r1 in blocks(n):
+                s = np.matmul(lk[r0:r1], rk.T, out=s_buf[:(r1 - r0) * n].reshape(r1 - r0, n))
+                at = s.argmax(axis=1)
+                peak = s[np.arange(r1 - r0), at]
+                if not np.isfinite(peak).all() or not np.isfinite(s.min()):
+                    raise NumericError("self_attention: non-finite similarity")
+                s -= peak[:, None]
+                np.exp(s, out=s)
+                pk = np.matmul(s, lk, out=pk_buf[:r1 - r0])   # [P K, row sums of P]
+                np.divide(pk[:, :width], pk[:, width:], out=ck[r0:r1])
+                top_at[r0:r1] = at
+                top[r0:r1] += peak
+                lse[r0:r1] = peak + np.log(pk[:, width])
+            beta = np.exp(top - top.max())
+            beta /= beta.sum()
+            q2c[i] = beta @ k
+            c2q[i, live] = ck
+            saved[i] = (top_at, lse, beta)
+            # out = [M, c2q, M * c2q, M * q2c] proj_w + proj_b, summed in that order
+            xi, oi = x[i], out[i]
+            np.matmul(xi, p_w[0], out=oi)
+            oi += np.matmul(c2q[i], p_w[1], out=prod)
+            oi += np.matmul(np.multiply(xi, c2q[i], out=row_buf), p_w[2], out=prod)
+            oi += np.matmul(np.multiply(xi, q2c[i], out=row_buf), p_w[3], out=prod)
+            oi += proj_b.data
+
+    # one task per worker, taking every n_tasks-th sequence, with scratch
+    # allocated here; sequences of one block are too little work to hand over
+    pool, size = _workers() if t_len > ATTENTION_BLOCK else (None, 1)
+    n_tasks = min(size, n_seq)
+    block = min(ATTENTION_BLOCK, t_len)
+    _join([_submit(pool, attend, range(w, n_seq, n_tasks),
+                       np.empty((t_len, width + 1), dtype=dtype),
+                       np.empty((t_len, width + 1), dtype=dtype),
+                       np.empty(block * t_len, dtype=dtype),
+                       np.empty((block, width + 1), dtype=dtype),
+                       np.empty((t_len, width), dtype=dtype),
+                       np.empty((t_len, w_out), dtype=dtype)) for w in range(n_tasks)])
+    result = out.reshape(M.shape[:-1] + (w_out,))
     if not _tracking(M, w_h, w_u, proj_w, proj_b):
         return Tensor(result)
 
     def bwd(g):
         gdt = np.result_type(g, dtype)
-        g2 = g.reshape(-1, p_w.shape[-1])
+        g2 = g.reshape(-1, w_out)
+        x2 = x.reshape(-1, width)
+        c2q2 = c2q.reshape(-1, width)
+        mq = (x * q2c[:, None]).reshape(-1, width)
         _accum(proj_w, np.concatenate([x2.T @ g2, c2q2.T @ g2, (x2 * c2q2).T @ g2,
                                        mq.T @ g2]))
         _accum(proj_b, g2.sum(axis=0))
@@ -1041,7 +1167,7 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
         for i, (live, (top_at, lse, beta)) in enumerate(zip(rows, saved)):
             k = x[i, live]
             n = len(k)
-            left, right = sides(k)
+            left, right = sides(k, *np.empty((2, n, width + 1), dtype=dtype))
             dck = d_c2q[i, live]
             row_dot = (dck * c2q[i, live]).sum(axis=1)
             # q2c = beta^T K and beta = softmax(m)

@@ -27,6 +27,19 @@ Self-attention is one ``ad.self_attention`` node: each sequence attends
 over its real positions only, a block of query rows at a time, so no
 T x T array is built in training or evaluation. Its padded rows get a zero
 context-to-query readout; nothing downstream reads them.
+
+Two forwards use a pool of worker threads in ``autodiff``, sized from the
+machine alone: one thread per CPU the process may run on, at most two.
+Each BiGRU projects its next chunk of input, one task per direction, while
+its step loop runs the current one; self-attention runs its sequences
+split over one task per worker. Both do so only for sequences longer than
+one chunk or block (256 positions); shorter ones are too little work to
+hand over, and run in the calling thread. The caller allocates every array
+a worker writes, so the workers' temporaries stay small, and the results
+are bit-identical to a serial run. Backward passes run in the calling thread.
+The pool assumes BLAS at one thread. ``Model.forward`` may be called from
+several threads at once: grad mode is per thread, and every call has its
+own scratch.
 """
 
 from __future__ import annotations

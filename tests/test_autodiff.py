@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -458,6 +461,68 @@ def test_no_grad_builds_no_graph():
     with no_grad():
         y = ad.mul(x, x)
     assert y._backward is None and not y.requires_grad
+
+
+def test_no_grad_holds_in_its_own_thread_only():
+    inside, release = threading.Event(), threading.Event()
+
+    def hold():
+        with no_grad():
+            inside.set()
+            release.wait(10)
+
+    thread = threading.Thread(target=hold)
+    thread.start()
+    try:
+        assert inside.wait(10)
+        x = parameter([1.0, 2.0])
+        assert ad.mul(x, x).requires_grad
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert ad.mul(x, x).requires_grad
+
+
+def _pooled_bigru() -> np.ndarray:
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, ad.BIGRU_CHUNK + 3, 3))
+    cell = lambda: [constant(rng.standard_normal(s)) for s in ((3, 6), (2, 6), (6,))]
+    return ad.bigru(constant(x), cell(), cell()).data
+
+
+def test_worker_pool_is_remade_in_a_forked_child():
+    # the parent's pool has started; a forked child has none of its threads
+    want = _pooled_bigru()
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(_pooled_bigru()))
+    child.start()
+    try:
+        assert recv.poll(60)
+        assert np.array_equal(recv.recv(), want)
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
+def test_join_waits_for_every_task_before_raising():
+    pool, size = ad._workers()
+    assert 1 <= size <= 2
+    done = threading.Event()
+
+    def fail():
+        raise ad.NumericError("first")
+
+    def slow():
+        time.sleep(0.05)
+        done.set()
+
+    with pytest.raises(ad.NumericError, match="first"):
+        ad._join([pool.submit(fail), pool.submit(slow)])
+    assert done.is_set()
 
 
 def test_broadcast_to_sums_gradient_back():

@@ -19,6 +19,8 @@ from hopqa.model import (
     predictions_to_json,
     self_attention,
 )
+import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -29,7 +31,7 @@ from hopqa.attention import (
     similarity,
     vanilla_q2c,
 )
-from hopqa.autodiff import DataError, ShapeError
+from hopqa.autodiff import DataError, NumericError, ShapeError
 from hopqa.layers import UNK_ID, char_cnn, embed_words, highway, linear, xavier_uniform
 from hopqa.serialization import load_tensors, save_tensors
 from hopqa.training import TrainConfig, train
@@ -450,6 +452,43 @@ def _self_attention_peak_bytes(t_len: int, with_backward: bool) -> int:
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("t_len", [7, 300], ids=["calling_thread", "pool"])
+def test_self_attention_errors_from_workers_leave_the_pool_working(t_len):
+    # past the 256-row block, each worker gets sequences of the five
+    p, m, mask, _, _ = _self_attention_case((5, t_len, 4), np.float32)
+    with no_grad():
+        want = self_attention(m, p, mask).data
+        bad = m.data.copy()
+        bad[3, t_len - 3] = np.nan
+        with pytest.raises(NumericError, match="non-finite similarity"):
+            self_attention(constant(bad), p, mask)
+        empty = mask.copy()
+        empty[4] = 0.0
+        with pytest.raises(DataError, match="sequence 4"):
+            self_attention(m, p, empty)
+        # numpy's error handling is per thread; the workers take the caller's
+        bad[3, t_len - 3] = np.inf
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            self_attention(constant(bad), p, mask)
+        assert np.array_equal(self_attention(m, p, mask).data, want)
+
+
+def test_self_attention_eval_memory_holds_two_inputs_and_worker_scratch():
+    # a no-grad call holds c2q and its output, each the input's size, and per
+    # worker a few (T, w) rows and one block of similarities; projecting the
+    # whole batch at once, with its (B, T, w) temporaries, peaked at 5.2x
+    p, m, mask, _, _ = _self_attention_case((16, 2048, 160), np.float32)
+    with no_grad():
+        self_attention(m, p, mask)
+        tracemalloc.start()
+        try:
+            self_attention(m, p, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 3.0 * m.data.nbytes, peak / m.data.nbytes
+
+
 @pytest.mark.parametrize("with_backward", [False, True])
 def test_self_attention_memory_is_linear_in_length(with_backward):
     # doubling T doubles linear memory and quadruples a T x T array
@@ -739,6 +778,46 @@ def test_appending_padding_changes_no_unmasked_logit():
     assert np.max(np.abs(out_pad.end_logits.data[:, :t] - out.end_logits.data)) < 1e-5
     assert np.max(np.abs(out_pad.type_logits.data - out.type_logits.data)) < 1e-5
     assert np.max(np.abs(out_pad.sup_logits.data - out.sup_logits.data)) < 1e-5
+
+
+def test_concurrent_predict_batches_match_serial_runs(monkeypatch):
+    # more caller threads than workers, switching often, each on its own
+    # batches; contexts past the 256-step BiGRU chunk keep the pool busy
+    import hopqa.model as hm
+
+    examples = synth_two_hop(12, seed=21, n_distractors=30)
+    vocab = build_vocab(examples)
+    batches, _ = make_batches(examples, vocab, batch_size=3, max_word_len=8)
+    assert max(b.context_words.shape[1] for b in batches) > ad.BIGRU_CHUNK
+    model = Model(tiny_config(), vocab.n_words, vocab.n_chars, np.random.default_rng(0))
+    original, logits = hm.decode_example, {}
+
+    def recording(ex, *heads):
+        logits[ex.id] = [h.copy() for h in heads[:4]]
+        return original(ex, *heads)
+
+    monkeypatch.setattr(hm, "decode_example", recording)
+    serial = predict_batches(model, batches)
+    serial_logits, results = dict(logits), {}
+    logits.clear()
+    threads = [threading.Thread(target=lambda i=i: results.update(
+        {i: predict_batches(model, [batches[i]])})) for i in range(len(batches))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert {k: v for r in results.values() for k, v in r.items()} == serial
+    assert logits.keys() == serial_logits.keys()
+    for key, heads in serial_logits.items():
+        assert all(np.array_equal(a, b) for a, b in zip(logits[key], heads)), key
+    x = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+    assert ad.mul(x, x).requires_grad
 
 
 def test_predict_batches_round_trip():
