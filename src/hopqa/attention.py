@@ -180,23 +180,15 @@ def context2query(Qrows: Tensor, S_bar: Tensor,
     return out
 
 
-def fuse_g(H: Tensor, c2q: Tensor, q2c: Tensor, variant: str = "paper",
-           trace: AttentionTrace | None = None) -> Tensor:
-    """Combine the context with both attention readouts into (..., T, 8d).
-
-    ``paper`` keeps the q2c * c2q cross term as the fourth block; ``bidaf``
-    uses the conventional H * c2q there instead.
-    """
+def fuse_g(H: Tensor, c2q: Tensor, q2c: Tensor,
+           trace: AttentionTrace | None = None) -> list[Tensor]:
+    """The context fused with both attention readouts, as the four (..., T, 2d)
+    parts [H, c2q, H * q2c, q2c * c2q] of G (..., T, 8d); the consumers take
+    parts, so G is never joined. A trace gets the join."""
     for name, t in (("c2q", c2q), ("q2c", q2c)):
         if t.shape[-1] != H.shape[-1]:
             raise ShapeError(f"fuse_g: {name} width {t.shape[-1]} != context width {H.shape[-1]}")
-    if variant == "paper":
-        parts = [H, c2q, ad.mul(H, q2c), ad.mul(q2c, c2q)]
-    elif variant == "bidaf":
-        parts = [H, c2q, ad.mul(H, c2q), ad.mul(H, q2c)]
-    else:
-        raise ValueError(f"fuse_g: unknown variant {variant!r}")
-    out = concat(parts, axis=-1)
+    parts = [H, c2q, ad.mul(H, q2c), ad.mul(q2c, c2q)]
     if trace is not None:
-        trace.fused = out.data.copy()
-    return out
+        trace.fused = np.concatenate([p.data for p in parts], axis=-1)
+    return parts

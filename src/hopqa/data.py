@@ -4,6 +4,12 @@ Contexts arrive as documents made of sentences; they are concatenated into
 one token sequence with document and sentence boundaries preserved, since
 the supporting-fact head scores whole sentences. Contexts longer than the
 cap are truncated at sentence boundaries only.
+
+A batch carries a table of its distinct tokens, over the context and the
+question together: per row a word id and the char ids of the token's first
+characters. Row 0 is the padding token (word and chars all ``PAD_ID``);
+every position holds the index of its token's row, and padded positions
+hold 0. The model embeds the table's rows, not the positions.
 """
 
 from __future__ import annotations
@@ -373,11 +379,15 @@ def build_vocab(examples: Iterable[Example], min_freq: int = 1) -> Vocab:
 
 @dataclass
 class Batch:
+    """Padded arrays of a list of examples. ``token_words`` and
+    ``token_chars`` are the batch's token table, row 0 the padding token;
+    ``context_tokens`` and ``question_tokens`` hold each position's row."""
+
     examples: list[Example]
-    context_words: np.ndarray       # (B, T) int64
-    context_chars: np.ndarray       # (B, T, W)
-    question_words: np.ndarray      # (B, J)
-    question_chars: np.ndarray      # (B, J, W)
+    token_words: np.ndarray         # (N,) int64 word id per table row
+    token_chars: np.ndarray         # (N, W) int64 char ids per table row
+    context_tokens: np.ndarray      # (B, T) int64 table row per position
+    question_tokens: np.ndarray     # (B, J)
     context_mask: np.ndarray        # (B, T) float32
     question_mask: np.ndarray       # (B, J)
     sentence_bounds: np.ndarray     # (B, S, 2) first/last token index, inclusive
@@ -428,34 +438,39 @@ def _word_chars(token: str, vocab: Vocab, width: int) -> list[int]:
     return ids + [PAD_ID] * (width - len(ids))
 
 
-def _token_ids(seqs: list[list[str]], vocab: Vocab, width: int,
-               length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Word ids (len(seqs), length) and char ids (len(seqs), length, width)
-    of token sequences, zero-padded. Each distinct token is looked up once."""
+def _token_table(seqs: list[list[str]], vocab: Vocab, width: int
+                 ) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """The table of distinct tokens of ``seqs``: word ids (N,) and char ids
+    (N, width), row 0 the padding token, and each sequence's row indices.
+    Each distinct token is looked up once."""
     index: dict[str, int] = {}
-    codes = np.array([index.setdefault(tok, len(index)) for seq in seqs for tok in seq],
-                     dtype=np.intp)
-    words = np.array([vocab.word_id(tok) for tok in index], dtype=np.int64)
-    chars = np.array([_word_chars(tok, vocab, width) for tok in index],
-                     dtype=np.int64).reshape(len(index), width)
-    lens = [len(seq) for seq in seqs]
-    rows = np.repeat(np.arange(len(seqs)), lens)
-    cols = np.arange(len(codes)) - np.repeat(np.cumsum(lens) - lens, lens)
-    word_ids = np.zeros((len(seqs), length), dtype=np.int64)
-    char_ids = np.zeros((len(seqs), length, width), dtype=np.int64)
-    word_ids[rows, cols] = words[codes]
-    char_ids[rows, cols] = chars[codes]
-    return word_ids, char_ids
+    rows = [[index.setdefault(tok, len(index) + 1) for tok in seq] for seq in seqs]
+    words = np.array([PAD_ID] + [vocab.word_id(tok) for tok in index], dtype=np.int64)
+    chars = np.array([[PAD_ID] * width] + [_word_chars(tok, vocab, width) for tok in index],
+                     dtype=np.int64)
+    return words, chars, rows
+
+
+def _positions(rows: list[list[int]], length: int) -> np.ndarray:
+    """Row indices of sequences, zero-padded (the padding row) to ``length``."""
+    out = np.zeros((len(rows), length), dtype=np.int64)
+    for i, seq in enumerate(rows):
+        out[i, :len(seq)] = seq
+    return out
 
 
 def make_batches(examples: list[Example], vocab: Vocab, batch_size: int,
                  max_context_tokens: int = MAX_CONTEXT_TOKENS,
                  max_word_len: int = 16, rng: np.random.Generator | None = None,
                  shuffle: bool = False) -> tuple[list[Batch], BatchStats]:
-    """Pad examples into fixed arrays per batch. Training mode shuffles with
-    the given rng; otherwise file order is kept. Raises ``DataError`` for an
-    example left with no context tokens (empty, or a first sentence longer
-    than ``max_context_tokens``) or with no question tokens."""
+    """Pad examples into fixed arrays per batch, each batch with its token
+    table. Training mode shuffles with the given rng; otherwise file order
+    is kept. Raises ``ValueError`` for a ``batch_size`` below 1, and
+    ``DataError`` for an example left with no context tokens (empty, or a
+    first sentence longer than ``max_context_tokens``) or with no question
+    tokens."""
+    if batch_size < 1:
+        raise ValueError(f"make_batches: batch_size must be >= 1, got {batch_size}")
     stats = BatchStats()
     prepared: list[Example] = []
     for ex in examples:
@@ -486,8 +501,8 @@ def _assemble(chunk: list[Example], vocab: Vocab, w: int) -> Batch:
     j_max = max(len(ex.question_tokens) for ex in chunk)
     s_max = max(len(ex.sentence_spans) for ex in chunk)
 
-    cw, cc = _token_ids([ex.context_tokens for ex in chunk], vocab, w, t_max)
-    qw, qc = _token_ids([ex.question_tokens for ex in chunk], vocab, w, j_max)
+    words, chars, rows = _token_table([ex.context_tokens for ex in chunk]
+                                      + [ex.question_tokens for ex in chunk], vocab, w)
     cmask = np.zeros((b, t_max), dtype=np.float32)
     qmask = np.zeros((b, j_max), dtype=np.float32)
     sbounds = np.zeros((b, s_max, 2), dtype=np.int64)
@@ -509,8 +524,9 @@ def _assemble(chunk: list[Example], vocab: Vocab, w: int) -> Batch:
         if ex.answer_type == "span" and ex.answer_span is not None:
             y_start[i], y_end[i] = ex.answer_span
             span_mask[i] = 1.0
-    return Batch(examples=chunk, context_words=cw, context_chars=cc,
-                 question_words=qw, question_chars=qc, context_mask=cmask,
+    return Batch(examples=chunk, token_words=words, token_chars=chars,
+                 context_tokens=_positions(rows[:b], t_max),
+                 question_tokens=_positions(rows[b:], j_max), context_mask=cmask,
                  question_mask=qmask, sentence_bounds=sbounds,
                  sentence_mask=smask, y_type=y_type, y_start=y_start,
                  y_end=y_end, span_mask=span_mask, sup_labels=sup)

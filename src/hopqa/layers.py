@@ -14,13 +14,6 @@ so the joined input is never copied, and each sequence's input is
 projected only up to its last real position. A highway stack is likewise
 one ``ad.highway`` node: all its layers and their backward run inside it,
 and its output is bit-identical to the composition of primitive ops.
-
-The embedding layers run on any array of ids, so the model runs them on a
-batch's table of distinct tokens (``distinct_tokens``) rather than on every
-position: a row of the table is a token's ``[word id, char ids...]``, and
-the index it returns puts each row back at its positions. Each of those
-layers maps every row on its own, so a table row equals the per-position
-rows it stands for; the model tests check this bit for bit.
 """
 
 from __future__ import annotations
@@ -121,33 +114,6 @@ def embed_words(table: EmbeddingTable, ids: np.ndarray,
         is_unk = (np.asarray(ids) == UNK_ID).astype(table.weights.dtype)[..., None]
         out = ad.add(out, ad.mul(Tensor(is_unk), unk_row))
     return out
-
-
-def distinct_tokens(*seqs: tuple[np.ndarray, np.ndarray]
-                    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The table of distinct tokens over several (word ids, char ids) pairs.
-
-    A token is its row ``[word id, char ids...]``, so case variants of a
-    word (one word id, different chars) are distinct. Each pair is word ids
-    of shape S and char ids of shape S + (W,). Returns the table's word ids
-    (N,), its char ids (N, W) and, per pair, the index of each position's
-    row in the table (shape S). Rows are found by one sort of the rows as
-    raw bytes; the padding row (word 0, all chars 0) sorts first when it
-    occurs, so row 0 is a real token when no position is padding."""
-    width = seqs[0][1].shape[-1]
-    sizes = [words.size for words, _ in seqs]
-    keys = np.empty((sum(sizes), 1 + width), dtype=np.int64)
-    ofs = 0
-    for (words, chars), n in zip(seqs, sizes):
-        keys[ofs:ofs + n, 0] = words.reshape(-1)
-        keys[ofs:ofs + n, 1:] = chars.reshape(n, width)
-        ofs += n
-    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    table = keys[first]
-    index = np.split(inverse, np.cumsum(sizes)[:-1])
-    return table[:, 0], table[:, 1:], [i.reshape(words.shape)
-                                       for i, (words, _) in zip(index, seqs)]
 
 
 def load_glove(path: str, vocab_words: dict[str, int], dim: int = 300,

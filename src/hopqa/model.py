@@ -8,20 +8,21 @@ attention strategies sit behind config flags so the ablation grid
 (baseline / decomposition only / fine-grained only / both) runs on one
 implementation.
 
-The embedding runs once per row of the batch's table of distinct tokens
-(``[word id, char ids...]``, over the context and question together), not
-per position. Without dropout the whole embedding runs on the table and is
-gathered to the positions at the highway output; in training with dropout
-only the char-CNN runs on the table, and its output is gathered before the
-char dropout, which is drawn at the per-position shapes, so the random
-stream does not change. The padding row is an ordinary table row
-(``Model._embed``).
+The embedding runs once per row of the batch's token table
+(``Batch.token_words``/``token_chars``, over the context and question
+together), not per position. Without dropout the whole embedding runs on
+the table and is gathered to the positions at the highway output; in
+training with dropout only the char-CNN runs on the table, and its output
+is gathered before the char dropout, which is drawn at the per-position
+shapes, so the random stream does not change (``Model._embed``).
 
-The prediction BiGRUs take the fused block G, the modeling output M and
-the previous BiGRU's output as input parts, so their joined inputs are
-never built, in training too: the first one's dropout is drawn at the
-joined shape and applied to [G, M] part by part. Each BiGRU is one graph
-node that reads its per-gate weights as they are stored.
+The fused block G = [H, c2q, H * q2c, q2c * c2q] stays four parts of
+(B, T, 2d) each and is never joined. The modeling BiGRU reads G, and the
+prediction BiGRUs read [*G, M] and [*G, M, g], g being the previous one's
+output, in training too: a dropout over parts draws its mask at the joined
+shape and applies it part by part, so the random stream is that of the
+join. Each BiGRU is one graph node that reads its per-gate weights as they
+are stored, and sums one input-projection GEMM per part.
 
 Self-attention is one ``ad.self_attention`` node: each sequence attends
 over its real positions only, a block of query rows at a time, so no
@@ -70,7 +71,6 @@ from .layers import (
     Linear,
     bigru,
     char_cnn,
-    distinct_tokens,
     embed_words,
     highway,
     linear,
@@ -237,28 +237,25 @@ class Model:
     def _embed(self, batch: Batch, training, rng) -> tuple[Tensor, Tensor]:
         """The context (B, T, d) and question (B, J, d) token vectors.
 
-        Everything up to the highway output depends only on the token, its
-        row ``[word id, char ids...]``, so the char-CNN runs once per row of
-        the batch's table of distinct tokens (``distinct_tokens``, over the
-        context and question together). When no dropout is drawn, the word
-        lookup, projection and highway run on the table's rows too, and one
-        ``gather_rows`` each puts the result back at the context and
-        question positions. In training with dropout, the char features are
-        gathered to the positions first, and the char dropout is drawn at
-        the context's shape, then the question's, as a per-position
-        embedding draws it: the random stream does not change. The padding
-        row is an ordinary table row, and row 0 may be a real token, so the
-        gathers take no ``pad_guard``."""
-        words, chars, (ctx_rows, qry_rows) = distinct_tokens(
-            (batch.context_words, batch.context_chars),
-            (batch.question_words, batch.question_chars))
-        char_feats = char_cnn(chars, self.char_params)
+        Everything up to the highway output depends only on the token, so
+        the char-CNN runs once per row of the batch's token table. When no
+        dropout is drawn, the word lookup, projection and highway run on the
+        table's rows too, and one ``gather_rows`` each puts the result at
+        the context and question positions. In training with dropout, the
+        char features are gathered to the positions first, and the char
+        dropout is drawn at the context's shape, then the question's, as a
+        per-position embedding draws it: the random stream does not change.
+        The padding row 0 is embedded like any other row, as a per-position
+        embedding embeds padded positions, so the gathers take no
+        ``pad_guard``."""
+        char_feats = char_cnn(batch.token_chars, self.char_params)
+        ctx_rows, qry_rows = batch.context_tokens, batch.question_tokens
         if training and self.config.dropout > 0:
-            return (self._embed_rows(batch.context_words, gather_rows(char_feats, ctx_rows),
-                                     training, rng),
-                    self._embed_rows(batch.question_words, gather_rows(char_feats, qry_rows),
-                                     training, rng))
-        table = self._embed_rows(words, char_feats, training, rng)
+            return (self._embed_rows(batch.token_words[ctx_rows],
+                                     gather_rows(char_feats, ctx_rows), training, rng),
+                    self._embed_rows(batch.token_words[qry_rows],
+                                     gather_rows(char_feats, qry_rows), training, rng))
+        table = self._embed_rows(batch.token_words, char_feats, training, rng)
         return gather_rows(table, ctx_rows), gather_rows(table, qry_rows)
 
     def _embed_rows(self, word_ids, char_feats: Tensor, training, rng) -> Tensor:
@@ -305,15 +302,15 @@ class Model:
 
         M = self_attention(bigru(self._drop(G, training, rng), self.modeling, mask=cmask),
                            self.selfatt, mask=cmask)
-        # each prediction BiGRU reads [G, M] (and the previous one's output)
-        # as parts; g is rebound, so each output is dropped once used
-        g = bigru(self._drop([G, M], training, rng), self.pred_grus[0], mask=cmask)
+        # each prediction BiGRU reads G's parts, M (and the previous one's
+        # output) as parts; g is rebound, so each output is dropped once used
+        g = bigru(self._drop([*G, M], training, rng), self.pred_grus[0], mask=cmask)
         sup_logits = self._sup_logits(g, batch, training, rng)
-        g = bigru([G, M, g], self.pred_grus[1], mask=cmask)
+        g = bigru([*G, M, g], self.pred_grus[1], mask=cmask)
         start_logits = self._position_logits(g, self.start_head, cmask, training, rng)
-        g = bigru([G, M, g], self.pred_grus[2], mask=cmask)
+        g = bigru([*G, M, g], self.pred_grus[2], mask=cmask)
         end_logits = self._position_logits(g, self.end_head, cmask, training, rng)
-        g = bigru([G, M, g], self.pred_grus[3], mask=cmask)
+        g = bigru([*G, M, g], self.pred_grus[3], mask=cmask)
         type_logits = self._type_logits(g, cmask, training, rng)
         return ModelOutputs(type_logits=type_logits, start_logits=start_logits,
                             end_logits=end_logits, sup_logits=sup_logits, trace=trace)

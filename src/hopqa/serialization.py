@@ -67,7 +67,11 @@ def load_tensors(prefix: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             if len(fields) != (2 if legacy else 3):
                 raise CheckpointError(f"{prefix}.manifest: malformed tensor record {ln!r}")
             name, shape_s, dtype_s = fields if not legacy else (*fields, "<f4")
-            shape = tuple(int(d) for d in shape_s.split("x"))
+            dims = shape_s.split("x")
+            if not all(d.isascii() and d.isdigit() for d in dims):
+                raise CheckpointError(f"{prefix}.manifest: tensor {name!r} has malformed "
+                                      f"shape {shape_s!r}")
+            shape = tuple(int(d) for d in dims)
             try:
                 dtype = np.dtype(dtype_s)
             except TypeError:

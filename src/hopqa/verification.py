@@ -38,11 +38,10 @@ def full_model_check(dtype_name: str, d: int = 4, seed: int = 0,
     raises ``KeyError``.
     """
     batch = tiny_batch()
-    vocab_words = int(batch.context_words.max() + 1)
     config = ModelConfig(d=d, dropout=0.0, word_dim=8, char_dim=4, char_filters=6,
                          max_word_len=8, dtype=dtype_name, train_word_emb=True)
-    n_words = max(vocab_words, int(batch.question_words.max()) + 1, 20)
-    n_chars = int(max(batch.context_chars.max(), batch.question_chars.max())) + 1
+    n_words = max(int(batch.token_words.max()) + 1, 20)
+    n_chars = int(batch.token_chars.max()) + 1
     model = Model(config, n_words, n_chars, np.random.default_rng(seed))
 
     def f():

@@ -245,7 +245,7 @@ def test_fuse_g_width_is_four_blocks():
     H = constant(rng.standard_normal((5, 6)).astype(np.float32))
     c2q = constant(rng.standard_normal((5, 6)).astype(np.float32))
     q2c = constant(rng.standard_normal((5, 6)).astype(np.float32))
-    assert fuse_g(H, c2q, q2c).shape == (5, 24)
+    assert [part.shape for part in fuse_g(H, c2q, q2c)] == [(5, 6)] * 4
 
 
 def test_fuse_g_zero_q2c_zeroes_last_blocks():
@@ -253,7 +253,7 @@ def test_fuse_g_zero_q2c_zeroes_last_blocks():
     H = constant(rng.standard_normal((4, 2)).astype(np.float32))
     c2q = constant(rng.standard_normal((4, 2)).astype(np.float32))
     q2c = constant(np.zeros((4, 2), dtype=np.float32))
-    g = fuse_g(H, c2q, q2c).data
+    g = np.concatenate([part.data for part in fuse_g(H, c2q, q2c)], axis=-1)
     assert np.array_equal(g[:, :2], H.data)
     assert np.array_equal(g[:, 2:4], c2q.data)
     assert not g[:, 4:].any()
@@ -261,21 +261,8 @@ def test_fuse_g_zero_q2c_zeroes_last_blocks():
 
 def test_fuse_g_all_ones():
     ones = constant(np.ones((3, 2), dtype=np.float32))
-    g = fuse_g(ones, ones, ones).data
+    g = np.concatenate([part.data for part in fuse_g(ones, ones, ones)], axis=-1)
     assert np.array_equal(g, np.ones((3, 8), dtype=np.float32))
-
-
-def test_fuse_g_variants_differ():
-    rng = np.random.default_rng(21)
-    H = constant(rng.standard_normal((4, 2)).astype(np.float32))
-    c2q = constant(rng.standard_normal((4, 2)).astype(np.float32))
-    q2c = constant(rng.standard_normal((4, 2)).astype(np.float32))
-    paper = fuse_g(H, c2q, q2c, variant="paper").data
-    bidaf = fuse_g(H, c2q, q2c, variant="bidaf").data
-    assert np.array_equal(paper[:, :4], bidaf[:, :4])
-    assert not np.allclose(paper[:, 4:], bidaf[:, 4:])
-    with pytest.raises(ValueError):
-        fuse_g(H, c2q, q2c, variant="nope")
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +346,7 @@ def test_full_attention_chain_grad_check(dtype):
         S2 = similarity(H, q_bar, p)
         q2c = fgin_q2c(H, S2)
         c2q = context2query(q_bar, S2)
-        return reduce_sum(ad.mul(fuse_g(H, c2q, q2c), probe))
+        return reduce_sum(ad.mul(ad.concat(fuse_g(H, c2q, q2c), axis=-1), probe))
 
     report = grad_check(forward, {"H": H, "U": U, "w_h": p.w_h, "w_u": p.w_u,
                                   "w_s": f.w_s}, rng=np.random.default_rng(5))

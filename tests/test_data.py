@@ -405,15 +405,46 @@ def test_batch_token_ids_match_per_token_lookup():
     batches, stats = make_batches(examples, vocab, batch_size=3, max_word_len=8)
     assert stats.truncated_examples == 1
     for batch in batches:
-        t, j = batch.context_words.shape[1], batch.question_words.shape[1]
+        t, j = batch.context_tokens.shape[1], batch.question_tokens.shape[1]
         cw, cc = _per_token_ids([ex.context_tokens for ex in batch.examples], vocab, 8, t)
         qw, qc = _per_token_ids([ex.question_tokens for ex in batch.examples], vocab, 8, j)
-        assert np.array_equal(batch.context_words, cw)
-        assert np.array_equal(batch.context_chars, cc)
-        assert np.array_equal(batch.question_words, qw)
-        assert np.array_equal(batch.question_chars, qc)
-    assert (batches[0].context_words == UNK_ID).any()
-    assert (batches[0].context_chars == UNK_ID).any()
+        assert np.array_equal(batch.token_words[batch.context_tokens], cw)
+        assert np.array_equal(batch.token_chars[batch.context_tokens], cc)
+        assert np.array_equal(batch.token_words[batch.question_tokens], qw)
+        assert np.array_equal(batch.token_chars[batch.question_tokens], qc)
+    assert (batches[0].token_words == UNK_ID).any()
+    assert (batches[0].token_chars == UNK_ID).any()
+
+
+@pytest.mark.parametrize("with_padding", [True, False])
+def test_token_table_and_index_rebuild_every_position(with_padding):
+    # one row per distinct token of the context and question together; row 0
+    # is the padding token, also where no position is padding
+    examples = synth_two_hop(3 if with_padding else 1, seed=4)
+    vocab = build_vocab(examples)
+    (batch,), _ = make_batches(examples, vocab, batch_size=3, max_word_len=8)
+    assert (batch.context_mask == 0).any() == with_padding
+    seqs = [ex.context_tokens for ex in examples] + [ex.question_tokens for ex in examples]
+    tokens: dict[int, str] = {}
+    for seq, row in zip(seqs, [*batch.context_tokens, *batch.question_tokens]):
+        assert not row[len(seq):].any()
+        for k, tok in zip(row, seq):
+            assert tokens.setdefault(int(k), tok) == tok
+    n_distinct = len({tok for seq in seqs for tok in seq})
+    assert sorted(tokens) == list(range(1, n_distinct + 1))
+    assert len(batch.token_words) == len(batch.token_chars) == n_distinct + 1
+    words, chars = _per_token_ids([list(tokens.values())], vocab, 8, len(tokens))
+    assert np.array_equal(batch.token_words[list(tokens)], words[0])
+    assert np.array_equal(batch.token_chars[list(tokens)], chars[0])
+    assert batch.token_words[0] == 0 and not batch.token_chars[0].any()
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_batch_size_below_one_raises(batch_size):
+    examples = synth_two_hop(2, seed=1)
+    vocab = build_vocab(examples)
+    with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+        make_batches(examples, vocab, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------

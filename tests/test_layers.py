@@ -14,7 +14,6 @@ from hopqa.layers import (
     HighwayParams,
     bigru,
     char_cnn,
-    distinct_tokens,
     embed_words,
     highway,
     linear,
@@ -52,27 +51,6 @@ def test_trainable_unk_row_substitutes():
     backward(reduce_sum(out))
     assert np.allclose(unk.grad, [[2.0, 2.0, 2.0]])   # two unk positions
     assert table.weights.grad is None                 # frozen
-
-
-@pytest.mark.parametrize("with_padding", [True, False])
-def test_distinct_tokens_index_rebuilds_every_position(with_padding):
-    rng = np.random.default_rng(0)
-    low = 0 if with_padding else 1
-    ctx_words, qry_words = rng.integers(low, 4, (3, 7)), rng.integers(low, 4, (2, 5))
-    ctx_chars, qry_chars = rng.integers(low, 3, (3, 7, 2)), rng.integers(low, 3, (2, 5, 2))
-    if with_padding:
-        ctx_words[0, -2:] = 0
-        ctx_chars[0, -2:] = 0
-    words, chars, (ctx_rows, qry_rows) = distinct_tokens((ctx_words, ctx_chars),
-                                                         (qry_words, qry_chars))
-    assert np.array_equal(words[ctx_rows], ctx_words)
-    assert np.array_equal(chars[ctx_rows], ctx_chars)
-    assert np.array_equal(words[qry_rows], qry_words)
-    assert np.array_equal(chars[qry_rows], qry_chars)
-    rows = np.c_[words, chars].tolist()
-    assert len(set(map(tuple, rows))) == len(rows)
-    # the padding row sorts first; without padding, row 0 is a real token
-    assert (rows[0] == [0, 0, 0]) == with_padding
 
 
 def test_glove_loader_skips_malformed_lines(tmp_path):

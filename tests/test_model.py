@@ -5,7 +5,6 @@ from hopqa import autodiff as ad
 from hopqa.autodiff import Tensor, backward, constant, no_grad, zero_grads
 from hopqa.data import build_vocab, make_batches, synth_two_hop
 from hopqa.gradcheck import grad_check
-from hopqa.layers import PAD_ID
 from hopqa.model import (
     Model,
     ModelConfig,
@@ -27,7 +26,6 @@ from types import SimpleNamespace
 from hopqa.attention import (
     SimilarityParams,
     context2query,
-    fuse_g,
     similarity,
     vanilla_q2c,
 )
@@ -64,7 +62,7 @@ def test_forward_head_shapes():
     config = tiny_config()
     model = Model(config, 20, 20, np.random.default_rng(1))
     out = model.forward(batch)
-    b, t = batch.context_words.shape
+    b, t = batch.context_tokens.shape
     s = batch.sentence_bounds.shape[1]
     assert out.type_logits.shape == (b, 3)
     assert out.start_logits.shape == (b, t)
@@ -146,6 +144,30 @@ def test_training_forward_joins_only_the_embeddings(monkeypatch):
     assert widths == [[cfg.word_dim, cfg.char_filters]] * 2
 
 
+def test_eval_forward_builds_no_joined_g_and_finds_no_tokens(monkeypatch):
+    # G reaches the BiGRUs as its four parts, so no concat is as wide as G,
+    # and the batch brings its token table, so np.unique never runs
+    import hopqa.attention as ha
+    import hopqa.model as hm
+    model, batch, _ = make_model_and_batch()
+
+    def spy(parts, axis):
+        out = ad.concat(parts, axis)
+        widths.append(out.shape[-1])
+        return out
+
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique ran in the forward")
+
+    widths = []
+    for module in (ha, hm):
+        monkeypatch.setattr(module, "concat", spy)
+    monkeypatch.setattr(np, "unique", no_unique)
+    with no_grad():
+        model.forward(batch)
+    assert widths and max(widths) < 8 * model.config.d, widths
+
+
 # ---------------------------------------------------------------------------
 # embedding once per distinct token
 
@@ -161,8 +183,9 @@ def _reference_embed(model, batch, training, rng):
         fused = linear(ad.concat([words, chars], axis=-1), model.proj.w, model.proj.b)
         return highway(fused, model.highway)
 
-    return (embed(batch.context_words, batch.context_chars),
-            embed(batch.question_words, batch.question_chars))
+    return (embed(batch.token_words[batch.context_tokens], batch.token_chars[batch.context_tokens]),
+            embed(batch.token_words[batch.question_tokens],
+                  batch.token_chars[batch.question_tokens]))
 
 
 def _embed_case(dtype="float32", **cfg_kw):
@@ -172,8 +195,7 @@ def _embed_case(dtype="float32", **cfg_kw):
     examples = synth_two_hop(3, seed=11)
     vocab = build_vocab(examples, min_freq=2)
     (batch,), _ = make_batches(examples, vocab, batch_size=3, max_word_len=8)
-    words = np.concatenate([batch.context_words.ravel(), batch.question_words.ravel()])
-    assert (words == UNK_ID).any() and (batch.context_mask == 0).any()
+    assert (batch.token_words == UNK_ID).any() and (batch.context_mask == 0).any()
     assert vocab.word_id("The") == vocab.word_id("the")
     assert {"The", "the"} <= set(examples[0].context_tokens)
     model = Model(tiny_config(dtype=dtype, train_word_emb=True, **cfg_kw),
@@ -182,12 +204,9 @@ def _embed_case(dtype="float32", **cfg_kw):
 
 
 def _distinct_rows(batch) -> int:
-    rows = set()
-    for words, chars in ((batch.context_words, batch.context_chars),
-                         (batch.question_words, batch.question_chars)):
-        for w, c in zip(words.ravel(), chars.reshape(words.size, -1)):
-            rows.add((int(w), *c.tolist()))
-    return len(rows)
+    """The padding row and one row per distinct token."""
+    return 1 + len({tok for ex in batch.examples
+                    for tok in ex.context_tokens + ex.question_tokens})
 
 
 _HEADS = ("type_logits", "start_logits", "end_logits", "sup_logits")
@@ -242,7 +261,7 @@ def test_char_cnn_runs_once_per_distinct_token(monkeypatch, training):
 
     monkeypatch.setattr(hm, "char_cnn", spy)
     model.forward(batch, training=training, rng=np.random.default_rng(0))
-    assert calls == [(_distinct_rows(batch), batch.context_chars.shape[-1])]
+    assert calls == [(_distinct_rows(batch), batch.token_chars.shape[-1])]
 
 
 def _embed_peak_bytes(embed, model, batch) -> int:
@@ -264,11 +283,11 @@ def test_embedding_memory_follows_distinct_tokens():
                                  np.c_[rng.integers(2, 40, 49),
                                        rng.integers(1, n_chars, (49, width))]])
     assert len({tuple(r) for r in vocab_rows.tolist()}) == 50
-    pick = lambda shape: vocab_rows[rng.integers(1, 50, shape)]
+    pick = lambda shape: rng.integers(1, 50, shape)
     ctx, qry = pick((16, 2048)), pick((16, 20))
     ctx[:, 1500:] = 0
-    batch = SimpleNamespace(context_words=ctx[..., 0], context_chars=ctx[..., 1:],
-                            question_words=qry[..., 0], question_chars=qry[..., 1:])
+    batch = SimpleNamespace(token_words=vocab_rows[:, 0], token_chars=vocab_rows[:, 1:],
+                            context_tokens=ctx, question_tokens=qry)
     model = Model(ModelConfig(d=8, word_dim=16, char_dim=8, char_filters=20),
                   40, n_chars, np.random.default_rng(1))
     peak = _embed_peak_bytes(Model._embed, model, batch)
@@ -355,7 +374,8 @@ def _reference_self_attention(M, p, mask=None):
     """Self-attention as the attention primitives compose it: a masked T x T
     similarity, its row softmax and row max, the bidaf fusion and a linear."""
     s = similarity(M, M, p.sim, context_mask=mask, query_mask=mask)
-    fused = fuse_g(M, context2query(M, s), vanilla_q2c(M, s), variant="bidaf")
+    c2q, q2c = context2query(M, s), vanilla_q2c(M, s)
+    fused = ad.concat([M, c2q, ad.mul(M, c2q), ad.mul(M, q2c)], axis=-1)
     return linear(fused, p.proj_w, p.proj_b)
 
 
@@ -516,7 +536,7 @@ def test_joint_loss_nonnegative_and_saturates_to_zero():
     for v in parts.values():
         assert v >= 0.0
     # hand-built saturated outputs: correct classes at huge margin
-    b, t = batch.context_words.shape
+    b, t = batch.context_tokens.shape
     type_logits = np.full((b, 3), -50.0, dtype=np.float32)
     type_logits[np.arange(b), batch.y_type] = 50.0
     start = np.full((b, t), -50.0, dtype=np.float32)
@@ -655,7 +675,7 @@ def test_training_graph_size_does_not_depend_on_context_length():
                       np.random.default_rng(0))
         out = model.forward(batch, training=True, rng=np.random.default_rng(1))
         loss, _ = joint_loss(out, batch, model.config.lambda_a, model.config.lambda_s)
-        return batch.context_words.shape[1], sum(
+        return batch.context_tokens.shape[1], sum(
             node._backward is not None for node in ad._toposort(loss))
 
     (short_len, short_nodes), (long_len, long_nodes) = nodes_per_step(0), nodes_per_step(6)
@@ -762,17 +782,13 @@ def test_appending_padding_changes_no_unmasked_logit():
     model, batch, vocab = make_model_and_batch(n=1, seed=3)
     out = model.forward(batch)
     import dataclasses as dc
-    b, t = batch.context_words.shape
+    b, t = batch.context_tokens.shape
     extra = 5
-    pad_words = np.concatenate([batch.context_words,
-                                np.full((b, extra), PAD_ID, dtype=np.int64)], axis=1)
-    pad_chars = np.concatenate([batch.context_chars,
-                                np.zeros((b, extra, batch.context_chars.shape[2]),
-                                         dtype=np.int64)], axis=1)
+    pad_tokens = np.concatenate([batch.context_tokens,
+                                 np.zeros((b, extra), dtype=np.int64)], axis=1)
     pad_mask = np.concatenate([batch.context_mask,
                                np.zeros((b, extra), dtype=np.float32)], axis=1)
-    padded = dc.replace(batch, context_words=pad_words, context_chars=pad_chars,
-                        context_mask=pad_mask)
+    padded = dc.replace(batch, context_tokens=pad_tokens, context_mask=pad_mask)
     out_pad = model.forward(padded)
     assert np.max(np.abs(out_pad.start_logits.data[:, :t] - out.start_logits.data)) < 1e-5
     assert np.max(np.abs(out_pad.end_logits.data[:, :t] - out.end_logits.data)) < 1e-5
@@ -788,7 +804,7 @@ def test_concurrent_predict_batches_match_serial_runs(monkeypatch):
     examples = synth_two_hop(12, seed=21, n_distractors=30)
     vocab = build_vocab(examples)
     batches, _ = make_batches(examples, vocab, batch_size=3, max_word_len=8)
-    assert max(b.context_words.shape[1] for b in batches) > ad.BIGRU_CHUNK
+    assert max(b.context_tokens.shape[1] for b in batches) > ad.BIGRU_CHUNK
     model = Model(tiny_config(), vocab.n_words, vocab.n_chars, np.random.default_rng(0))
     original, logits = hm.decode_example, {}
 

@@ -57,3 +57,11 @@ def test_reads_format_1_manifest_as_float32(tmp_path):
     loaded, _ = load_tensors(str(tmp_path / "old"))
     assert loaded["w"].dtype == np.float32
     assert loaded["w"].ravel().tolist() == [1.5, -2.0]
+
+
+@pytest.mark.parametrize("shape", ["2xq", "2x", "-2x-3"])
+def test_malformed_shape_raises_checkpoint_error_naming_the_tensor(tmp_path, shape):
+    (tmp_path / "bad.manifest").write_text(f"hopqa-checkpoint 2\ntensor head.w {shape} <f4\n")
+    (tmp_path / "bad.bin").write_bytes(np.zeros(6, dtype="<f4").tobytes())
+    with pytest.raises(CheckpointError, match=f"'head.w' has malformed shape '{shape}'"):
+        load_tensors(str(tmp_path / "bad"))
