@@ -6,8 +6,8 @@ query encoding U (..., J, 2d). On top of it sit four attention readouts:
 * query decomposition: each query word re-expressed as a mixture of context
   words, fused back with the original query (a coarse rewrite of multi-hop
   questions toward their intermediate answers);
-* vanilla query-to-context: a single max-pooled context summary tiled over
-  all positions (the classic form; every row identical);
+* vanilla query-to-context: a single max-pooled context summary, one row
+  that broadcasts over all positions (the classic form);
 * fine-grained query-to-context: column-stochastic weights that keep a
   distinct vector per context position;
 * context-to-query: per-position mixtures of query words.
@@ -141,15 +141,16 @@ def cgde(H: Tensor, U: Tensor, S: Tensor, f: FusionParams,
 
 def vanilla_q2c(H: Tensor, S: Tensor, trace: AttentionTrace | None = None) -> Tensor:
     """Classic query-to-context: softmax over positions of the per-row
-    maximum similarity, a single weighted context sum, tiled to every row."""
+    maximum similarity, a single weighted context sum (..., 1, 2d), which
+    the products in ``fuse_g`` broadcast over every row. A trace gets it
+    tiled to (..., T, 2d)."""
     m = ad.max_reduce(S, axis=-1)                         # (..., T)
     b = softmax(m, axis=-1)
     b_row = ad.reshape(b, b.shape[:-1] + (1, b.shape[-1]))
     pooled = matmul(b_row, H)                             # (..., 1, 2d)
-    out = ad.broadcast_to(pooled, H.shape)
     if trace is not None:
-        trace.q2c_vectors = out.data.copy()
-    return out
+        trace.q2c_vectors = np.broadcast_to(pooled.data, H.shape).copy()
+    return pooled
 
 
 def fgin_q2c(H: Tensor, S_bar: Tensor, trace: AttentionTrace | None = None) -> Tensor:
@@ -184,7 +185,8 @@ def fuse_g(H: Tensor, c2q: Tensor, q2c: Tensor,
            trace: AttentionTrace | None = None) -> list[Tensor]:
     """The context fused with both attention readouts, as the four (..., T, 2d)
     parts [H, c2q, H * q2c, q2c * c2q] of G (..., T, 8d); the consumers take
-    parts, so G is never joined. A trace gets the join."""
+    parts, so G is never joined. ``q2c`` may be one (..., 1, 2d) row, which
+    both products broadcast. A trace gets the join."""
     for name, t in (("c2q", c2q), ("q2c", q2c)):
         if t.shape[-1] != H.shape[-1]:
             raise ShapeError(f"fuse_g: {name} width {t.shape[-1]} != context width {H.shape[-1]}")

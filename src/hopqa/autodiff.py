@@ -368,19 +368,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _make(out, (x,), bwd)
 
 
-def broadcast_to(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    _broadcast_check(x.shape, shape, "broadcast_to")
-    out = np.broadcast_to(x.data, shape)
-    if not _tracking(x):
-        return Tensor(out)
-
-    def bwd(g):
-        _accum(x, _unbroadcast(g, x.shape))
-
-    return _make(out, (x,), bwd)
-
-
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     if not parts:
         raise ShapeError("concat: need at least one part")
@@ -667,14 +654,13 @@ def _drop(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
 # highway
 
 
-def highway(x: Tensor, gates_w: Sequence[Tensor], gates_b: Sequence[Tensor],
-            trans_w: Sequence[Tensor], trans_b: Sequence[Tensor]) -> Tensor:
+def highway(x: Tensor, layers: Sequence[Sequence[Tensor]]) -> Tensor:
     """A stack of highway layers (Srivastava et al. 2015) as a single graph node.
 
-    Layer i maps its input y (..., w) to y' = t * h + (1 - t) * y, with the
-    gate t = sigmoid(y gates_w[i] + gates_b[i]) and the transform
-    h = relu(y trans_w[i] + trans_b[i]); each weight is (w, w) and each bias
-    (w,). The four lists must have one entry per layer.
+    Each layer is a group ``(gate_w, gate_b, trans_w, trans_b)`` and maps its
+    input y (..., w) to y' = t * h + (1 - t) * y, with the gate
+    t = sigmoid(y gate_w + gate_b) and the transform h = relu(y trans_w + trans_b);
+    each weight is (w, w) and each bias (w,).
 
     Each step is the numpy expression of the op it stands for, at the same
     shapes (``y @ W + b``, ``_stable_sigmoid``, ``np.maximum(., 0.0)`` and
@@ -689,12 +675,7 @@ def highway(x: Tensor, gates_w: Sequence[Tensor], gates_b: Sequence[Tensor],
     two pre-activations, y gets g (1 - t) + dt W_g^T + dh W_h^T, and each
     weight gets one GEMM over all positions, y^T dt or y^T dh.
     """
-    params = (gates_w, gates_b, trans_w, trans_b)
-    if not gates_w or len({len(p) for p in params}) != 1:
-        raise ShapeError(f"highway: need one gate and transform weight and bias per layer, "
-                         f"got {[len(p) for p in params]}")
     width = x.shape[-1]
-    layers = list(zip(*params))
     for gw, gb, tw, tb in layers:
         if gw.shape != (width, width) or tw.shape != (width, width) \
                 or gb.shape != (width,) or tb.shape != (width,):

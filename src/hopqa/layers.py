@@ -14,6 +14,11 @@ so the joined input is never copied, and each sequence's input is
 projected only up to its last real position. A highway stack is likewise
 one ``ad.highway`` node: all its layers and their backward run inside it,
 and its output is bit-identical to the composition of primitive ops.
+
+A bundle's fields are its checkpoint layout: a tensor's name is its path
+of field names, list positions and dict keys (``named_tensors``). An
+embedding table is a plain ``Tensor``, and a highway stack is a list of
+per-layer bundles, so its weights are named ``highway.0.gate_w`` and so on.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ UNK_ID = 1
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape: tuple[int, ...] | None = None, dtype=np.float32) -> np.ndarray:
+                   dtype=np.float32) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape or (fan_in, fan_out)).astype(dtype)
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -61,16 +66,10 @@ class Linear:
 def named_tensors(tree, prefix: str = "") -> dict[str, Tensor]:
     """Every tensor in a tree of parameter bundles by dotted path, in tree order.
 
-    Dict keys, dataclass fields and list positions are path segments. An
-    ``EmbeddingTable`` stands for its ``weights``, and other non-tensors
-    (``CharCnnParams.kernel``) are skipped. A bundle with a ``names()``
-    method is walked as the subtree that method returns."""
+    Dict keys, dataclass fields and list positions are path segments; other
+    non-tensors (``CharCnnParams.kernel``) are skipped."""
     if isinstance(tree, Tensor):
         return {prefix: tree}
-    if isinstance(tree, EmbeddingTable):
-        return {prefix: tree.weights}
-    if hasattr(tree, "names"):
-        tree = tree.names()
     if is_dataclass(tree):
         tree = {f.name: getattr(tree, f.name) for f in fields(tree)}
     elif isinstance(tree, list):
@@ -87,31 +86,22 @@ def named_tensors(tree, prefix: str = "") -> dict[str, Tensor]:
 # embeddings
 
 
-@dataclass
-class EmbeddingTable:
-    """Row-per-id lookup table. Row 0 is the padding row: zero at init and
-    never updated (its gradient is dropped even when the table trains)."""
-
-    weights: Tensor
-
-    @classmethod
-    def random(cls, vocab_size: int, dim: int, rng: np.random.Generator,
-               trainable: bool, scale: float = 0.1, dtype=np.float32) -> "EmbeddingTable":
-        w = (rng.standard_normal((vocab_size, dim)) * scale).astype(dtype)
-        w[PAD_ID] = 0.0
-        return cls(Tensor(w, requires_grad=trainable))
-
-    def lookup(self, ids: np.ndarray) -> Tensor:
-        return gather_rows(self.weights, ids, pad_guard=True)
+def embedding_table(vocab_size: int, dim: int, rng: np.random.Generator,
+                    trainable: bool, dtype=np.float32) -> Tensor:
+    """Row-per-id lookup table with N(0, 0.1^2) entries. Row 0 is the padding
+    row: zero at init and never updated, as every lookup passes
+    ``pad_guard=True`` (its gradient is dropped even when the table trains)."""
+    w = (rng.standard_normal((vocab_size, dim)) * 0.1).astype(dtype)
+    w[PAD_ID] = 0.0
+    return Tensor(w, requires_grad=trainable)
 
 
-def embed_words(table: EmbeddingTable, ids: np.ndarray,
-                unk_row: Tensor | None = None) -> Tensor:
+def embed_words(table: Tensor, ids: np.ndarray, unk_row: Tensor | None = None) -> Tensor:
     """Gather word vectors; an optional trainable ``unk_row`` is added to the
     table's (frozen) row for ids equal to UNK_ID."""
-    out = table.lookup(ids)
+    out = gather_rows(table, ids, pad_guard=True)
     if unk_row is not None:
-        is_unk = (np.asarray(ids) == UNK_ID).astype(table.weights.dtype)[..., None]
+        is_unk = (np.asarray(ids) == UNK_ID).astype(table.dtype)[..., None]
         out = ad.add(out, ad.mul(Tensor(is_unk), unk_row))
     return out
 
@@ -155,7 +145,7 @@ def load_glove(path: str, vocab_words: dict[str, int], dim: int = 300,
 
 @dataclass
 class CharCnnParams:
-    table: EmbeddingTable          # char embeddings, trainable
+    table: Tensor                  # char embeddings, trainable
     conv_w: Tensor                 # (kernel * char_dim) x filters
     conv_b: Tensor                 # filters
     kernel: int
@@ -163,7 +153,7 @@ class CharCnnParams:
     @classmethod
     def create(cls, n_chars: int, char_dim: int, filters: int,
                rng: np.random.Generator, kernel: int = 5, dtype=np.float32) -> "CharCnnParams":
-        table = EmbeddingTable.random(n_chars, char_dim, rng, trainable=True, dtype=dtype)
+        table = embedding_table(n_chars, char_dim, rng, trainable=True, dtype=dtype)
         k_in = kernel * char_dim
         return cls(table=table,
                    conv_w=Tensor(xavier_uniform(rng, k_in, filters, dtype=dtype), requires_grad=True),
@@ -185,7 +175,7 @@ def char_cnn(char_ids: np.ndarray, p: CharCnnParams) -> Tensor:
     if w < p.kernel:
         raise ShapeError(f"char_cnn: word width {w} shorter than kernel {p.kernel}")
     windows = np.lib.stride_tricks.sliding_window_view(char_ids, p.kernel, axis=-1)
-    emb = p.table.lookup(windows)                        # (..., W-k+1, kernel, char_dim)
+    emb = gather_rows(p.table, windows, pad_guard=True)  # (..., W-k+1, kernel, char_dim)
     unfolded = ad.reshape(emb, windows.shape[:-1] + (-1,))
     pooled = ad.max_reduce(matmul(unfolded, p.conv_w), axis=-2)
     return ad.relu(pooled + p.conv_b)
@@ -196,33 +186,30 @@ def char_cnn(char_ids: np.ndarray, p: CharCnnParams) -> Tensor:
 
 
 @dataclass
-class HighwayParams:
-    gates_w: list[Tensor]
-    gates_b: list[Tensor]
-    trans_w: list[Tensor]
-    trans_b: list[Tensor]
+class HighwayLayer:
+    gate_w: Tensor
+    gate_b: Tensor
+    trans_w: Tensor
+    trans_b: Tensor
 
     @classmethod
-    def create(cls, dim: int, rng: np.random.Generator, layers: int = 2,
-               dtype=np.float32) -> "HighwayParams":
+    def stack(cls, dim: int, rng: np.random.Generator, dtype=np.float32) -> list["HighwayLayer"]:
+        """Two layers; all gate weights are drawn before all transform weights."""
         mk = lambda: Tensor(xavier_uniform(rng, dim, dim, dtype=dtype), requires_grad=True)
         zb = lambda: Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
-        return cls(gates_w=[mk() for _ in range(layers)], gates_b=[zb() for _ in range(layers)],
-                   trans_w=[mk() for _ in range(layers)], trans_b=[zb() for _ in range(layers)])
-
-    def names(self) -> list[dict[str, Tensor]]:
-        """Checkpoint layout, one entry per layer: ``{i}.gate_w`` and so on."""
-        return [{"gate_w": gw, "gate_b": gb, "trans_w": tw, "trans_b": tb}
-                for gw, gb, tw, tb in zip(self.gates_w, self.gates_b, self.trans_w, self.trans_b)]
+        gates_w = [mk(), mk()]
+        return [cls(gw, zb(), mk(), zb()) for gw in gates_w]
 
 
-def highway(x: Tensor, p: HighwayParams) -> Tensor:
+def highway(x: Tensor, layers: Sequence[HighwayLayer]) -> Tensor:
     """Gated residual stack, per layer y' = t * relu(y W_h + b_h) + (1 - t) * y
     with the gate t = sigmoid(y W_g + b_g), as one ``ad.highway`` node.
     Raises ``ShapeError`` when ``x``'s width is not the parameters' width."""
-    if x.shape[-1] != p.gates_w[0].shape[0]:
-        raise ShapeError(f"highway: width {x.shape[-1]} != params width {p.gates_w[0].shape[0]}")
-    return ad.highway(x, p.gates_w, p.gates_b, p.trans_w, p.trans_b)
+    width = layers[0].gate_w.shape[0]
+    if x.shape[-1] != width:
+        raise ShapeError(f"highway: width {x.shape[-1]} != params width {width}")
+    return ad.highway(x, [(layer.gate_w, layer.gate_b, layer.trans_w, layer.trans_b)
+                          for layer in layers])
 
 
 # ---------------------------------------------------------------------------

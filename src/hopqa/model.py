@@ -66,12 +66,12 @@ from .data import ANSWER_TYPES, Batch, Example
 from .layers import (
     BiGruParams,
     CharCnnParams,
-    EmbeddingTable,
-    HighwayParams,
+    HighwayLayer,
     Linear,
     bigru,
     char_cnn,
     embed_words,
+    embedding_table,
     highway,
     linear,
     named_tensors,
@@ -103,6 +103,8 @@ class ModelConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"unknown dtype {self.dtype!r}")
+        if self.max_span_len < 0:
+            raise ValueError(f"max_span_len must be >= 0, got {self.max_span_len}")
 
     @property
     def np_dtype(self):
@@ -129,12 +131,7 @@ class Prediction:
 @dataclass
 class SelfAttentionParams:
     sim: SimilarityParams
-    proj_w: Tensor      # (8d, 2d)
-    proj_b: Tensor
-
-    def names(self) -> dict:
-        """Checkpoint layout: ``sim.w_h``, ``sim.w_u``, ``proj.w``, ``proj.b``."""
-        return {"sim": self.sim, "proj": Linear(self.proj_w, self.proj_b)}
+    proj: Linear        # (8d, 2d)
 
 
 def self_attention(M: Tensor, p: SelfAttentionParams, mask=None) -> Tensor:
@@ -146,7 +143,7 @@ def self_attention(M: Tensor, p: SelfAttentionParams, mask=None) -> Tensor:
     is [M, 0, 0, M * q2c] projected. Nothing reads those rows: a masked GRU
     step ignores its input. A sequence with no real position raises
     ``DataError``."""
-    return ad.self_attention(M, p.sim.w_h, p.sim.w_u, p.proj_w, p.proj_b, mask)
+    return ad.self_attention(M, p.sim.w_h, p.sim.w_u, p.proj.w, p.proj.b, mask)
 
 
 class Model:
@@ -154,8 +151,7 @@ class Model:
 
     A tensor's name, in ``parameters()`` and in checkpoints, is its path
     through the bundle tree of ``_tree`` (``layers.named_tensors``), e.g.
-    ``encoder.fw.wx_z``. ``names()`` methods exist only to keep the names of
-    format-2 checkpoints. The word table trains only with
+    ``encoder.fw.wx_z``. The word table trains only with
     ``config.train_word_emb``, but is saved and loaded either way."""
 
     def __init__(self, config: ModelConfig, n_words: int, n_chars: int,
@@ -166,27 +162,26 @@ class Model:
         width = 2 * d
 
         if word_vectors is None:
-            self.word_table = EmbeddingTable.random(n_words, config.word_dim, rng,
-                                                    trainable=config.train_word_emb, dtype=dt)
+            self.word_table = embedding_table(n_words, config.word_dim, rng,
+                                              trainable=config.train_word_emb, dtype=dt)
         elif word_vectors.shape != (n_words, config.word_dim):
             raise ShapeError(f"word vectors {word_vectors.shape} != "
                              f"({n_words}, {config.word_dim})")
         else:
-            self.word_table = EmbeddingTable(Tensor(word_vectors.astype(dt),
-                                                    requires_grad=config.train_word_emb))
+            self.word_table = Tensor(word_vectors.astype(dt),
+                                     requires_grad=config.train_word_emb)
         self.unk_row = Tensor((rng.standard_normal((1, config.word_dim)) * 0.1).astype(dt),
                               requires_grad=True)
         self.char_params = CharCnnParams.create(n_chars, config.char_dim,
                                                 config.char_filters, rng, dtype=dt)
         self.proj = Linear.create(config.word_dim + config.char_filters, d, rng, dtype=dt)
-        self.highway = HighwayParams.create(d, rng, dtype=dt)
+        self.highway = HighwayLayer.stack(d, rng, dtype=dt)
         self.encoder = BiGruParams.create(d, d, rng, dtype=dt)
         self.sim = SimilarityParams.create(width, rng, dtype=dt)
         self.fusion = FusionParams.create(width, rng, dtype=dt)
         self.modeling = BiGruParams.create(4 * width, d, rng, dtype=dt)
-        selfatt_sim = SimilarityParams.create(width, rng, dtype=dt)
-        selfatt_proj = Linear.create(4 * width, width, rng, dtype=dt)
-        self.selfatt = SelfAttentionParams(selfatt_sim, selfatt_proj.w, selfatt_proj.b)
+        self.selfatt = SelfAttentionParams(SimilarityParams.create(width, rng, dtype=dt),
+                                           Linear.create(4 * width, width, rng, dtype=dt))
         r_width = 4 * width + width                   # fused block + modeling output
         self.pred_grus = [BiGruParams.create(r_width, d, rng, dtype=dt)]
         for _ in range(3):

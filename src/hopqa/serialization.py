@@ -58,7 +58,9 @@ def load_tensors(prefix: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     for ln in lines[1:]:
         if not ln.strip():
             continue
-        kind, rest = ln.split(" ", 1)
+        kind, sep, rest = ln.partition(" ")
+        if not sep:
+            raise CheckpointError(f"{prefix}.manifest: malformed record {ln!r}")
         if kind == "meta":
             key, _, value = rest.partition(" ")
             meta[key] = value

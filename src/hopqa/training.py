@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -31,6 +31,11 @@ class TrainConfig:
     patience: int = 1
     eval_metric: str = "joint_f1"
     seed: int = 0
+
+    def __post_init__(self):
+        scores = [f.name for f in fields(MetricReport) if isinstance(f.default, float)]
+        if self.eval_metric not in scores:
+            raise ValueError(f"eval_metric must be one of {scores}, got {self.eval_metric!r}")
 
 
 @dataclass

@@ -17,7 +17,6 @@ from hopqa.autodiff import (
     UsageError,
     backward,
     binary_cross_entropy,
-    broadcast_to,
     concat,
     constant,
     cross_entropy,
@@ -523,13 +522,6 @@ def test_join_waits_for_every_task_before_raising():
     with pytest.raises(ad.NumericError, match="first"):
         ad._join([pool.submit(fail), pool.submit(slow)])
     assert done.is_set()
-
-
-def test_broadcast_to_sums_gradient_back():
-    x = parameter([[1.0, 2.0]])
-    y = broadcast_to(x, (3, 2))
-    backward(reduce_sum(y))
-    assert x.grad.tolist() == [[3.0, 3.0]]
 
 
 def test_backward_twice_gives_same_leaf_grads():

@@ -9,15 +9,16 @@ from hopqa.gradcheck import grad_check
 from hopqa.layers import (
     BiGruParams,
     CharCnnParams,
-    EmbeddingTable,
     GruCellParams,
-    HighwayParams,
+    HighwayLayer,
     bigru,
     char_cnn,
     embed_words,
+    embedding_table,
     highway,
     linear,
     load_glove,
+    named_tensors,
 )
 
 
@@ -26,31 +27,31 @@ from hopqa.layers import (
 
 
 def test_pad_id_returns_zero_row():
-    table = EmbeddingTable.random(5, 4, np.random.default_rng(0), trainable=False)
+    table = embedding_table(5, 4, np.random.default_rng(0), trainable=False)
     out = embed_words(table, np.array([0, 2]))
     assert not out.data[0].any()
     assert out.data[1].any()
 
 
 def test_gather_equals_direct_row_read():
-    table = EmbeddingTable.random(6, 3, np.random.default_rng(1), trainable=False)
+    table = embedding_table(6, 3, np.random.default_rng(1), trainable=False)
     ids = np.array([3, 1, 5, 3])
     out = embed_words(table, ids)
     for i, wid in enumerate(ids):
-        assert np.array_equal(out.data[i], table.weights.data[wid])
+        assert np.array_equal(out.data[i], table.data[wid])
 
 
 def test_trainable_unk_row_substitutes():
-    table = EmbeddingTable.random(6, 3, np.random.default_rng(2), trainable=False)
-    table.weights.data[1] = 0.0          # frozen table's unk slot empty
+    table = embedding_table(6, 3, np.random.default_rng(2), trainable=False)
+    table.data[1] = 0.0                  # frozen table's unk slot empty
     unk = parameter([[0.5, -1.0, 2.0]])
     out = embed_words(table, np.array([1, 2, 1]), unk_row=unk)
     assert np.allclose(out.data[0], unk.data[0])
     assert np.allclose(out.data[2], unk.data[0])
-    assert np.array_equal(out.data[1], table.weights.data[2])
+    assert np.array_equal(out.data[1], table.data[2])
     backward(reduce_sum(out))
     assert np.allclose(unk.grad, [[2.0, 2.0, 2.0]])   # two unk positions
-    assert table.weights.grad is None                 # frozen
+    assert table.grad is None                         # frozen
 
 
 def test_glove_loader_skips_malformed_lines(tmp_path):
@@ -120,7 +121,7 @@ def _reference_char_cnn(char_ids: np.ndarray, p: CharCnnParams) -> Tensor:
     """Windows cut by ``narrow`` and joined by ``concat``, then linear, relu
     and a max over window positions: the composition ``char_cnn`` must match."""
     n_windows = char_ids.shape[-1] - p.kernel + 1
-    emb = p.table.lookup(char_ids)
+    emb = ad.gather_rows(p.table, char_ids, pad_guard=True)
     unfolded = ad.concat([ad.narrow(emb, -2, k, n_windows) for k in range(p.kernel)], axis=-1)
     return ad.max_reduce(ad.relu(linear(unfolded, p.conv_w, p.conv_b)), axis=-2)
 
@@ -134,7 +135,7 @@ def test_char_cnn_matches_narrow_concat_reference(dtype, atol):
     ids[:, :, 7:] = 0                                 # padded character columns
     ids[1, 3] = 0                                     # an all-pad word
     probe = constant(rng.standard_normal((2, 5, 6)).astype(dtype), dtype=dtype)
-    tensors = {"table": p.table.weights, "conv_w": p.conv_w, "conv_b": p.conv_b}
+    tensors = {"table": p.table, "conv_w": p.conv_w, "conv_b": p.conv_b}
 
     def run(fn):
         for t in tensors.values():
@@ -167,52 +168,50 @@ def test_char_cnn_graph_size_does_not_depend_on_kernel():
 
 def test_highway_saturated_carry_is_identity():
     # sigmoid(-20) ~ 2e-9, so the transform branch is shut off
-    p = HighwayParams.create(4, np.random.default_rng(5))
-    for b in p.gates_b:
-        b.data[:] = -20.0
-    for w in p.gates_w:
-        w.data[:] = 0.0
+    p = HighwayLayer.stack(4, np.random.default_rng(5))
+    for layer in p:
+        layer.gate_b.data[:] = -20.0
+        layer.gate_w.data[:] = 0.0
     x = constant(np.random.default_rng(6).standard_normal((3, 4)).astype(np.float32))
     out = highway(x, p)
     assert np.max(np.abs(out.data - x.data)) < 1e-6
 
 
 def test_highway_saturated_transform_branch():
-    p = HighwayParams.create(4, np.random.default_rng(7))
-    for b in p.gates_b:
-        b.data[:] = 20.0
-    for w in p.gates_w:
-        w.data[:] = 0.0
+    p = HighwayLayer.stack(4, np.random.default_rng(7))
+    for layer in p:
+        layer.gate_b.data[:] = 20.0
+        layer.gate_w.data[:] = 0.0
     x = constant(np.random.default_rng(8).standard_normal((3, 4)).astype(np.float32))
     out = highway(x, p)
     # oracle: apply the two relu transforms directly
     ref = x.data
-    for tw, tb in zip(p.trans_w, p.trans_b):
-        ref = np.maximum(ref @ tw.data + tb.data, 0.0)
+    for layer in p:
+        ref = np.maximum(ref @ layer.trans_w.data + layer.trans_b.data, 0.0)
     assert np.max(np.abs(out.data - ref)) < 1e-5
 
 
 def test_highway_preserves_shape_and_checks_width():
-    p = HighwayParams.create(4, np.random.default_rng(9))
+    p = HighwayLayer.stack(4, np.random.default_rng(9))
     x = constant(np.zeros((5, 4), dtype=np.float32))
     assert highway(x, p).shape == (5, 4)
     with pytest.raises(ShapeError):
         highway(constant(np.zeros((5, 3), dtype=np.float32)), p)
 
 
-def _reference_highway(x: Tensor, p: HighwayParams) -> Tensor:
+def _reference_highway(x: Tensor, p: list[HighwayLayer]) -> Tensor:
     """The composition of primitive ops that ``highway`` fuses."""
     out = x
-    for gw, gb, tw, tb in zip(p.gates_w, p.gates_b, p.trans_w, p.trans_b):
-        t = ad.sigmoid(linear(out, gw, gb))
-        h = ad.relu(linear(out, tw, tb))
+    for layer in p:
+        t = ad.sigmoid(linear(out, layer.gate_w, layer.gate_b))
+        h = ad.relu(linear(out, layer.trans_w, layer.trans_b))
         out = t * h + (1.0 - t) * out
     return out
 
 
 def test_highway_layer_is_one_graph_node():
     rng = np.random.default_rng(31)
-    p = HighwayParams.create(4, rng)
+    p = HighwayLayer.stack(4, rng)
     x = parameter(rng.standard_normal((2, 5, 4)).astype(np.float32))
     out = highway(x, p)
     nodes = [n for n in ad._toposort(out) if n._backward is not None]
@@ -222,13 +221,13 @@ def test_highway_layer_is_one_graph_node():
 @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
 def test_highway_matches_composed_reference(dtype, rtol):
     rng = np.random.default_rng(32)
-    p = HighwayParams.create(6, rng, dtype=dtype)
-    for b in p.gates_b + p.trans_b:       # nonzero biases, some relu units shut
+    p = HighwayLayer.stack(6, rng, dtype=dtype)
+    # nonzero biases, some relu units shut
+    for b in [layer.gate_b for layer in p] + [layer.trans_b for layer in p]:
         b.data[:] = rng.standard_normal(6)
     x = Tensor(rng.standard_normal((3, 9, 6)).astype(dtype), requires_grad=True)
     probe = constant(rng.standard_normal((3, 9, 6)).astype(dtype), dtype=dtype)
-    tensors = {"x": x, **{f"{i}.{k}": t for i, layer in enumerate(p.names())
-                          for k, t in layer.items()}}
+    tensors = {"x": x, **named_tensors(p)}
 
     def run(fn):
         for t in tensors.values():
@@ -256,7 +255,7 @@ def test_highway_forward_keeps_six_arrays_of_its_input_size():
     # each of the two layers keeps t, h and its output; the parts of the
     # composed graph kept twenty arrays the size of the input
     rng = np.random.default_rng(33)
-    p = HighwayParams.create(80, rng)
+    p = HighwayLayer.stack(80, rng)
     x = parameter(rng.standard_normal((4, 512, 80)).astype(np.float32))
     tracemalloc.start()
     try:
@@ -269,16 +268,13 @@ def test_highway_forward_keeps_six_arrays_of_its_input_size():
 
 
 def test_highway_op_rejects_params_that_do_not_fit():
-    p = HighwayParams.create(4, np.random.default_rng(34))
+    first, second = ((layer.gate_w, layer.gate_b, layer.trans_w, layer.trans_b)
+                     for layer in HighwayLayer.stack(4, np.random.default_rng(34)))
     x = constant(np.zeros((5, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
-        ad.highway(x, p.gates_w, p.gates_b[:1], p.trans_w, p.trans_b)
+        ad.highway(x, [first, (*second[:2], constant(np.zeros((4, 3))), second[3])])
     with pytest.raises(ShapeError):
-        ad.highway(x, p.gates_w, p.gates_b, [p.trans_w[0], constant(np.zeros((4, 3)))],
-                   p.trans_b)
-    with pytest.raises(ShapeError):
-        ad.highway(x, p.gates_w, [p.gates_b[0], constant(np.zeros((1, 4)))], p.trans_w,
-                   p.trans_b)
+        ad.highway(x, [first, (second[0], constant(np.zeros((1, 4))), *second[2:])])
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +371,12 @@ def test_layer_forwards_pass_grad_check(dtype):
     rng = np.random.default_rng(19)
     tol = 1e-3 if dtype == np.float32 else 1e-6
 
-    hw = HighwayParams.create(3, rng, dtype=dtype)
+    hw = HighwayLayer.stack(3, rng, dtype=dtype)
     x = Tensor(rng.standard_normal((4, 3)).astype(dtype), requires_grad=True)
     probe = constant(rng.standard_normal((4, 3)).astype(dtype), dtype=dtype)
     report = grad_check(lambda: reduce_sum(ad.mul(highway(x, hw), probe)),
-                        {"x": x, "gw0": hw.gates_w[0], "tw1": hw.trans_w[1],
-                         "tb0": hw.trans_b[0]},
+                        {"x": x, "gw0": hw[0].gate_w, "tw1": hw[1].trans_w,
+                         "tb0": hw[0].trans_b},
                         rng=np.random.default_rng(1))
     assert report.worst_rel_err < tol
 
@@ -398,7 +394,7 @@ def test_layer_forwards_pass_grad_check(dtype):
     ids = np.random.default_rng(3).integers(1, 7, size=(3, 8))
     probe3 = constant(rng.standard_normal((3, 3)).astype(dtype), dtype=dtype)
     report = grad_check(lambda: reduce_sum(ad.mul(char_cnn(ids, cp), probe3)),
-                        {"table": cp.table.weights, "conv_w": cp.conv_w, "conv_b": cp.conv_b},
+                        {"table": cp.table, "conv_w": cp.conv_w, "conv_b": cp.conv_b},
                         rng=np.random.default_rng(4))
     assert report.worst_rel_err < tol
 

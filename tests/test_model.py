@@ -30,7 +30,7 @@ from hopqa.attention import (
     vanilla_q2c,
 )
 from hopqa.autodiff import DataError, NumericError, ShapeError
-from hopqa.layers import UNK_ID, char_cnn, embed_words, highway, linear, xavier_uniform
+from hopqa.layers import UNK_ID, Linear, char_cnn, embed_words, highway, linear, xavier_uniform
 from hopqa.serialization import load_tensors, save_tensors
 from hopqa.training import TrainConfig, train
 from hopqa.verification import full_model_check, tiny_batch
@@ -340,8 +340,8 @@ def test_self_attention_shape_and_t1():
     width = 6
     p = SelfAttentionParams(
         sim=SimilarityParams.create(width, rng),
-        proj_w=Tensor(xavier_uniform(rng, 4 * width, width), requires_grad=True),
-        proj_b=Tensor(np.zeros(width, dtype=np.float32), requires_grad=True))
+        proj=Linear(w=Tensor(xavier_uniform(rng, 4 * width, width), requires_grad=True),
+                    b=Tensor(np.zeros(width, dtype=np.float32), requires_grad=True)))
     m = constant(rng.standard_normal((5, width)).astype(np.float32))
     assert self_attention(m, p).shape == (5, width)
     # a single position can only attend to itself: the fused blocks reduce
@@ -350,7 +350,7 @@ def test_self_attention_shape_and_t1():
     got = self_attention(one, p).data
     fused = np.concatenate([one.data, one.data, one.data * one.data,
                             one.data * one.data], axis=-1)
-    want = fused @ p.proj_w.data + p.proj_b.data
+    want = fused @ p.proj.w.data + p.proj.b.data
     assert np.allclose(got, want, atol=1e-6)
 
 
@@ -359,13 +359,13 @@ def test_self_attention_grad_check():
     width = 4
     p = SelfAttentionParams(
         sim=SimilarityParams.create(width, rng),
-        proj_w=Tensor(xavier_uniform(rng, 4 * width, width), requires_grad=True),
-        proj_b=Tensor(np.zeros(width, dtype=np.float32), requires_grad=True))
+        proj=Linear(w=Tensor(xavier_uniform(rng, 4 * width, width), requires_grad=True),
+                    b=Tensor(np.zeros(width, dtype=np.float32), requires_grad=True)))
     m = Tensor(rng.standard_normal((5, width)).astype(np.float32), requires_grad=True)
     probe = constant(rng.standard_normal((5, width)).astype(np.float32))
     report = grad_check(
         lambda: ad.reduce_sum(ad.mul(self_attention(m, p), probe)),
-        {"m": m, "w_h": p.sim.w_h, "proj_w": p.proj_w},
+        {"m": m, "w_h": p.sim.w_h, "proj_w": p.proj.w},
         rng=np.random.default_rng(5))
     assert report.worst_rel_err < 1e-3
 
@@ -376,7 +376,7 @@ def _reference_self_attention(M, p, mask=None):
     s = similarity(M, M, p.sim, context_mask=mask, query_mask=mask)
     c2q, q2c = context2query(M, s), vanilla_q2c(M, s)
     fused = ad.concat([M, c2q, ad.mul(M, c2q), ad.mul(M, q2c)], axis=-1)
-    return linear(fused, p.proj_w, p.proj_b)
+    return linear(fused, p.proj.w, p.proj.b)
 
 
 def _self_attention_case(shape, dtype, seed=0):
@@ -387,8 +387,9 @@ def _self_attention_case(shape, dtype, seed=0):
     width = shape[-1]
     p = SelfAttentionParams(
         sim=SimilarityParams.create(width, rng, dtype=dtype),
-        proj_w=Tensor(xavier_uniform(rng, 4 * width, width, dtype=dtype), requires_grad=True),
-        proj_b=Tensor(rng.standard_normal(width).astype(dtype), requires_grad=True))
+        proj=Linear(w=Tensor(xavier_uniform(rng, 4 * width, width, dtype=dtype),
+                             requires_grad=True),
+                    b=Tensor(rng.standard_normal(width).astype(dtype), requires_grad=True)))
     m = Tensor(rng.uniform(-1, 1, shape).astype(dtype), requires_grad=True)
     mask = None
     if len(shape) == 3 and shape[1] > 1:
@@ -402,7 +403,7 @@ def _self_attention_case(shape, dtype, seed=0):
 
 
 def _self_attention_grads(fn, p, m, mask, probe):
-    params = [m, p.sim.w_h, p.sim.w_u, p.proj_w, p.proj_b]
+    params = [m, p.sim.w_h, p.sim.w_u, p.proj.w, p.proj.b]
     zero_grads(params)
     out = fn(m, p, mask)
     backward(ad.reduce_sum(ad.mul(out, probe)))
@@ -432,8 +433,8 @@ def test_self_attention_padded_rows_see_no_c2q():
     out = self_attention(m, p, mask).data
     s = similarity(m, m, p.sim, context_mask=mask, query_mask=mask)
     q2c = vanilla_q2c(m, s).data
-    w = p.proj_w.data.reshape(4, 4, 4)
-    want = m.data @ w[0] + (m.data * q2c) @ w[3] + p.proj_b.data
+    w = p.proj.w.data.reshape(4, 4, 4)
+    want = m.data @ w[0] + (m.data * q2c) @ w[3] + p.proj.b.data
     pad = ~live.astype(bool)
     assert pad.sum() == 4
     assert np.allclose(out[pad], want[pad], atol=1e-12)
@@ -765,6 +766,12 @@ def test_best_span_matches_quadratic_brute_force(seed):
                 want_p = ps[s] * pe[e]
                 want = (s, e)
     assert got == want
+
+
+def test_negative_max_span_len_is_rejected():
+    with pytest.raises(ValueError, match="max_span_len must be >= 0, got -1"):
+        ModelConfig(max_span_len=-1)
+    assert ModelConfig(max_span_len=0).max_span_len == 0
 
 
 def test_predictions_json_layout():

@@ -65,3 +65,11 @@ def test_malformed_shape_raises_checkpoint_error_naming_the_tensor(tmp_path, sha
     (tmp_path / "bad.bin").write_bytes(np.zeros(6, dtype="<f4").tobytes())
     with pytest.raises(CheckpointError, match=f"'head.w' has malformed shape '{shape}'"):
         load_tensors(str(tmp_path / "bad"))
+
+
+@pytest.mark.parametrize("line", ["garbage", "meta"])
+def test_record_without_a_field_raises_checkpoint_error_naming_the_line(tmp_path, line):
+    (tmp_path / "bad.manifest").write_text(f"hopqa-checkpoint 2\n{line}\n")
+    (tmp_path / "bad.bin").write_bytes(b"")
+    with pytest.raises(CheckpointError, match=f"malformed record '{line}'"):
+        load_tensors(str(tmp_path / "bad"))

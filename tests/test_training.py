@@ -76,6 +76,12 @@ def test_batches_pad_under_half_of_input_order(monkeypatch, setup):
     assert _pad_frac(batches) < 0.5 * _pad_frac(in_order)
 
 
+@pytest.mark.parametrize("metric", ["nope", "per_example"])
+def test_eval_metric_must_name_a_score(metric):
+    with pytest.raises(ValueError, match=f"eval_metric must be one of .*got '{metric}'"):
+        TrainConfig(eval_metric=metric)
+
+
 def test_train_frees_each_step_graph_before_the_next_forward(setup):
     _, examples, vocab = setup
     model = Model(ModelConfig(d=4, dropout=0.0, word_dim=8, char_dim=4, char_filters=6,
