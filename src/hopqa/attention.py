@@ -66,7 +66,6 @@ class AttentionTrace:
     c2q_weights: np.ndarray | None = None         # (..., T, J), rows sum to 1
     q2c_vectors: np.ndarray | None = None         # (..., T, 2d)
     c2q_vectors: np.ndarray | None = None         # (..., T, 2d)
-    fused: np.ndarray | None = None               # (..., T, 8d)
     context_mask: np.ndarray | None = None        # (..., T)
     query_mask: np.ndarray | None = None          # (..., J)
 
@@ -181,16 +180,12 @@ def context2query(Qrows: Tensor, S_bar: Tensor,
     return out
 
 
-def fuse_g(H: Tensor, c2q: Tensor, q2c: Tensor,
-           trace: AttentionTrace | None = None) -> list[Tensor]:
+def fuse_g(H: Tensor, c2q: Tensor, q2c: Tensor) -> list[Tensor]:
     """The context fused with both attention readouts, as the four (..., T, 2d)
     parts [H, c2q, H * q2c, q2c * c2q] of G (..., T, 8d); the consumers take
     parts, so G is never joined. ``q2c`` may be one (..., 1, 2d) row, which
-    both products broadcast. A trace gets the join."""
+    both products broadcast."""
     for name, t in (("c2q", c2q), ("q2c", q2c)):
         if t.shape[-1] != H.shape[-1]:
             raise ShapeError(f"fuse_g: {name} width {t.shape[-1]} != context width {H.shape[-1]}")
-    parts = [H, c2q, ad.mul(H, q2c), ad.mul(q2c, c2q)]
-    if trace is not None:
-        trace.fused = np.concatenate([p.data for p in parts], axis=-1)
-    return parts
+    return [H, c2q, ad.mul(H, q2c), ad.mul(q2c, c2q)]

@@ -6,6 +6,13 @@ backed by numpy, a dynamic graph of primitive ops, and a single
 length-1 (or missing leading) axes so shape bugs fail loudly instead of
 silently fanning out.
 
+Whether an op's output joins the graph is decided in one place, ``_make``:
+the output is a graph node when grad mode is on in the calling thread and
+one of its parents requires grad, and a constant otherwise. Every op builds
+its backward closure and hands it to ``_make``, which drops it for a
+constant; only ``highway`` and ``bigru`` also ask, to keep per-step
+activations only when they will be used.
+
 Gradient buffers are never mutated in place; a backward closure may hand
 the same array object to several consumers, which is safe under that rule.
 
@@ -164,9 +171,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other, self.dtype))
 
@@ -181,9 +185,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0, self.dtype))
 
 
 def tensor(values, dtype=None, requires_grad: bool = False) -> Tensor:
@@ -211,6 +212,10 @@ def _tracking(*tensors: Tensor) -> bool:
 
 
 def _make(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
+    """An op's output: a graph node with ``backward`` when grad mode is on and
+    a parent requires grad, otherwise a constant that keeps no ``backward``."""
+    if not _tracking(*parents):
+        return Tensor(data)
     return Tensor(data, requires_grad=True, parents=parents, backward=backward)
 
 
@@ -247,8 +252,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a.shape, b.shape, "add")
     out = a.data + b.data
-    if not _tracking(a, b):
-        return Tensor(out)
 
     def bwd(g):
         _accum(a, _unbroadcast(g, a.shape))
@@ -260,8 +263,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a.shape, b.shape, "sub")
     out = a.data - b.data
-    if not _tracking(a, b):
-        return Tensor(out)
 
     def bwd(g):
         _accum(a, _unbroadcast(g, a.shape))
@@ -273,8 +274,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a.shape, b.shape, "mul")
     out = a.data * b.data
-    if not _tracking(a, b):
-        return Tensor(out)
 
     def bwd(g):
         _accum(a, _unbroadcast(g * b.data, a.shape))
@@ -290,8 +289,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     out = _stable_sigmoid(x.data)
-    if not _tracking(x):
-        return Tensor(out)
 
     def bwd(g):
         _accum(x, g * out * (1.0 - out))
@@ -301,8 +298,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
-    if not _tracking(x):
-        return Tensor(out)
 
     def bwd(g):
         _accum(x, g * (1.0 - out * out))
@@ -312,8 +307,6 @@ def tanh(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
-    if not _tracking(x):
-        return Tensor(out)
 
     def bwd(g):
         _accum(x, g * (x.data > 0))
@@ -332,8 +325,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions differ: {a.shape} x {b.shape}")
     _broadcast_check(a.shape[:-2], b.shape[:-2], "matmul (batch axes)")
     out = a.data @ b.data
-    if not _tracking(a, b):
-        return Tensor(out)
 
     def bwd(g):
         _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
@@ -347,8 +338,6 @@ def transpose(x: Tensor) -> Tensor:
     if x.ndim < 2:
         raise ShapeError(f"transpose: need rank >= 2, got {x.shape}")
     out = np.swapaxes(x.data, -1, -2)
-    if not _tracking(x):
-        return Tensor(out)
 
     def bwd(g):
         _accum(x, np.swapaxes(g, -1, -2))
@@ -359,8 +348,6 @@ def transpose(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     out = x.data.reshape(shape)
-    if not _tracking(x):
-        return Tensor(out)
 
     def bwd(g):
         _accum(x, g.reshape(x.shape))
@@ -383,9 +370,6 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
             if i != ax and p.shape[i] != ref[i]:
                 raise ShapeError(f"concat: shapes {ref} and {p.shape} differ on axis {i}")
     out = np.concatenate([p.data for p in parts], axis=ax)
-    if not _tracking(*parts):
-        return Tensor(out)
-
     sizes = [p.shape[ax] for p in parts]
 
     def bwd(g):
@@ -410,8 +394,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx: list = [slice(None)] * x.ndim
     idx[ax] = slice(start, start + length)
     out = x.data[tuple(idx)]
-    if not _tracking(x):
-        return Tensor(out)
 
     def bwd(g):
         gx = np.zeros_like(x.data)
@@ -438,8 +420,6 @@ def gather_rows(table: Tensor, ids: np.ndarray, pad_guard: bool = False) -> Tens
         raise DataError(f"gather_rows: id out of range [0, {table.shape[0]}): "
                         f"min={ids.min()}, max={ids.max()}")
     out = table.data[ids]
-    if not _tracking(table):
-        return Tensor(out)
 
     def bwd(g):
         gt = np.zeros_like(table.data)
@@ -483,8 +463,6 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     out = x.data - peak
     np.exp(out, out=out)
     out /= out.sum(axis=ax, keepdims=True)
-    if not _tracking(x):
-        return Tensor(out)
 
     def bwd(g):
         dot = (g * out).sum(axis=ax, keepdims=True)
@@ -494,15 +472,13 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
 
 def max_reduce(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Maximum along ``axis``; gradient flows to the first maximizer on ties."""
+    """Maximum along ``axis``; gradient flows to the first maximizer on ties.
+    The maximizers are found in the backward, so an untracked call skips them."""
     ax = _norm_axis(axis, x.ndim, "max_reduce")
     out = x.data.max(axis=ax, keepdims=keepdims)
-    if not _tracking(x):
-        return Tensor(out)
-
-    idx = np.expand_dims(np.argmax(x.data, axis=ax), ax)
 
     def bwd(g):
+        idx = np.expand_dims(np.argmax(x.data, axis=ax), ax)
         gx = np.zeros_like(x.data)
         ge = g if keepdims else np.expand_dims(g, ax)
         np.put_along_axis(gx, idx, ge, ax)
@@ -512,23 +488,11 @@ def max_reduce(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
 
 def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        out = x.data.sum()
-        if not _tracking(x):
-            return Tensor(np.asarray(out, dtype=x.dtype))
-
-        def bwd_all(g):
-            _accum(x, np.broadcast_to(g, x.shape))
-
-        return _make(np.asarray(out, dtype=x.dtype), (x,), bwd_all)
-
-    ax = _norm_axis(axis, x.ndim, "reduce_sum")
-    out = x.data.sum(axis=ax, keepdims=keepdims)
-    if not _tracking(x):
-        return Tensor(out)
+    ax = None if axis is None else _norm_axis(axis, x.ndim, "reduce_sum")
+    out = np.asarray(x.data.sum(axis=ax, keepdims=keepdims), dtype=x.dtype)
 
     def bwd(g):
-        ge = g if keepdims else np.expand_dims(g, ax)
+        ge = g if keepdims or ax is None else np.expand_dims(g, ax)
         _accum(x, np.broadcast_to(ge, x.shape))
 
     return _make(out, (x,), bwd)
@@ -551,6 +515,8 @@ def cross_entropy(logits: Tensor, targets, reduction: str = "sum",
         raise UsageError(f"cross_entropy: unknown reduction {reduction!r}")
     n, c = logits.shape
     targets = np.asarray(targets)
+    if not np.issubdtype(targets.dtype, np.integer):
+        raise LabelError(f"cross_entropy: targets must be integers, got {targets.dtype}")
     if targets.shape != (n,):
         raise ShapeError(f"cross_entropy: targets shape {targets.shape} != ({n},)")
     m = np.ones(n, dtype=logits.dtype) if mask is None else \
@@ -570,11 +536,9 @@ def cross_entropy(logits: Tensor, targets, reduction: str = "sum",
     kept = max(int(live.sum()), 1)
     scale = 1.0 if reduction == "sum" else 1.0 / kept
     out = np.asarray(per_row.sum() * scale, dtype=logits.dtype)
-    if not _tracking(logits):
-        return Tensor(out)
 
     def bwd(g):
-        p = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
+        p = np.exp(z - lse[:, None])
         p[np.arange(n), safe_t] -= 1.0
         _accum(logits, (g * scale) * p * m[:, None])
 
@@ -599,8 +563,6 @@ def binary_cross_entropy(logits: Tensor, labels, reduction: str = "mean",
     kept = max(int((m != 0).sum()), 1)
     scale = 1.0 if reduction == "sum" else 1.0 / kept
     out = np.asarray(per.sum() * scale, dtype=logits.dtype)
-    if not _tracking(logits):
-        return Tensor(out)
 
     def bwd(g):
         _accum(logits, (g * scale) * (_stable_sigmoid(x) - y) * m)
@@ -639,8 +601,6 @@ def _drop(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
     scale = dt(1) / dt(1.0 - rate)
     out = x.data * keep
     out *= scale
-    if not _tracking(x):
-        return Tensor(out)
 
     def bwd(g):
         gx = g * keep
@@ -700,8 +660,6 @@ def highway(x: Tensor, layers: Sequence[Sequence[Tensor]]) -> Tensor:
         if tracking:
             saved.append((y, t, h))
         y = out
-    if not tracking:
-        return Tensor(y)
 
     def bwd(g):
         go = g.reshape(-1, width)
@@ -900,8 +858,6 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
         out[:, s, :hid] = h[0]
         out[:, t_len - 1 - s, hid:] = h[1]
     result = out.reshape(lead + (2 * hid,))
-    if not tracking:
-        return Tensor(result)
 
     def bwd(g):
         gdt = np.result_type(g, dtype)
@@ -1122,8 +1078,6 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
                        np.empty((t_len, width), dtype=dtype),
                        np.empty((t_len, w_out), dtype=dtype)) for w in range(n_tasks)])
     result = out.reshape(M.shape[:-1] + (w_out,))
-    if not _tracking(M, w_h, w_u, proj_w, proj_b):
-        return Tensor(result)
 
     def bwd(g):
         gdt = np.result_type(g, dtype)

@@ -33,6 +33,7 @@ from .autodiff import ShapeError, Tensor, gather_rows, matmul
 
 PAD_ID = 0
 UNK_ID = 1
+CHAR_KERNEL = 5     # char-CNN window width, in characters
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -152,7 +153,8 @@ class CharCnnParams:
 
     @classmethod
     def create(cls, n_chars: int, char_dim: int, filters: int,
-               rng: np.random.Generator, kernel: int = 5, dtype=np.float32) -> "CharCnnParams":
+               rng: np.random.Generator, kernel: int = CHAR_KERNEL,
+               dtype=np.float32) -> "CharCnnParams":
         table = embedding_table(n_chars, char_dim, rng, trainable=True, dtype=dtype)
         k_in = kernel * char_dim
         return cls(table=table,

@@ -64,6 +64,7 @@ from .attention import (
 from .autodiff import MASK_FILL, ShapeError, Tensor, UsageError, concat, gather_rows, no_grad
 from .data import ANSWER_TYPES, Batch, Example
 from .layers import (
+    CHAR_KERNEL,
     BiGruParams,
     CharCnnParams,
     HighwayLayer,
@@ -97,6 +98,11 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
+        if self.max_word_len < CHAR_KERNEL:
+            raise ValueError(f"max_word_len must be >= the char-CNN kernel {CHAR_KERNEL}, "
+                             f"got {self.max_word_len}")
         if self.lambda_a <= 0 or self.lambda_s <= 0:
             raise ValueError("loss weights must be positive")
         if not 0.0 <= self.dropout < 1.0:
@@ -292,7 +298,7 @@ class Model:
         else:
             q2c = vanilla_q2c(H, S2, trace=trace)
         c2q = context2query(q_bar, S2, trace=trace)
-        G = fuse_g(H, c2q, q2c, trace=trace)
+        G = fuse_g(H, c2q, q2c)
         del H, U, S, S2, q_bar, q2c, c2q
 
         M = self_attention(bigru(self._drop(G, training, rng), self.modeling, mask=cmask),

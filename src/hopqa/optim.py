@@ -128,12 +128,13 @@ class AdaDelta(_SlotState):
             p.data = p.data + self.lr * delta
 
 
+OPTIMIZERS = {cls.KIND: cls for cls in (Adam, AdaDelta)}
+
+
 def make_optimizer(kind: str, params: Mapping[str, Tensor], lr: float):
-    if kind == "adam":
-        return Adam(params, lr=lr)
-    if kind == "adadelta":
-        return AdaDelta(params, lr=lr)
-    raise ValueError(f"unknown optimizer {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {kind!r}")
+    return OPTIMIZERS[kind](params, lr=lr)
 
 
 class EmaWeights:

@@ -3,8 +3,7 @@
 The manifest lists one tensor per line (name, shape and dtype); the blob
 holds the tensors' data concatenated in manifest order. Floating-point
 tensors keep their dtype, so round-trips are bit-exact; other arrays are
-stored as float32. Manifests of format 1 carry no dtype and are read as
-float32.
+stored as float32.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Mapping
 import numpy as np
 
 FORMAT_LINE = "hopqa-checkpoint 2"
-LEGACY_FORMAT_LINE = "hopqa-checkpoint 1"   # no dtype column: every tensor is <f4
 
 
 class CheckpointError(ValueError):
@@ -50,9 +48,8 @@ def load_tensors(prefix: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a checkpoint back; returns (name -> array in its saved dtype, meta)."""
     with open(prefix + ".manifest", "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] not in (FORMAT_LINE, LEGACY_FORMAT_LINE):
+    if not lines or lines[0] != FORMAT_LINE:
         raise CheckpointError(f"{prefix}.manifest: unrecognized format line")
-    legacy = lines[0] == LEGACY_FORMAT_LINE
     meta: dict[str, str] = {}
     entries: list[tuple[str, tuple[int, ...], np.dtype]] = []
     for ln in lines[1:]:
@@ -66,9 +63,9 @@ def load_tensors(prefix: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             meta[key] = value
         elif kind == "tensor":
             fields = rest.split(" ")
-            if len(fields) != (2 if legacy else 3):
+            if len(fields) != 3:
                 raise CheckpointError(f"{prefix}.manifest: malformed tensor record {ln!r}")
-            name, shape_s, dtype_s = fields if not legacy else (*fields, "<f4")
+            name, shape_s, dtype_s = fields
             dims = shape_s.split("x")
             if not all(d.isascii() and d.isdigit() for d in dims):
                 raise CheckpointError(f"{prefix}.manifest: tensor {name!r} has malformed "

@@ -285,8 +285,7 @@ def _masked_forward(rng, t=7, j=5, width=6, real_t=5, real_j=3):
     S2 = similarity(H, q_bar, p, context_mask=cmask, query_mask=qmask)
     trace.similarity2 = S2.data.copy()
     q2c = fgin_q2c(H, S2, trace=trace)
-    c2q = context2query(q_bar, S2, trace=trace)
-    fuse_g(H, c2q, q2c, trace=trace)
+    context2query(q_bar, S2, trace=trace)
     return trace
 
 

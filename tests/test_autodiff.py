@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import multiprocessing
 import threading
@@ -317,6 +319,12 @@ def test_cross_entropy_target_out_of_range():
         cross_entropy(constant([[0.0, 0.0]]), [2])
 
 
+def test_cross_entropy_rejects_non_integer_targets():
+    # cast, [0.5, 2.9] would silently score as classes [0, 2]
+    with pytest.raises(LabelError, match="targets must be integers"):
+        cross_entropy(constant([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]]), [0.5, 2.9])
+
+
 def test_binary_cross_entropy_closed_form():
     # -log(sigmoid(0)) = ln 2 at label 1
     loss = binary_cross_entropy(constant([[0.0]]), [[1.0]], reduction="sum")
@@ -460,6 +468,70 @@ def test_no_grad_builds_no_graph():
     with no_grad():
         y = ad.mul(x, x)
     assert y._backward is None and not y.requires_grad
+
+
+_RNG = np.random.default_rng(5)
+_A, _B = _RNG.standard_normal((2, 3, 4))
+_W = _RNG.standard_normal((4, 2))
+_SEQ = _RNG.standard_normal((2, 3, 4))
+_SEQ_MASK = np.array([[1, 1, 0], [1, 1, 1]])
+_GATES = [_RNG.standard_normal(s) for s in ((4, 6), (2, 6), (6,))]
+_HIGHWAY = [_RNG.standard_normal(s) for s in ((4, 4), (4,), (4, 4), (4,))]
+_SELF_ATT = [_RNG.standard_normal(s) for s in ((4, 1), (4, 1), (16, 4), (4,))]
+
+# each op, its float inputs made into tensors by ``leaf``
+_OPS = {
+    "add": lambda leaf: ad.add(leaf(_A), leaf(_B)),
+    "sub": lambda leaf: ad.sub(leaf(_A), leaf(_B)),
+    "mul": lambda leaf: ad.mul(leaf(_A), leaf(_B)),
+    "sigmoid": lambda leaf: sigmoid(leaf(_A)),
+    "tanh": lambda leaf: tanh(leaf(_A)),
+    "relu": lambda leaf: relu(leaf(_A)),
+    "matmul": lambda leaf: matmul(leaf(_A), leaf(_W)),
+    "transpose": lambda leaf: transpose(leaf(_A)),
+    "reshape": lambda leaf: reshape(leaf(_A), (4, 3)),
+    "concat": lambda leaf: concat([leaf(_A), leaf(_B)], axis=0),
+    "narrow": lambda leaf: narrow(leaf(_A), 1, 1, 2),
+    "gather_rows": lambda leaf: gather_rows(leaf(_A), np.array([[2, 0], [1, 2]])),
+    "softmax": lambda leaf: softmax(leaf(_A), axis=1),
+    "max_reduce": lambda leaf: max_reduce(leaf(_A), axis=0),
+    "reduce_sum": lambda leaf: reduce_sum(leaf(_A)),
+    "reduce_sum_axis": lambda leaf: reduce_sum(leaf(_A), axis=1, keepdims=True),
+    "cross_entropy": lambda leaf: cross_entropy(leaf(_A), [3, 0, 1]),
+    "binary_cross_entropy": lambda leaf: binary_cross_entropy(leaf(_A), _B > 0),
+    "dropout": lambda leaf: dropout(leaf(_A), 0.5, True, np.random.default_rng(0)),
+    "highway": lambda leaf: ad.highway(leaf(_A), [[leaf(w) for w in _HIGHWAY]]),
+    "bigru": lambda leaf: ad.bigru(leaf(_SEQ), [leaf(w) for w in _GATES],
+                                   [leaf(w) for w in _GATES], mask=_SEQ_MASK),
+    "self_attention": lambda leaf: ad.self_attention(leaf(_SEQ), *map(leaf, _SELF_ATT),
+                                                     mask=_SEQ_MASK),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_untracked_outputs_are_constants_with_the_tracked_data(op):
+    tracked = _OPS[op](parameter)
+    assert tracked.requires_grad and tracked._backward is not None
+    with no_grad():
+        untracked = _OPS[op](parameter)
+    for out in (untracked, _OPS[op](constant)):
+        assert out._backward is None and not out.requires_grad
+        assert np.array_equal(out.data, tracked.data)
+
+
+def test_grad_mode_is_decided_only_in_make():
+    # every op hands its output to _make; highway and bigru also ask, to
+    # decide what to keep for their backward
+    callers: dict[str, set[str]] = {"_tracking": set(), "Tensor": set()}
+    for top in ast.parse(inspect.getsource(ad)).body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in callers:
+                callers[node.func.id].add(top.name)
+    assert callers == {"_tracking": {"_make", "highway", "bigru"},
+                       "Tensor": {"tensor", "_as_tensor", "_make"}}
 
 
 def test_no_grad_holds_in_its_own_thread_only():

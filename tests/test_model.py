@@ -30,7 +30,7 @@ from hopqa.attention import (
     vanilla_q2c,
 )
 from hopqa.autodiff import DataError, NumericError, ShapeError
-from hopqa.layers import UNK_ID, Linear, char_cnn, embed_words, highway, linear, xavier_uniform
+from hopqa.layers import CHAR_KERNEL, UNK_ID, Linear, char_cnn, embed_words, highway, linear, xavier_uniform
 from hopqa.serialization import load_tensors, save_tensors
 from hopqa.training import TrainConfig, train
 from hopqa.verification import full_model_check, tiny_batch
@@ -772,6 +772,13 @@ def test_negative_max_span_len_is_rejected():
     with pytest.raises(ValueError, match="max_span_len must be >= 0, got -1"):
         ModelConfig(max_span_len=-1)
     assert ModelConfig(max_span_len=0).max_span_len == 0
+
+
+@pytest.mark.parametrize("field, value", [("d", 0), ("max_word_len", CHAR_KERNEL - 1)])
+def test_sizes_the_model_cannot_run_are_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= .*got {value}"):
+        ModelConfig(**{field: value})
+    assert ModelConfig(d=1, max_word_len=CHAR_KERNEL).max_word_len == CHAR_KERNEL
 
 
 def test_predictions_json_layout():

@@ -50,13 +50,12 @@ def test_detects_truncated_blob(tmp_path):
         load_tensors(prefix)
 
 
-def test_reads_format_1_manifest_as_float32(tmp_path):
-    # format 1 wrote no dtype column; every tensor was little-endian float32
+def test_format_1_manifest_raises_checkpoint_error(tmp_path):
+    # format 1 wrote no dtype column; it is no longer read
     (tmp_path / "old.manifest").write_text("hopqa-checkpoint 1\ntensor w 2x1\n")
     (tmp_path / "old.bin").write_bytes(np.array([1.5, -2.0], dtype="<f4").tobytes())
-    loaded, _ = load_tensors(str(tmp_path / "old"))
-    assert loaded["w"].dtype == np.float32
-    assert loaded["w"].ravel().tolist() == [1.5, -2.0]
+    with pytest.raises(CheckpointError, match="unrecognized format line"):
+        load_tensors(str(tmp_path / "old"))
 
 
 @pytest.mark.parametrize("shape", ["2xq", "2x", "-2x-3"])

@@ -6,6 +6,7 @@ import pytest
 import hopqa.training as ht
 from hopqa.data import build_vocab, make_batches, synth_two_hop
 from hopqa.model import Model, ModelConfig
+from hopqa.optim import OPTIMIZERS
 from hopqa.training import TrainConfig, evaluate_model, train
 
 DISTRACTORS = [5, 0, 8, 2, 7, 1, 6, 3, 4]
@@ -80,6 +81,23 @@ def test_batches_pad_under_half_of_input_order(monkeypatch, setup):
 def test_eval_metric_must_name_a_score(metric):
     with pytest.raises(ValueError, match=f"eval_metric must be one of .*got '{metric}'"):
         TrainConfig(eval_metric=metric)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", 0.0), ("lr", -1.0), ("epochs", 0), ("batch_size", 0), ("patience", 0),
+    ("patience", -1), ("clip_norm", -1.0), ("ema_decay", 1.5), ("ema_decay", 0.0),
+    ("optimizer", "nope"),
+])
+def test_train_config_rejects_values_train_cannot_use(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be .*got {value!r}"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_zero_clip_norm_and_each_optimizer():
+    assert TrainConfig(clip_norm=0.0).clip_norm == 0.0
+    assert sorted(OPTIMIZERS) == ["adadelta", "adam"]
+    for kind in OPTIMIZERS:
+        assert TrainConfig(optimizer=kind).optimizer == kind
 
 
 def test_train_frees_each_step_graph_before_the_next_forward(setup):
