@@ -13,13 +13,16 @@ its backward closure and hands it to ``_make``, which drops it for a
 constant; only ``highway`` and ``bigru`` also ask, to keep per-step
 activations only when they will be used.
 
-Gradient buffers are never mutated in place; a backward closure may hand
-the same array object to several consumers, which is safe under that rule.
+A backward closure may hand the same array object to several consumers,
+so ``backward`` sums in place only into arrays it owns (see ``Tensor``).
 
-Two forwards, ``bigru`` and ``self_attention``, split work over a pool of
-worker threads made on first use (``_workers``). Workers run numpy only;
-they never make a ``Tensor``, and every array a worker writes is allocated
-by the calling thread and passed in. Grad mode is per thread, so callers in
+``bigru`` and ``self_attention`` use a pool of worker threads made on first
+use (``_workers``). Their forwards split work over it. Their backwards hand
+GEMMs to it as pending gradient contributions (``_accum``), which
+``backward`` sums in arrival order while it goes on with other nodes.
+Workers run numpy only; they never make a ``Tensor`` or touch a ``grad``,
+and every array a worker writes, or reads as a copy, is allocated by the
+calling thread and passed in. Grad mode is per thread, so callers in
 several threads may each run ``no_grad`` blocks.
 """
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -137,7 +140,16 @@ class Tensor:
 
     A leaf has no ``_backward``; every interior node is made by ``_make``
     with ``requires_grad=True``, so ``requires_grad`` alone tells whether a
-    tensor takes part in the backward."""
+    tensor takes part in the backward.
+
+    During ``backward`` a ``grad`` that has more than one contribution, or
+    one still being computed, is a ``_Sum``; ``backward`` turns it into an
+    array before the node's closure sees it and before it returns. The sweep
+    sums in place only into arrays it owns: a sum it allocated, or an array
+    that a closure allocated for one tensor and handed over together with
+    the task that fills it. It never writes into an array a closure handed
+    over on its own, since a closure may give one array to several
+    consumers, nor into a ``grad`` that was there when the sweep began."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -219,10 +231,62 @@ def _make(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     return Tensor(data, requires_grad=True, parents=parents, backward=backward)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+class _Sum:
+    """A gradient while the sweep sums it: the sum of the contributions
+    folded so far, whether the sweep owns that array, and the contributions
+    after them as ``(array, task)`` pairs in arrival order, ``task`` being
+    None for an array that is ready."""
+
+    __slots__ = ("acc", "owned", "pending")
+
+    def __init__(self, acc: np.ndarray | None):
+        self.acc = acc
+        self.owned = False
+        self.pending: list[tuple[np.ndarray, Future | None]] = []
+
+    def fold(self, block: bool) -> None:
+        """Add the pending contributions in order, up to the first whose task
+        is still running, or, with ``block``, all of them. A task's error is
+        raised here."""
+        done = 0
+        for g, task in self.pending:
+            if task is not None:
+                if not (block or task.done()):
+                    break
+                task.result()
+            self.acc, self.owned = _add(self.acc, self.owned, g, task is not None)
+            done += 1
+        del self.pending[:done]
+
+
+def _add(acc, acc_owned: bool, g, g_owned: bool):
+    """``acc + g`` and whether the sweep owns it, written into whichever of
+    the two the sweep owns when the sum has its dtype and shape."""
+    if acc is None:
+        return g, g_owned
+    for buf, owned in ((acc, acc_owned), (g, g_owned)):
+        if owned and buf.dtype == np.result_type(acc, g) \
+                and buf.shape == np.broadcast_shapes(acc.shape, g.shape):
+            return np.add(acc, g, out=buf), True
+    total = acc + g
+    return total, isinstance(total, np.ndarray)
+
+
+def _accum(t: Tensor, g: np.ndarray, task: Future | None = None) -> None:
+    """Add ``g`` to ``t.grad``. With ``task``, a handle from ``_submit``,
+    ``g`` is an array the closure allocated for ``t`` alone (or a column
+    slice of one) that the task is still filling; it is added once the task
+    is done, in its place among ``t``'s contributions."""
     if not t.requires_grad:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    s = t.grad
+    if s is None and task is None:
+        t.grad = g
+        return
+    if not isinstance(s, _Sum):
+        s = t.grad = _Sum(s)
+    s.pending.append((g, task))
+    s.fold(block=False)
 
 
 def _broadcast_check(sa: tuple[int, ...], sb: tuple[int, ...], opname: str) -> None:
@@ -738,7 +802,16 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
     for every step only when tracking. The backward walks the steps once
     in reverse with the mask folded into local derivatives computed for
     all steps at once, then gets the input and weight gradients from a few
-    GEMMs over all steps; it assumes the input is finite everywhere.
+    GEMMs over all steps; it assumes the input is finite everywhere. The
+    calling thread keeps the local derivatives, the reverse loop and the
+    layout of the gate gradients ``da``. When T spans more than one chunk,
+    the GEMMs run on the pool as pending contributions (``_accum``): one
+    task per direction for ``dW_h``, one per input part for
+    ``da @ w_x[rows_k]^T``, one for ``dw_x`` and one for the biases, and the
+    sweep goes on with other nodes while they run. This thread allocates
+    every array a task writes or reads as a copy, and ``backward`` sums
+    contributions in arrival order, so the gradients do not depend on where
+    the tasks ran.
     """
     parts = [x] if isinstance(x, Tensor) else list(x)
     if not parts:
@@ -865,9 +938,13 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
         g_out = np.empty((t_len, 2, n_seq, hid), dtype=gdt)
         g_out[:, 0] = g3[:, :, :hid].transpose(1, 0, 2)
         g_out[:, 1] = g3[:, ::-1, hid:].transpose(1, 0, 2)
-        h_prev = np.zeros((t_len, 2, n_seq, hid), dtype=dtype)  # state entering each step
-        h_prev[1:, 0] = out[:, :-1, :hid].transpose(1, 0, 2)
-        h_prev[1:, 1] = out[:, :0:-1, hid:].transpose(1, 0, 2)
+        # the state entering each step, and the gate gradients the loop
+        # writes, are kept direction-major, so that each direction's weight
+        # GEMMs read them whole; the loop sees them step-major
+        h_dir = np.zeros((2, t_len, n_seq, hid), dtype=dtype)
+        h_dir[0, 1:] = out[:, :-1, :hid].transpose(1, 0, 2)
+        h_dir[1, 1:] = out[:, :0:-1, hid:].transpose(1, 0, 2)
+        h_prev = h_dir.transpose(1, 0, 2, 3)
         z, r = 0.5 * u[..., :hid], 0.5 * u[..., hid:]
         mz = m * z
         keep = 1.0 - mz
@@ -882,8 +959,9 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
         del z, mz
         wh_zr_t = np.stack([fw_h[:, :2 * hid].T, bw_h[:, :2 * hid].T])
         wh_n_t = np.stack([fw_h[:, 2 * hid:].T, bw_h[:, 2 * hid:].T])
-        da_zr = np.empty((t_len, 2, n_seq, 2 * hid), dtype=gdt)
-        da_n = np.empty((t_len, 2, n_seq, hid), dtype=gdt)
+        da_zr_dir = np.empty((2, t_len, n_seq, 2 * hid), dtype=gdt)
+        da_n_dir = np.empty((2, t_len, n_seq, hid), dtype=gdt)
+        da_zr, da_n = da_zr_dir.transpose(1, 0, 2, 3), da_n_dir.transpose(1, 0, 2, 3)
         dh = np.zeros((2, n_seq, hid), dtype=gdt)
         for s in range(t_len - 1, -1, -1):
             gs = dh + g_out[s]
@@ -895,26 +973,55 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
             d_rh *= r[s]
             dh += d_rh
             dh += da_zr[s] @ wh_zr_t
+        del g_out, keep, dz_da, dn_da, dr_da
         # gate gradients in position order, forward then backward: (N, T, 6h)
         da = np.empty((n_seq, t_len, 6 * hid), dtype=gdt)
         da[:, :, :2 * hid] = da_zr[:, 0].transpose(1, 0, 2)
         da[:, :, 2 * hid:3 * hid] = da_n[:, 0].transpose(1, 0, 2)
         da[:, :, 3 * hid:5 * hid] = da_zr[::-1, 1].transpose(1, 0, 2)
         da[:, :, 5 * hid:] = da_n[::-1, 1].transpose(1, 0, 2)
+        # The GEMMs run as tasks. The dW_h ones go first, as they are short
+        # and hold the direction-major arrays; then the input gradients, the
+        # last part's first, as the sweep reaches the newest part soonest;
+        # then dw_x and the biases, which only the sweep's end waits for.
+        # Every array a task writes, or reads as a copy, is made here.
+        pool = _workers()[0] if t_len > chunk else None
         flat = da.reshape(-1, 6 * hid)
         w_rows = np.split(np.concatenate([fw_x, bw_x], axis=1), splits)
-        for p, w in zip(parts, w_rows):
-            _accum(p, (da @ w.T).reshape(p.shape))
-        dw_x = np.concatenate([xk.reshape(-1, xk.shape[-1]).T @ flat for xk in xs])
-        db = flat.sum(axis=0)
-        rh = r * h_prev
+        need_wx, need_wh, need_b = (any(t.requires_grad for cell in blocks for t in cell[i])
+                                    for i in range(3))
+        if need_wh:
+            dw_h = []
+            for d in (0, 1):
+                buf = np.empty((hid, 3 * hid), dtype=gdt)
+                rh = np.multiply(r[:, d], h_dir[d]).reshape(-1, hid)
+                dw_h.append((buf, _submit(pool, _gemms_into, buf, [
+                    (h_dir[d].reshape(-1, hid), da_zr_dir[d].reshape(-1, 2 * hid)),
+                    (rh, da_n_dir[d].reshape(-1, hid))], 1)))
+        dx: list = [None] * len(parts)
+        for k in reversed(range(len(parts))):
+            if parts[k].requires_grad:
+                buf = np.empty(parts[k].shape, dtype=gdt)
+                dx[k] = buf, _submit(pool, np.matmul, da, w_rows[k].T,
+                                     buf.reshape(n_seq, t_len, widths[k]))
+        if need_wx:
+            buf = np.empty((d_in, 6 * hid), dtype=gdt)
+            dw_x = buf, _submit(pool, _gemms_into, buf,
+                                [(xk.reshape(-1, xk.shape[-1]), flat) for xk in xs], 0)
+        if need_b:
+            buf = np.empty(6 * hid, dtype=gdt)
+            db = buf, _submit(pool, np.sum, flat, 0, None, buf)
+        for p, g_task in zip(parts, dx):       # in part order, as a serial sum
+            if g_task is not None:
+                _accum(p, *g_task)
         for d, (bx, bh, bb) in enumerate(blocks):
             cols = slice(3 * hid * d, 3 * hid * (d + 1))
-            _accum_blocks(bx, dw_x[:, cols])
-            _accum_blocks(bh, np.concatenate(
-                [h_prev[:, d].reshape(-1, hid).T @ da_zr[:, d].reshape(-1, 2 * hid),
-                 rh[:, d].reshape(-1, hid).T @ da_n[:, d].reshape(-1, hid)], axis=1))
-            _accum_blocks(bb, db[cols])
+            if need_wx:
+                _accum_blocks(bx, dw_x[0][:, cols], dw_x[1])
+            if need_wh:
+                _accum_blocks(bh, *dw_h[d])
+            if need_b:
+                _accum_blocks(bb, db[0][cols], db[1])
 
     return _make(result, (*parts, *weights), bwd)
 
@@ -928,13 +1035,28 @@ def _join_blocks(blocks: list[Tensor]) -> np.ndarray:
     return np.concatenate([t.data for t in blocks], axis=-1)
 
 
-def _accum_blocks(blocks: list[Tensor], g: np.ndarray) -> None:
-    """Give each of ``blocks`` its columns of ``g``, the gradient of their join."""
+def _accum_blocks(blocks: list[Tensor], g: np.ndarray, task: Future | None = None) -> None:
+    """Give each of ``blocks`` its columns of ``g``, the gradient of their
+    join, which ``task``, if given, is still filling (see ``_accum``)."""
     ofs = 0
     for t in blocks:
         n = t.shape[-1]
-        _accum(t, g[..., ofs:ofs + n])
+        _accum(t, g[..., ofs:ofs + n], task)
         ofs += n
+
+
+def _gemms_into(out: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+                axis: int) -> np.ndarray:
+    """Fill ``out`` with the products ``a^T @ b`` of ``pairs``, stacked along
+    ``axis`` (0: row blocks, 1: column blocks), one GEMM into each block."""
+    idx = [slice(None), slice(None)]
+    ofs = 0
+    for a, b in pairs:
+        n = (a if axis == 0 else b).shape[1]
+        idx[axis] = slice(ofs, ofs + n)
+        np.matmul(a.T, b, out=out[tuple(idx)])
+        ofs += n
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +1101,10 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
     and two row buffers of one sequence, so a no-grad call holds c2q and
     out beside per-task scratch of O(T w + ATTENTION_BLOCK T). A non-finite
     similarity raises ``NumericError`` once every task has finished. The
-    backward runs in the calling thread and recomputes M * q2c.
+    backward recomputes M * q2c. Under the same length rule, it hands the
+    four row-block GEMMs of ``proj_w``'s gradient and ``proj_b``'s column
+    sums to the pool as pending contributions (``_accum``), on arrays
+    allocated here; the rest of it runs in the calling thread.
     """
     if M.ndim < 2:
         raise ShapeError(f"self_attention: input must be at least rank 2, got {M.shape}")
@@ -1084,10 +1209,16 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
         g2 = g.reshape(-1, w_out)
         x2 = x.reshape(-1, width)
         c2q2 = c2q.reshape(-1, width)
-        mq = (x * q2c[:, None]).reshape(-1, width)
-        _accum(proj_w, np.concatenate([x2.T @ g2, c2q2.T @ g2, (x2 * c2q2).T @ g2,
-                                       mq.T @ g2]))
-        _accum(proj_b, g2.sum(axis=0))
+        # the projection's weight gradients run as tasks, on arrays made here
+        pool = _workers()[0] if t_len > ATTENTION_BLOCK else None
+        if proj_w.requires_grad:
+            dp_w = np.empty((4 * width, w_out), dtype=gdt)
+            mq = (x * q2c[:, None]).reshape(-1, width)
+            _accum(proj_w, dp_w, _submit(pool, _gemms_into, dp_w, [
+                (x2, g2), (c2q2, g2), (x2 * c2q2, g2), (mq, g2)], 0))
+        if proj_b.requires_grad:
+            dp_b = np.empty(w_out, dtype=g2.dtype)
+            _accum(proj_b, dp_b, _submit(pool, np.sum, g2, 0, None, dp_b))
         d_m, d_c2q, d_mc, d_mq = (g2 @ p.T for p in p_w)
         d_q2c = (d_mq * x2).reshape(n_seq, t_len, width).sum(axis=1)
         d_c2q += d_mc * x2
@@ -1159,14 +1290,34 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _resolved(t: Tensor) -> np.ndarray | None:
+    """``t.grad`` as an array, waiting for its pending contributions."""
+    if isinstance(t.grad, _Sum):
+        t.grad.fold(block=True)
+        t.grad = t.grad.acc
+    return t.grad
+
+
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every reachable requires_grad leaf.
 
-    Gradients accumulate additively when a tensor feeds several consumers.
+    Gradients accumulate additively when a tensor feeds several consumers,
+    summed in the order the contributions arrive, so the result is the
+    serial sum ``((g1 + g2) + g3) ...`` bit for bit. A closure may hand a
+    contribution over while a task on the worker pool (``_submit``) still
+    computes it; the sweep goes on to other nodes, folds finished
+    contributions as they arrive and waits for a node's pending ones just
+    before its closure runs, and for every leaf's before it returns. So the
+    weight-gradient GEMMs of one node run while the calling thread works
+    through the nodes after it.
+
     Interior (non-leaf) gradients live only during the sweep: each is
     cleared before it starts and freed once its node has passed it on, so
-    afterwards only the leaves hold a ``grad``. Calling ``backward`` again
-    after clearing the leaves' grads gives the same result.
+    afterwards only the leaves hold a ``grad``, each an array. Calling
+    ``backward`` again after clearing the leaves' grads gives the same
+    result. If a closure or a task raises, ``backward`` waits for every task
+    the sweep started, then raises that error; the leaves' grads may then
+    hold partial sums, and should be cleared before the next call.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward: loss must be a scalar, got shape {loss.shape}")
@@ -1175,10 +1326,19 @@ def backward(loss: Tensor) -> None:
         if node._backward is not None:
             node.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
-            node.grad = None
+    try:
+        for node in reversed(order):
+            if node._backward is not None:
+                node._backward(_resolved(node))
+                node.grad = None
+        for node in order:
+            _resolved(node)
+    except BaseException:
+        for node in order:
+            if isinstance(node.grad, _Sum):
+                wait([task for _, task in node.grad.pending if task is not None])
+                node.grad = node.grad.acc
+        raise
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

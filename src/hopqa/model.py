@@ -37,10 +37,14 @@ split over one task per worker. Both do so only for sequences longer than
 one chunk or block (256 positions); shorter ones are too little work to
 hand over, and run in the calling thread. The caller allocates every array
 a worker writes, so the workers' temporaries stay small, and the results
-are bit-identical to a serial run. Backward passes run in the calling thread.
-The pool assumes BLAS at one thread. ``Model.forward`` may be called from
-several threads at once: grad mode is per thread, and every call has its
-own scratch.
+are bit-identical to a serial run. In the backward, under the same length
+rule, each BiGRU hands its input- and weight-gradient GEMMs to the pool,
+and self-attention its projection's weight gradients, while the calling
+thread goes on through the graph; ``ad.backward`` sums each gradient's
+contributions in arrival order, so the gradients are bit-identical to a
+serial run too. The pool assumes BLAS at one thread. ``Model.forward`` may
+be called from several threads at once: grad mode is per thread, and every
+call has its own scratch.
 """
 
 from __future__ import annotations

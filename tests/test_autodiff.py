@@ -618,3 +618,187 @@ def test_backward_frees_interior_grads():
     backward(loss)
     assert all(t.grad is None for t in (y, h, loss))
     assert x.grad is not None and w.grad is not None
+
+
+# ---------------------------------------------------------------------------
+# pending gradient contributions
+
+
+def _chain(x: Tensor, contributions) -> tuple[Tensor, dict]:
+    """Nodes n_1 ... n_k, n_i reading x and n_{i-1}, so the sweep runs n_k's
+    closure first; the closure that runs i-th gives x ``contributions[i]``.
+    Each entry is ``(value, mode)``: mode "now" hands over a fresh array,
+    "task" an array that a pool task fills once the next closure has run,
+    "done" one that a pool task fills at once, and "raise" raises in the
+    closure. Returns the last node and the buffers the tasks filled."""
+    pool = ad._workers()[0]
+    gates = [threading.Event() for _ in contributions]
+    buffers = {}
+
+    def fill(buf, value, gate):
+        assert gate.wait(10)
+        buf[...] = value
+        return buf
+
+    def op(prev, i):
+        value, mode = contributions[i]
+
+        def bwd(g):
+            if mode == "raise":
+                raise UsageError(f"closure {i}")
+            if mode == "now":
+                ad._accum(x, np.full(x.shape, value, dtype=x.dtype))
+            else:
+                buffers[i] = buf = np.empty(x.shape, dtype=x.dtype)
+                if mode == "done":
+                    gates[i].set()
+                ad._accum(x, buf, ad._submit(pool, fill, buf, value, gates[i]))
+            if i:
+                gates[i - 1].set()          # the closures before i have run
+            if prev is not None:
+                ad._accum(prev, g)
+
+        parents = (x,) if prev is None else (x, prev)
+        return ad._make(np.zeros((), dtype=x.dtype), parents, bwd)
+
+    node = None
+    for i in reversed(range(len(contributions))):
+        node = op(node, i)
+    gates[-1].set()
+    return node, buffers
+
+
+@pytest.mark.parametrize("modes", [("now", "now", "now"), ("now", "task", "now"),
+                                   ("task", "now", "now"), ("task", "task", "task"),
+                                   ("now", "now", "done")])
+def test_backward_sums_pending_contributions_in_arrival_order(modes):
+    # in float32, (1e8 + 1) - 1e8 = 0 but (1e8 - 1e8) + 1 = 1; a task held
+    # until a later contribution has arrived must still be summed in its place
+    values = np.float32([1e8, 1.0, -1e8])
+    assert (values[0] + values[1]) + values[2] == 0.0
+    assert (values[0] + values[2]) + values[1] == 1.0
+    x = parameter(np.zeros(3, dtype=np.float32))
+    loss, buffers = _chain(x, list(zip(values, modes)))
+    backward(loss)
+    assert type(x.grad) is np.ndarray and x.grad.dtype == np.float32
+    assert np.array_equal(x.grad, np.zeros(3, dtype=np.float32))
+    if modes[0] != "now":           # later contributions fold into the task's buffer
+        assert x.grad is buffers[0]
+
+
+def test_backward_adds_to_an_existing_grad_without_writing_into_it():
+    x = parameter(np.zeros(3, dtype=np.float32))
+    before = np.full(3, 1e8, dtype=np.float32)
+    x.grad = before
+    loss, _ = _chain(x, [(np.float32(1.0), "task"), (np.float32(-1e8), "now")])
+    backward(loss)
+    assert np.array_equal(x.grad, np.zeros(3, dtype=np.float32))
+    assert np.array_equal(before, np.full(3, 1e8, dtype=np.float32))
+
+
+def test_backward_never_writes_into_arrays_closures_hand_over():
+    # one array handed to the same leaf by three closures, as add's backward
+    # hands g to both operands
+    x = parameter(np.zeros(3, dtype=np.float32))
+    shared = np.float32([1.0, 2.0, 3.0])
+
+    def node(prev):
+        def bwd(g):
+            ad._accum(x, shared)
+            if prev is not None:
+                ad._accum(prev, g)
+
+        return ad._make(np.zeros((), dtype=np.float32), (x,) if prev is None else (x, prev), bwd)
+
+    backward(node(node(node(None))))
+    assert np.array_equal(shared, [1.0, 2.0, 3.0])
+    assert np.array_equal(x.grad, 3 * shared)
+
+
+def _wait_for(event: threading.Event):
+    def task(buf):
+        time.sleep(0.05)
+        event.set()
+        return buf
+
+    return task
+
+
+def test_backward_raises_a_task_error_after_every_task_has_finished():
+    pool = ad._workers()[0]
+    x = parameter(np.zeros(2))
+    y = parameter(np.zeros(2))
+    done = threading.Event()
+
+    def fail(buf):
+        raise ad.NumericError("task failed")
+
+    def bwd(g):
+        failed, slow = np.empty(2), np.empty(2)
+        ad._accum(x, failed, ad._submit(pool, fail, failed))
+        ad._accum(y, slow, ad._submit(pool, _wait_for(done), slow))
+
+    # the sweep resolves x, whose task failed, before y, whose task still runs
+    with pytest.raises(ad.NumericError, match="task failed"):
+        backward(ad._make(np.zeros(()), (y, x), bwd))
+    assert done.is_set()
+    assert not isinstance(x.grad, ad._Sum) and not isinstance(y.grad, ad._Sum)
+    assert pool.submit(lambda: 7).result(10) == 7
+
+
+def test_backward_raises_a_closure_error_after_every_task_has_finished():
+    x = parameter(np.zeros(2, dtype=np.float32))
+    done = threading.Event()
+    pool = ad._workers()[0]
+
+    def first(g):
+        buf = np.empty(2, dtype=np.float32)
+        ad._accum(x, buf, ad._submit(pool, _wait_for(done), buf))
+        ad._accum(inner, g)
+
+    inner, _ = _chain(x, [(np.float32(1.0), "raise")])
+    outer = ad._make(np.zeros((), dtype=np.float32), (x, inner), first)
+    with pytest.raises(UsageError, match="closure 0"):
+        backward(outer)
+    assert done.is_set()
+    assert not isinstance(x.grad, ad._Sum)
+    x.grad = None
+    loss, _ = _chain(x, [(np.float32(2.0), "task"), (np.float32(3.0), "now")])
+    backward(loss)
+    assert np.array_equal(x.grad, [5.0, 5.0])
+
+
+def _bigru_with_parts_loss(rng):
+    # two BiGRUs over the same two parts, past one chunk so the backward's
+    # GEMMs run on the pool, and the second also over the first's output
+    t_len, d_in, hid = ad.BIGRU_CHUNK + 9, 3, 2
+    parts = [parameter(rng.standard_normal((2, t_len, d_in))) for _ in range(2)]
+    cell = lambda d: [parameter(rng.standard_normal(s)) for s in ((d, 3 * hid), (hid, 3 * hid),
+                                                                  (3 * hid,))]
+    mask = np.ones((2, t_len))
+    mask[1, t_len - 5:] = 0.0
+    first = ad.bigru(parts, cell(2 * d_in), cell(2 * d_in), mask=mask)
+    second = ad.bigru([*parts, first], cell(2 * d_in + 2 * hid), cell(2 * d_in + 2 * hid),
+                      mask=mask)
+    probe = constant(rng.standard_normal(second.shape))
+    loss = reduce_sum(ad.mul(ad.add(second, first), probe))
+    leaves = [t for t in ad._toposort(loss) if t._backward is None]
+    return loss, leaves
+
+
+def test_bigru_backward_twice_and_inline_give_the_same_leaf_grads(monkeypatch):
+    loss, leaves = _bigru_with_parts_loss(np.random.default_rng(3))
+    assert len(leaves) == 14
+
+    def grads():
+        ad.zero_grads(leaves)
+        backward(loss)
+        assert all(type(t.grad) is np.ndarray for t in leaves)
+        return [t.grad.copy() for t in leaves]
+
+    pooled = grads()
+    again = grads()
+    monkeypatch.setattr(ad, "_workers", lambda: (None, 1))
+    inline = grads()
+    for a, b, c in zip(pooled, again, inline):
+        assert np.array_equal(a, b) and np.array_equal(a, c)

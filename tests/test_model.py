@@ -850,6 +850,33 @@ def test_concurrent_predict_batches_match_serial_runs(monkeypatch):
     assert ad.mul(x, x).requires_grad
 
 
+
+def test_training_step_gradients_do_not_depend_on_the_worker_pool(monkeypatch):
+    # a train_t512-shaped batch (4 contexts past two 256-step BiGRU chunks)
+    # at small d: the backward's tasks run inline give the pool's bits
+    examples = synth_two_hop(4, seed=0, n_distractors=22)
+    vocab = build_vocab(examples)
+    batch = make_batches(examples, vocab, batch_size=4, max_word_len=8)[0][0]
+    assert batch.context_tokens.shape[1] > 2 * ad.BIGRU_CHUNK
+    model = Model(tiny_config(d=8, dropout=0.2), vocab.n_words, vocab.n_chars,
+                  np.random.default_rng(0))
+    params = model.parameters()
+
+    def step():
+        zero_grads(params.values())
+        out = model.forward(batch, training=True, rng=np.random.default_rng(123))
+        loss = joint_loss(out, batch, model.config.lambda_a, model.config.lambda_s)[0]
+        backward(loss)
+        return loss.data.copy(), {k: p.grad for k, p in params.items() if p.grad is not None}
+
+    pooled_loss, pooled = step()
+    monkeypatch.setattr(ad, "_workers", lambda: (None, 1))
+    inline_loss, inline = step()
+    assert np.array_equal(pooled_loss, inline_loss)
+    assert pooled.keys() == inline.keys() and len(pooled) > 100
+    for name, g in pooled.items():
+        assert type(g) is np.ndarray and np.array_equal(g, inline[name]), name
+
 def test_predict_batches_round_trip():
     model, batch, _ = make_model_and_batch(n=3, seed=4)
     preds = predict_batches(model, [batch])
