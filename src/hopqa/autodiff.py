@@ -6,6 +6,10 @@ backed by numpy, a dynamic graph of primitive ops, and a single
 length-1 (or missing leading) axes so shape bugs fail loudly instead of
 silently fanning out.
 
+The core holds only the ops the model calls. The ops that only the tests'
+reference compositions need (``sub``, ``sigmoid``, ``tanh`` and ``narrow``)
+live in ``tests/reference_ops.py``, built on ``_make`` like the ones here.
+
 Whether an op's output joins the graph is decided in one place, ``_make``:
 the output is a graph node when grad mode is on in the calling thread and
 one of its parents requires grad, and a constant otherwise. Every op builds
@@ -183,20 +187,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other, self.dtype))
 
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other, self.dtype))
 
     def __rmul__(self, other):
         return mul(_as_tensor(other, self.dtype), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def tensor(values, dtype=None, requires_grad: bool = False) -> Tensor:
@@ -324,17 +319,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_check(a.shape, b.shape, "sub")
-    out = a.data - b.data
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _make(out, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a.shape, b.shape, "mul")
     out = a.data * b.data
@@ -349,24 +333,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))  # in (0, 1], never overflows
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = _stable_sigmoid(x.data)
-
-    def bwd(g):
-        _accum(x, g * out * (1.0 - out))
-
-    return _make(out, (x,), bwd)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-
-    def bwd(g):
-        _accum(x, g * (1.0 - out * out))
-
-    return _make(out, (x,), bwd)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -445,26 +411,6 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
             ofs += n
 
     return _make(out, tuple(parts), bwd)
-
-
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of ``length`` entries along ``axis``."""
-    ax = axis if axis >= 0 else axis + x.ndim
-    if not 0 <= ax < x.ndim:
-        raise ShapeError(f"narrow: axis {axis} out of range for shape {x.shape}")
-    if start < 0 or length < 0 or start + length > x.shape[ax]:
-        raise ShapeError(f"narrow: window [{start}, {start + length}) exceeds axis "
-                         f"{ax} of shape {x.shape}")
-    idx: list = [slice(None)] * x.ndim
-    idx[ax] = slice(start, start + length)
-    out = x.data[tuple(idx)]
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[tuple(idx)] = g
-        _accum(x, gx)
-
-    return _make(out, (x,), bwd)
 
 
 def gather_rows(table: Tensor, ids: np.ndarray, pad_guard: bool = False) -> Tensor:
@@ -689,8 +635,9 @@ def highway(x: Tensor, layers: Sequence[Sequence[Tensor]]) -> Tensor:
     Each step is the numpy expression of the op it stands for, at the same
     shapes (``y @ W + b``, ``_stable_sigmoid``, ``np.maximum(., 0.0)`` and
     ``t * h + (1.0 - t) * y``), or an in-place form of it that rounds the
-    same, so the output is bit-identical to composing ``matmul``, ``add``,
-    ``sigmoid``, ``relu``, ``mul`` and ``sub``.
+    same, so the output is bit-identical to the tests' composition of those
+    ops, ``_reference_highway`` (``matmul``, ``add``, ``relu`` and ``mul``
+    here, with ``sigmoid`` and ``sub`` from ``tests/reference_ops.py``).
 
     Only when tracking does a layer keep its input, t and h (its output is
     the next layer's input); under ``no_grad`` nothing is kept. The backward

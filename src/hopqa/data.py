@@ -15,6 +15,7 @@ hold 0. The model embeds the table's rows, not the positions.
 from __future__ import annotations
 
 import json
+import reprlib
 import string
 from collections import Counter
 from dataclasses import dataclass, field
@@ -146,10 +147,11 @@ def _locate_answer(answer: str, sent_texts: list[str], sent_tokens: list[list[To
 
 
 def _check_type(value, kind: type, where: str, name: str) -> None:
-    """Raise ``DataError`` unless ``value``, the field ``name``, is a ``kind``."""
+    """Raise ``DataError`` unless ``value``, the field ``name``, is a ``kind``.
+    The message shows ``value`` abridged, as it may be a whole dataset."""
     if not isinstance(value, kind):
         raise DataError(f"{where}: field {name!r} must be a {kind.__name__}, "
-                        f"got {type(value).__name__} {value!r}")
+                        f"got {type(value).__name__} {reprlib.repr(value)}")
 
 
 def _example_from_hotpot_record(rec: dict, index: int, stats: LoadStats) -> Example:
@@ -269,18 +271,25 @@ def _split_sentences(tokens: list[Token]) -> list[tuple[int, int]]:
 def load_squad(path: str) -> tuple[list[Example], LoadStats]:
     """Parse SQuAD v1.1 JSON; char answer offsets are snapped to covering
     tokens (counted when not already aligned). Supporting-fact labels stay
-    empty: the single paragraph is one document. A question without answers
-    raises ``DataError``."""
+    empty: the single paragraph is one document. A question without answers,
+    or a missing or wrong-typed field at any level from the top-level object
+    down, raises ``DataError`` naming ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}") from exc
+    _check_type(payload, dict, path, "top-level JSON")
+    articles = payload.get("data", [])
+    _check_type(articles, list, path, "data")
     stats = LoadStats()
     examples: list[Example] = []
-    for article_idx, article in enumerate(payload.get("data", [])):
+    for article_idx, article in enumerate(articles):
+        _check_type(article, dict, path, f"data[{article_idx}]")
         title = article.get("title", "untitled")
-        for para_idx, para in enumerate(article.get("paragraphs", [])):
+        paragraphs = article.get("paragraphs", [])
+        _check_type(paragraphs, list, f"{path}: article {article_idx}", "paragraphs")
+        for para_idx, para in enumerate(paragraphs):
             where = f"{path}: article {article_idx} paragraph {para_idx}"
             try:
                 context = para["context"]
@@ -291,7 +300,9 @@ def load_squad(path: str) -> tuple[list[Example], LoadStats]:
             texts = [t.text for t in toks]
             spans = [SentenceSpan(s, e, 0, i)
                      for i, (s, e) in enumerate(_split_sentences(toks))]
-            for qa_idx, qa in enumerate(para.get("qas", [])):
+            qas = para.get("qas", [])
+            _check_type(qas, list, where, "qas")
+            for qa_idx, qa in enumerate(qas):
                 try:
                     qid = str(qa["id"])
                     question = qa["question"]

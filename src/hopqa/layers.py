@@ -67,8 +67,8 @@ class Linear:
 def named_tensors(tree, prefix: str = "") -> dict[str, Tensor]:
     """Every tensor in a tree of parameter bundles by dotted path, in tree order.
 
-    Dict keys, dataclass fields and list positions are path segments; other
-    non-tensors (``CharCnnParams.kernel``) are skipped."""
+    Dict keys, dataclass fields and list positions are path segments; any
+    other non-tensor is skipped."""
     if isinstance(tree, Tensor):
         return {prefix: tree}
     if is_dataclass(tree):
@@ -147,36 +147,33 @@ def load_glove(path: str, vocab_words: dict[str, int], dim: int = 300,
 @dataclass
 class CharCnnParams:
     table: Tensor                  # char embeddings, trainable
-    conv_w: Tensor                 # (kernel * char_dim) x filters
+    conv_w: Tensor                 # (CHAR_KERNEL * char_dim) x filters
     conv_b: Tensor                 # filters
-    kernel: int
 
     @classmethod
     def create(cls, n_chars: int, char_dim: int, filters: int,
-               rng: np.random.Generator, kernel: int = CHAR_KERNEL,
-               dtype=np.float32) -> "CharCnnParams":
+               rng: np.random.Generator, dtype=np.float32) -> "CharCnnParams":
         table = embedding_table(n_chars, char_dim, rng, trainable=True, dtype=dtype)
-        k_in = kernel * char_dim
+        k_in = CHAR_KERNEL * char_dim
         return cls(table=table,
                    conv_w=Tensor(xavier_uniform(rng, k_in, filters, dtype=dtype), requires_grad=True),
-                   conv_b=Tensor(np.zeros(filters, dtype=dtype), requires_grad=True),
-                   kernel=kernel)
+                   conv_b=Tensor(np.zeros(filters, dtype=dtype), requires_grad=True))
 
 
 def char_cnn(char_ids: np.ndarray, p: CharCnnParams) -> Tensor:
-    """Per-word character features: embed, width-``kernel`` convolution over
-    the character axis, max-pool over window positions, bias, relu.
+    """Per-word character features: embed, width-``CHAR_KERNEL`` convolution
+    over the character axis, max-pool over window positions, bias, relu.
 
-    ``char_ids`` has shape (..., W) with W >= kernel; output (..., filters).
+    ``char_ids`` has shape (..., W) with W >= CHAR_KERNEL; output (..., filters).
     Pooling comes before the bias and relu: both are non-decreasing, also
     after float rounding, so each commutes exactly with a max, and
     max_i relu(x_i + b) equals relu(max_i x_i + b) bit for bit. The bias and
     relu then run on the pooled (..., filters) array only.
     """
     w = char_ids.shape[-1]
-    if w < p.kernel:
-        raise ShapeError(f"char_cnn: word width {w} shorter than kernel {p.kernel}")
-    windows = np.lib.stride_tricks.sliding_window_view(char_ids, p.kernel, axis=-1)
+    if w < CHAR_KERNEL:
+        raise ShapeError(f"char_cnn: word width {w} shorter than kernel {CHAR_KERNEL}")
+    windows = np.lib.stride_tricks.sliding_window_view(char_ids, CHAR_KERNEL, axis=-1)
     emb = gather_rows(p.table, windows, pad_guard=True)  # (..., W-k+1, kernel, char_dim)
     unfolded = ad.reshape(emb, windows.shape[:-1] + (-1,))
     pooled = ad.max_reduce(matmul(unfolded, p.conv_w), axis=-2)
@@ -205,11 +202,8 @@ class HighwayLayer:
 
 def highway(x: Tensor, layers: Sequence[HighwayLayer]) -> Tensor:
     """Gated residual stack, per layer y' = t * relu(y W_h + b_h) + (1 - t) * y
-    with the gate t = sigmoid(y W_g + b_g), as one ``ad.highway`` node.
-    Raises ``ShapeError`` when ``x``'s width is not the parameters' width."""
-    width = layers[0].gate_w.shape[0]
-    if x.shape[-1] != width:
-        raise ShapeError(f"highway: width {x.shape[-1]} != params width {width}")
+    with the gate t = sigmoid(y W_g + b_g), as one ``ad.highway`` node, which
+    raises ``ShapeError`` when ``x``'s width is not the parameters' width."""
     return ad.highway(x, [(layer.gate_w, layer.gate_b, layer.trans_w, layer.trans_b)
                           for layer in layers])
 

@@ -113,8 +113,10 @@ class ModelConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"unknown dtype {self.dtype!r}")
-        if self.max_span_len < 0:
-            raise ValueError(f"max_span_len must be >= 0, got {self.max_span_len}")
+        for name in ("word_dim", "char_dim", "char_filters", "max_span_len"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @property
     def np_dtype(self):

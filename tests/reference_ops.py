@@ -1,0 +1,71 @@
+"""Ops that only the tests use, built on the autodiff core's ``_make``.
+
+The model calls fused ops (``highway``, ``bigru``, ...). The test
+references that those ops are checked against compose them from these
+primitives instead, so they live beside the tests rather than in
+``hopqa.autodiff``. Each is its forward, its backward closure and one
+``_make`` call, which decides grad mode as it does for the core's ops.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from hopqa.autodiff import (
+    ShapeError,
+    Tensor,
+    _accum,
+    _broadcast_check,
+    _make,
+    _stable_sigmoid,
+    _unbroadcast,
+)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _broadcast_check(a.shape, b.shape, "sub")
+    out = a.data - b.data
+
+    def bwd(g):
+        _accum(a, _unbroadcast(g, a.shape))
+        _accum(b, _unbroadcast(-g, b.shape))
+
+    return _make(out, (a, b), bwd)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = _stable_sigmoid(x.data)
+
+    def bwd(g):
+        _accum(x, g * out * (1.0 - out))
+
+    return _make(out, (x,), bwd)
+
+
+def tanh(x: Tensor) -> Tensor:
+    out = np.tanh(x.data)
+
+    def bwd(g):
+        _accum(x, g * (1.0 - out * out))
+
+    return _make(out, (x,), bwd)
+
+
+def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """Contiguous slice of ``length`` entries along ``axis``."""
+    ax = axis if axis >= 0 else axis + x.ndim
+    if not 0 <= ax < x.ndim:
+        raise ShapeError(f"narrow: axis {axis} out of range for shape {x.shape}")
+    if start < 0 or length < 0 or start + length > x.shape[ax]:
+        raise ShapeError(f"narrow: window [{start}, {start + length}) exceeds axis "
+                         f"{ax} of shape {x.shape}")
+    idx: list = [slice(None)] * x.ndim
+    idx[ax] = slice(start, start + length)
+    out = x.data[tuple(idx)]
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        gx[tuple(idx)] = g
+        _accum(x, gx)
+
+    return _make(out, (x,), bwd)

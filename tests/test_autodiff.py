@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,18 +27,16 @@ from hopqa.autodiff import (
     gather_rows,
     matmul,
     max_reduce,
-    narrow,
     no_grad,
     parameter,
     reduce_sum,
     relu,
     reshape,
-    sigmoid,
     softmax,
-    tanh,
     tensor,
     transpose,
 )
+from reference_ops import narrow, sigmoid, sub, tanh
 
 
 def naive_matmul(a, b):
@@ -482,7 +481,7 @@ _SELF_ATT = [_RNG.standard_normal(s) for s in ((4, 1), (4, 1), (16, 4), (4,))]
 # each op, its float inputs made into tensors by ``leaf``
 _OPS = {
     "add": lambda leaf: ad.add(leaf(_A), leaf(_B)),
-    "sub": lambda leaf: ad.sub(leaf(_A), leaf(_B)),
+    "sub": lambda leaf: sub(leaf(_A), leaf(_B)),
     "mul": lambda leaf: ad.mul(leaf(_A), leaf(_B)),
     "sigmoid": lambda leaf: sigmoid(leaf(_A)),
     "tanh": lambda leaf: tanh(leaf(_A)),
@@ -532,6 +531,46 @@ def test_grad_mode_is_decided_only_in_make():
                 callers[node.func.id].add(top.name)
     assert callers == {"_tracking": {"_make", "highway", "bigru"},
                        "Tensor": {"tensor", "_as_tensor", "_make"}}
+
+
+def _autodiff_names(tree: ast.Module) -> set[str]:
+    """The names a module takes from autodiff: imported from it, or read as
+    attributes of the module."""
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "autodiff":
+                names |= {a.name for a in node.names}
+            elif node.module is None:
+                aliases |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases:
+            names.add(node.attr)
+    return names
+
+
+def test_every_op_in_the_core_is_used_by_the_package():
+    # an op is a public function that makes a node with _make, itself or
+    # through private helpers (dropout through _drop); ops only tests use
+    # belong in tests/reference_ops.py
+    calls = {top.name: {n.func.id for n in ast.walk(top)
+                        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+             for top in ast.parse(inspect.getsource(ad)).body
+             if isinstance(top, ast.FunctionDef)}
+
+    def makes(name: str, seen: frozenset) -> bool:
+        return "_make" in calls[name] or any(
+            c.startswith("_") and c in calls and c not in seen and makes(c, seen | {c})
+            for c in calls[name])
+
+    ops = {name for name in calls if not name.startswith("_") and makes(name, frozenset())}
+    assert {"add", "dropout", "bigru", "self_attention"} <= ops
+    used: set[str] = set()
+    for path in Path(ad.__file__).parent.glob("*.py"):
+        if path.name != "autodiff.py":
+            used |= _autodiff_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(ops - used) == []
 
 
 def test_no_grad_holds_in_its_own_thread_only():
@@ -613,7 +652,7 @@ def test_backward_frees_interior_grads():
     x = parameter([[1.0, 2.0]])
     w = parameter([[1.0], [1.0]])
     y = matmul(x, w)
-    h = ad.tanh(y)
+    h = tanh(y)
     loss = reduce_sum(ad.mul(h, y))
     backward(loss)
     assert all(t.grad is None for t in (y, h, loss))

@@ -249,7 +249,13 @@ def _squad_with(where: str, key: str, value) -> dict:
     (_squad_with("answer", "text", 5), "question 'q2' answer: field 'text'"),
     (_squad_with("para", "context", 5), "article 0 paragraph 0: field 'context'"),
     (_squad_with("qa", "question", 7), "question 'q2': field 'question'"),
-], ids=["numeric_answer_text", "numeric_context", "numeric_question"])
+    ([_squad_payload()], "squad.json: field 'top-level JSON' must be a dict"),
+    ({"data": {"0": {}}}, "squad.json: field 'data' must be a list"),
+    ({"data": [[]]}, r"squad.json: field 'data\[0\]' must be a dict"),
+    ({"data": [{"paragraphs": {}}]}, "article 0: field 'paragraphs' must be a list"),
+    (_squad_with("para", "qas", 3), "article 0 paragraph 0: field 'qas' must be a list"),
+], ids=["numeric_answer_text", "numeric_context", "numeric_question", "list_top_level",
+        "dict_data", "list_article", "dict_paragraphs", "numeric_qas"])
 def test_squad_wrong_typed_field_raises_data_error(tmp_path, payload, match):
     path = tmp_path / "squad.json"
     path.write_text(json.dumps(payload))

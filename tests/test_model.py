@@ -774,7 +774,9 @@ def test_negative_max_span_len_is_rejected():
     assert ModelConfig(max_span_len=0).max_span_len == 0
 
 
-@pytest.mark.parametrize("field, value", [("d", 0), ("max_word_len", CHAR_KERNEL - 1)])
+@pytest.mark.parametrize("field, value", [("d", 0), ("max_word_len", CHAR_KERNEL - 1),
+                                          ("word_dim", -1), ("char_dim", -1),
+                                          ("char_filters", -1)])
 def test_sizes_the_model_cannot_run_are_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= .*got {value}"):
         ModelConfig(**{field: value})
