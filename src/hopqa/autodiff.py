@@ -20,22 +20,24 @@ activations only when they will be used.
 A backward closure may hand the same array object to several consumers,
 so ``backward`` sums in place only into arrays it owns (see ``Tensor``).
 
-``bigru`` and ``self_attention`` use a pool of worker threads made on first
-use (``_workers``). Their forwards split work over it. Their backwards hand
-GEMMs to it as pending gradient contributions (``_accum``), which
-``backward`` sums in arrival order while it goes on with other nodes.
-Workers run numpy only; they never make a ``Tensor`` or touch a ``grad``,
-and every array a worker writes, or reads as a copy, is allocated by the
-calling thread and passed in. Grad mode is per thread, so callers in
+``bigru`` and ``self_attention`` hand tasks to a pool made on first use
+(``_workers``). The calling thread is one of the threads that compute: the
+pool has one worker fewer, and a thread that waits for a task no worker
+has started runs it itself. Their forwards split work into tasks. Their
+backwards hand GEMMs over as pending gradient contributions (``_accum``),
+which ``backward`` sums in arrival order while it goes on with other
+nodes. Tasks run numpy only; they never make a ``Tensor`` or touch a
+``grad``, and every array a task writes, or reads as a copy, is allocated
+by the calling thread and passed in. Grad mode is per thread, so callers in
 several threads may each run ``no_grad`` blocks.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -84,22 +86,108 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
-_pool: ThreadPoolExecutor | None = None
+class _Task:
+    """A call handed to the pool (``_submit``). A thread that waits for its
+    outcome (``result``, ``exception``) takes it out of the queue and runs
+    it if no worker has started it, and otherwise waits for the worker. Once
+    it has run, it holds only its outcome."""
+
+    __slots__ = ("_call", "_pool", "_finished", "_value", "_error")
+
+    def __init__(self, fn: Callable, args: tuple, pool: _Pool | None):
+        self._call: tuple | None = (fn, args)
+        self._pool = pool
+        self._finished = threading.Event()
+        self._value = self._error = None
+
+    def _run(self) -> None:
+        (fn, args), self._call = self._call, None
+        try:
+            self._value = fn(*args)
+        except BaseException as e:      # handed to whoever waits
+            self._error = e
+        del fn, args                    # before a waiter may go on
+        self._finished.set()
+
+    def done(self) -> bool:
+        return self._finished.is_set()
+
+    def exception(self, timeout: float | None = None) -> BaseException | None:
+        if not self.done() and self._pool is not None and self._pool._take(self):
+            self._run()
+        if not self._finished.wait(timeout):
+            raise TimeoutError("task still running")
+        return self._error
+
+    def result(self, timeout: float | None = None):
+        error = self.exception(timeout)
+        if error is not None:
+            raise error
+        return self._value
+
+
+class _Pool:
+    """Worker threads that run queued tasks first in, first out."""
+
+    def __init__(self, n_workers: int):
+        self._queue: collections.deque[_Task] = collections.deque()
+        self._ready = threading.Condition()
+        for i in range(n_workers):
+            threading.Thread(target=self._work, args=(i + 1,), daemon=True,
+                             name=f"hopqa-worker-{i}").start()
+
+    def submit(self, fn: Callable, *args) -> _Task:
+        task = _Task(fn, args, self)
+        with self._ready:
+            self._queue.append(task)
+            self._ready.notify()
+        return task
+
+    def _take(self, task: _Task) -> bool:
+        """Whether ``task`` was still queued; it is not any more."""
+        with self._ready:
+            try:
+                self._queue.remove(task)
+            except ValueError:
+                return False
+        return True
+
+    def _work(self, slot: int) -> None:
+        _slot.index = slot
+        while True:
+            with self._ready:
+                while not self._queue:
+                    self._ready.wait()
+                task = self._queue.popleft()
+            task._run()
+            del task                    # hold nothing while idle
+
+
+class _Slot(threading.local):
+    index = 0       # 0 in a calling thread, i in pool worker i (from 1)
+
+
+_slot = _Slot()
+_pool: _Pool | None = None
 _pool_size = 0
 _pool_lock = threading.Lock()
 
 
-def _workers() -> tuple[ThreadPoolExecutor, int]:
-    """The worker pool and its size, made on first use: one thread per CPU
-    this process may run on, at most two. It assumes BLAS runs one thread, as
-    a pool worker and a BLAS thread would otherwise compete for one core."""
+def _workers() -> tuple[_Pool, int]:
+    """The pool and the number of threads that compute, made on first use:
+    one per CPU this process may run on, at most two. The thread that waits
+    for a task is one of them, so the pool has one worker fewer, and none on
+    one CPU; there every task runs in the thread that waits for it. It
+    assumes BLAS runs one thread, as a worker and a BLAS thread would
+    otherwise compete for one core. A task may run in any of them, and
+    ``_slot.index`` tells which, from 0 to the count less one."""
     global _pool, _pool_size
     with _pool_lock:
         if _pool is None:
             cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
                 else os.cpu_count() or 1
             _pool_size = min(2, cpus)
-            _pool = ThreadPoolExecutor(_pool_size, thread_name_prefix="hopqa-worker")
+            _pool = _Pool(_pool_size - 1)
         return _pool, _pool_size
 
 
@@ -114,27 +202,36 @@ if hasattr(os, "register_at_fork"):     # absent where processes cannot fork
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _submit(pool: ThreadPoolExecutor | None, fn: Callable, *args) -> Future:
-    """Run ``fn(*args)`` on ``pool`` under the caller's numpy error handling,
-    which numpy keeps per thread, or, without a pool, now in this thread."""
-    if pool is None:
-        done: Future = Future()
-        done.set_result(fn(*args))
-        return done
+def _submit(pool: _Pool | None, fn: Callable, *args) -> _Task:
+    """Queue ``fn(*args)`` on ``pool`` under the caller's numpy error
+    handling, which numpy keeps per thread, or, without a pool, run it now
+    in this thread. ``fn`` writes arrays the caller allocated; the task
+    keeps no result, so once it has run it holds none of them."""
     errors = np.geterr()
 
-    def task():
+    def call() -> None:
         with np.errstate(**errors):
-            return fn(*args)
+            fn(*args)
 
-    return pool.submit(task)
+    if pool is None:
+        task = _Task(call, (), None)
+        task._run()
+        return task
+    return pool.submit(call)
 
 
-def _join(futures: Sequence[Future]) -> None:
-    """Wait for every task, then raise the first task's error, if any, so no
-    task still writes the caller's arrays once the caller sees an error."""
-    errors = [f.exception() for f in futures]
-    for e in errors:
+def _finish(tasks: Sequence[_Task]) -> list[BaseException | None]:
+    """Wait for every task, the last first, running in this thread each one
+    that no worker has started (workers take the first first), and return
+    their errors in task order."""
+    return [t.exception() for t in reversed(tasks)][::-1]
+
+
+def _join(tasks: Sequence[_Task]) -> None:
+    """Wait for every task as ``_finish`` does, then raise the first task's
+    error, if any, so no task still writes the caller's arrays once the
+    caller sees an error."""
+    for e in _finish(tasks):
         if e is not None:
             raise e
 
@@ -229,27 +326,26 @@ def _make(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
 class _Sum:
     """A gradient while the sweep sums it: the sum of the contributions
     folded so far, whether the sweep owns that array, and the contributions
-    after them as ``(array, task)`` pairs in arrival order, ``task`` being
-    None for an array that is ready."""
+    after them as ``(array, tasks)`` pairs in arrival order, ``tasks`` being
+    the tasks that still fill the array, none for an array that is ready."""
 
     __slots__ = ("acc", "owned", "pending")
 
     def __init__(self, acc: np.ndarray | None):
         self.acc = acc
         self.owned = False
-        self.pending: list[tuple[np.ndarray, Future | None]] = []
+        self.pending: list[tuple[np.ndarray, tuple[_Task, ...]]] = []
 
     def fold(self, block: bool) -> None:
-        """Add the pending contributions in order, up to the first whose task
-        is still running, or, with ``block``, all of them. A task's error is
-        raised here."""
+        """Add the pending contributions in order, up to the first whose
+        tasks are not all done, or, with ``block``, all of them. A task's
+        error is raised here."""
         done = 0
-        for g, task in self.pending:
-            if task is not None:
-                if not (block or task.done()):
-                    break
-                task.result()
-            self.acc, self.owned = _add(self.acc, self.owned, g, task is not None)
+        for g, tasks in self.pending:
+            if not (block or all(t.done() for t in tasks)):
+                break
+            _join(tasks)
+            self.acc, self.owned = _add(self.acc, self.owned, g, bool(tasks))
             done += 1
         del self.pending[:done]
 
@@ -267,20 +363,20 @@ def _add(acc, acc_owned: bool, g, g_owned: bool):
     return total, isinstance(total, np.ndarray)
 
 
-def _accum(t: Tensor, g: np.ndarray, task: Future | None = None) -> None:
-    """Add ``g`` to ``t.grad``. With ``task``, a handle from ``_submit``,
+def _accum(t: Tensor, g: np.ndarray, *tasks: _Task) -> None:
+    """Add ``g`` to ``t.grad``. With ``tasks``, handles from ``_submit``,
     ``g`` is an array the closure allocated for ``t`` alone (or a column
-    slice of one) that the task is still filling; it is added once the task
-    is done, in its place among ``t``'s contributions."""
+    slice of one) that the tasks are still filling; it is added once they
+    are done, in its place among ``t``'s contributions."""
     if not t.requires_grad:
         return
     s = t.grad
-    if s is None and task is None:
+    if s is None and not tasks:
         t.grad = g
         return
     if not isinstance(s, _Sum):
         s = t.grad = _Sum(s)
-    s.pending.append((g, task))
+    s.pending.append((g, tasks))
     s.fold(block=False)
 
 
@@ -705,6 +801,17 @@ def highway(x: Tensor, layers: Sequence[Sequence[Tensor]]) -> Tensor:
 BIGRU_CHUNK = 256
 
 
+class _Sweep(threading.local):
+    """Per thread, the tasks of each BiGRU backward in the running
+    ``backward``, oldest first."""
+
+    def __init__(self):
+        self.bigru_tasks: collections.deque[list[_Task]] = collections.deque()
+
+
+_sweep = _Sweep()
+
+
 def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
           bw: Sequence[Tensor | Sequence[Tensor]], mask: np.ndarray | None = None) -> Tensor:
     """Bidirectional GRU over axis -2 as a single graph node.
@@ -738,27 +845,33 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
     direction. The scratch past L_n is written as zeros, since a masked
     step multiplies its input by 0 and whatever the input holds there (NaN
     too) would otherwise reach the state. When T spans more than one chunk,
-    the projection runs on the worker pool (``_workers``), one task per
-    direction: while the step loop reads chunk c from one of two chunk
-    buffers, the tasks fill the other with chunk c + 1, and the loop waits
-    for both tasks at each chunk boundary. With one chunk there is nothing
-    to overlap, and the calling thread projects it. The chunk buffers and
-    each task's GEMM outputs are allocated here and passed in; a task
-    computes what the calling thread would, so the output does not depend
-    on where it ran. The gate activations are kept
-    for every step only when tracking. The backward walks the steps once
-    in reverse with the mask folded into local derivatives computed for
-    all steps at once, then gets the input and weight gradients from a few
-    GEMMs over all steps; it assumes the input is finite everywhere. The
-    calling thread keeps the local derivatives, the reverse loop and the
-    layout of the gate gradients ``da``. When T spans more than one chunk,
-    the GEMMs run on the pool as pending contributions (``_accum``): one
-    task per direction for ``dW_h``, one per input part for
-    ``da @ w_x[rows_k]^T``, one for ``dw_x`` and one for the biases, and the
-    sweep goes on with other nodes while they run. This thread allocates
-    every array a task writes or reads as a copy, and ``backward`` sums
-    contributions in arrival order, so the gradients do not depend on where
-    the tasks ran.
+    the projection runs as tasks on the pool (``_workers``), one per
+    direction and sequence: while the step loop reads chunk c from one of
+    two chunk buffers, the tasks fill the other with chunk c + 1, and at
+    each chunk boundary the loop projects, last first, the sequences that
+    the worker has not reached, and waits for the ones it has. With one
+    chunk there is nothing to overlap, and the calling thread projects it.
+    The chunk buffers, and a GEMM product and addend per computing thread,
+    are allocated here and passed in; a task computes what the calling
+    thread would, so the output does not depend on where it ran. The gate
+    activations are kept for every step only when tracking. The backward
+    walks the steps once in reverse with the mask folded into local
+    derivatives computed for all steps at once, then gets the input and
+    weight gradients from a few GEMMs over all steps; it assumes the input
+    is finite everywhere. The calling thread keeps the local derivatives,
+    the reverse loop and the layout of the gate gradients ``da``. When T
+    spans more than one chunk, the GEMMs run on the pool as pending
+    contributions (``_accum``): one task per direction for ``dW_h``, one per
+    input part for ``da @ w_x[rows_k]^T`` and for ``dw_x``'s rows
+    ``part_k^T @ da``, and one for the biases, and the sweep goes on with
+    other nodes while they run. This thread allocates every array a task
+    writes or reads as a copy, and
+    ``backward`` sums contributions in arrival order, so the gradients do
+    not depend on where the tasks ran. The queued tasks hold the gate
+    gradients and states they read, so before allocating its own arrays, a
+    BiGRU backward finishes (runs or waits for) the tasks of the BiGRU
+    backward two before it in the sweep; a sweep then holds the arrays of
+    at most two such backwards.
     """
     parts = [x] if isinstance(x, Tensor) else list(x)
     if not parts:
@@ -813,39 +926,41 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
 
     xs = [p.data.reshape(n_seq, t_len, w) for p, w in zip(parts, widths)]
     chunk = min(t_len, BIGRU_CHUNK)
+    # with one chunk there is no step loop to overlap, so it is projected here
+    pool, size = _workers() if t_len > chunk else (None, 1)
     # two chunks of projected input, one read by the step loop while the
-    # pool fills the other, and per direction a GEMM product and addend
+    # pool fills the other, and per computing thread a GEMM product and addend
     x_zr = np.empty((2, chunk, 2, n_seq, 2 * hid), dtype=dtype)
     x_n = np.empty((2, chunk, 2, n_seq, hid), dtype=dtype)
-    prods = np.empty((2, 2, chunk, 3 * hid), dtype=dtype)
+    prods = np.empty((size, 2, chunk, 3 * hid), dtype=dtype)
 
-    def project(d: int, s0: int, s1: int, buf: int) -> None:
-        """Steps [s0, s1) of direction d into chunk scratch ``buf``."""
+    def project(d: int, n: int, s0: int, s1: int, buf: int) -> None:
+        """Steps [s0, s1) of direction d and sequence n into chunk scratch
+        ``buf``."""
         c = s1 - s0
         ws, bias = proj[d]
-        acc, term = prods[d]
-        zr, xn = x_zr[buf, :, d], x_n[buf, :, d]
-        # the chunk's positions are [lo, lo + c); a sequence's real ones
+        acc, term = prods[_slot.index]
+        zr, xn = x_zr[buf, :, d, n], x_n[buf, :, d, n]
+        # the chunk's positions are [lo, lo + c); the sequence's real ones
         # fill the first k steps forward and the last k steps backward
         lo = s0 if d == 0 else t_len - s1
-        for n, end in enumerate(ends):
-            k = min(max(end - lo, 0), c)
-            dst, pad = (slice(0, k), slice(k, c)) if d == 0 else \
-                (slice(c - k, c), slice(0, c - k))
-            if k < c:
-                zr[pad, n] = 0.0
-                xn[pad, n] = 0.0
-            if k:
-                p = np.matmul(xs[0][n, lo:lo + k], ws[0], out=acc[:k])
-                for xk, wk in zip(xs[1:], ws[1:]):
-                    p += np.matmul(xk[n, lo:lo + k], wk, out=term[:k])
-                if d:
-                    p = p[::-1]
-                np.add(p[:, :2 * hid], bias[:2 * hid], out=zr[dst, n])
-                np.add(p[:, 2 * hid:], bias[2 * hid:], out=xn[dst, n])
+        k = min(max(ends[n] - lo, 0), c)
+        dst, pad = (slice(0, k), slice(k, c)) if d == 0 else (slice(c - k, c), slice(0, c - k))
+        if k < c:
+            zr[pad] = 0.0
+            xn[pad] = 0.0
+        if k:
+            p = np.matmul(xs[0][n, lo:lo + k], ws[0], out=acc[:k])
+            for xk, wk in zip(xs[1:], ws[1:]):
+                p += np.matmul(xk[n, lo:lo + k], wk, out=term[:k])
+            if d:
+                p = p[::-1]
+            np.add(p[:, :2 * hid], bias[:2 * hid], out=zr[dst])
+            np.add(p[:, 2 * hid:], bias[2 * hid:], out=xn[dst])
 
-    def submit(s0: int, buf: int) -> list[Future]:
-        return [_submit(pool, project, d, s0, min(s0 + chunk, t_len), buf) for d in (0, 1)]
+    def submit(s0: int, buf: int) -> list[_Task]:
+        s1 = min(s0 + chunk, t_len)
+        return [_submit(pool, project, d, n, s0, s1, buf) for d in (0, 1) for n in range(n_seq)]
 
     tracking = _tracking(*parts, *weights)
     kept = t_len if tracking else 1
@@ -853,8 +968,6 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
     nn = np.empty((kept, 2, n_seq, hid), dtype=dtype)
     out = np.empty((n_seq, t_len, 2 * hid), dtype=dtype)
     h = np.zeros((2, n_seq, hid), dtype=dtype)
-    # with one chunk there is no step loop to overlap, so it is projected here
-    pool = _workers()[0] if t_len > chunk else None
     tasks = submit(0, 0)
     for s in range(t_len):
         i = s % chunk
@@ -880,6 +993,12 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
     result = out.reshape(lead + (2 * hid,))
 
     def bwd(g):
+        # Bound the pool's backlog: finish the tasks of the BiGRU backward
+        # two before this one in the sweep, which hold its gate gradients
+        # and states, before allocating this one's.
+        backlog = _sweep.bigru_tasks
+        while len(backlog) > 1:
+            _finish(backlog.popleft())
         gdt = np.result_type(g, dtype)
         g3 = g.reshape(n_seq, t_len, 2 * hid)
         g_out = np.empty((t_len, 2, n_seq, hid), dtype=gdt)
@@ -930,9 +1049,18 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
         # The GEMMs run as tasks. The dW_h ones go first, as they are short
         # and hold the direction-major arrays; then the input gradients, the
         # last part's first, as the sweep reaches the newest part soonest;
-        # then dw_x and the biases, which only the sweep's end waits for.
+        # then dw_x, by row blocks, and the biases, which only the sweep's
+        # end waits for. Per part, no task is long enough to keep a thread
+        # that finishes the backlog waiting for long.
         # Every array a task writes, or reads as a copy, is made here.
         pool = _workers()[0] if t_len > chunk else None
+        tasks: list[_Task] = []
+        backlog.append(tasks)
+
+        def queue_task(fn: Callable, *args) -> _Task:
+            tasks.append(_submit(pool, fn, *args))
+            return tasks[-1]
+
         flat = da.reshape(-1, 6 * hid)
         w_rows = np.split(np.concatenate([fw_x, bw_x], axis=1), splits)
         need_wx, need_wh, need_b = (any(t.requires_grad for cell in blocks for t in cell[i])
@@ -942,29 +1070,29 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
             for d in (0, 1):
                 buf = np.empty((hid, 3 * hid), dtype=gdt)
                 rh = np.multiply(r[:, d], h_dir[d]).reshape(-1, hid)
-                dw_h.append((buf, _submit(pool, _gemms_into, buf, [
+                dw_h.append((buf, queue_task(_gemms_into, buf, [
                     (h_dir[d].reshape(-1, hid), da_zr_dir[d].reshape(-1, 2 * hid)),
                     (rh, da_n_dir[d].reshape(-1, hid))], 1)))
         dx: list = [None] * len(parts)
         for k in reversed(range(len(parts))):
             if parts[k].requires_grad:
                 buf = np.empty(parts[k].shape, dtype=gdt)
-                dx[k] = buf, _submit(pool, np.matmul, da, w_rows[k].T,
-                                     buf.reshape(n_seq, t_len, widths[k]))
+                dx[k] = buf, queue_task(np.matmul, da, w_rows[k].T,
+                                        buf.reshape(n_seq, t_len, widths[k]))
         if need_wx:
             buf = np.empty((d_in, 6 * hid), dtype=gdt)
-            dw_x = buf, _submit(pool, _gemms_into, buf,
-                                [(xk.reshape(-1, xk.shape[-1]), flat) for xk in xs], 0)
+            dw_x = buf, [queue_task(np.matmul, xk.reshape(-1, xk.shape[-1]).T, flat, rows)
+                         for xk, rows in zip(xs, np.split(buf, splits))]
         if need_b:
             buf = np.empty(6 * hid, dtype=gdt)
-            db = buf, _submit(pool, np.sum, flat, 0, None, buf)
+            db = buf, queue_task(np.sum, flat, 0, None, buf)
         for p, g_task in zip(parts, dx):       # in part order, as a serial sum
             if g_task is not None:
                 _accum(p, *g_task)
         for d, (bx, bh, bb) in enumerate(blocks):
             cols = slice(3 * hid * d, 3 * hid * (d + 1))
             if need_wx:
-                _accum_blocks(bx, dw_x[0][:, cols], dw_x[1])
+                _accum_blocks(bx, dw_x[0][:, cols], *dw_x[1])
             if need_wh:
                 _accum_blocks(bh, *dw_h[d])
             if need_b:
@@ -982,14 +1110,20 @@ def _join_blocks(blocks: list[Tensor]) -> np.ndarray:
     return np.concatenate([t.data for t in blocks], axis=-1)
 
 
-def _accum_blocks(blocks: list[Tensor], g: np.ndarray, task: Future | None = None) -> None:
+def _accum_blocks(blocks: list[Tensor], g: np.ndarray, *tasks: _Task) -> None:
     """Give each of ``blocks`` its columns of ``g``, the gradient of their
-    join, which ``task``, if given, is still filling (see ``_accum``)."""
+    join, which ``tasks``, if given, are still filling (see ``_accum``)."""
     ofs = 0
     for t in blocks:
         n = t.shape[-1]
-        _accum(t, g[..., ofs:ofs + n], task)
+        _accum(t, g[..., ofs:ofs + n], *tasks)
         ofs += n
+
+
+def _rows(buf: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The first n * width entries of the flat ``buf`` as a C-contiguous
+    (n, width) array, the layout the GEMMs write without a copy."""
+    return buf[:n * width].reshape(n, width)
 
 
 def _gemms_into(out: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -1038,10 +1172,12 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
     see it: a block is the one GEMM [K, 1] @ [K, b]^T with b = K w_u, a is
     added to the row maxima only, and its gradient is that of m.
 
-    When T exceeds ``ATTENTION_BLOCK``, the forward runs on the worker pool
-    (``_workers``), one task per worker; with n workers, task j takes
-    sequences j, j + n, ... Shorter sequences are too little work to hand
-    over, and the calling thread runs them as one task. A task makes each of
+    When T exceeds ``ATTENTION_BLOCK``, the forward runs as tasks on the
+    pool (``_workers``), one per computing thread, the calling thread
+    included; with n of them, task j takes sequences j, j + n, ... and the
+    calling thread runs the ones no worker has started. Shorter sequences
+    are too little work to hand over, and the calling thread runs them as
+    one task. A task makes each of
     its sequences' c2q, q2c and out rows, the four projection terms added in
     the order above. This thread allocates every array a task writes: c2q
     and out, and per task [K, 1], [K, b], a block of S, its [P K, row sums]
@@ -1051,7 +1187,12 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
     backward recomputes M * q2c. Under the same length rule, it hands the
     four row-block GEMMs of ``proj_w``'s gradient and ``proj_b``'s column
     sums to the pool as pending contributions (``_accum``), on arrays
-    allocated here; the rest of it runs in the calling thread.
+    allocated here, and runs its per-sequence part as one task per
+    sequence. Each task works in the scratch of the computing thread that
+    runs it, allocated here, adds its sequence's gradient into the input's
+    and writes its ``w_h`` and ``w_u`` terms to its own rows, which this
+    thread sums in sequence order, so the gradients do not depend on where
+    the tasks ran.
     """
     if M.ndim < 2:
         raise ShapeError(f"self_attention: input must be at least rank 2, got {M.shape}")
@@ -1112,7 +1253,7 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
             lse = np.empty(n, dtype=dtype)
             ck = row_buf[:n]
             for r0, r1 in blocks(n):
-                s = np.matmul(lk[r0:r1], rk.T, out=s_buf[:(r1 - r0) * n].reshape(r1 - r0, n))
+                s = np.matmul(lk[r0:r1], rk.T, out=_rows(s_buf, r1 - r0, n))
                 at = s.argmax(axis=1)
                 peak = s[np.arange(r1 - r0), at]
                 if not np.isfinite(peak).all() or not np.isfinite(s.min()):
@@ -1137,8 +1278,9 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
             oi += np.matmul(np.multiply(xi, q2c[i], out=row_buf), p_w[3], out=prod)
             oi += proj_b.data
 
-    # one task per worker, taking every n_tasks-th sequence, with scratch
-    # allocated here; sequences of one block are too little work to hand over
+    # one task per computing thread, taking every n_tasks-th sequence, with
+    # scratch allocated here; sequences of one block are too little work to
+    # hand over
     pool, size = _workers() if t_len > ATTENTION_BLOCK else (None, 1)
     n_tasks = min(size, n_seq)
     block = min(ATTENTION_BLOCK, t_len)
@@ -1157,7 +1299,7 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
         x2 = x.reshape(-1, width)
         c2q2 = c2q.reshape(-1, width)
         # the projection's weight gradients run as tasks, on arrays made here
-        pool = _workers()[0] if t_len > ATTENTION_BLOCK else None
+        pool, size = _workers() if t_len > ATTENTION_BLOCK else (None, 1)
         if proj_w.requires_grad:
             dp_w = np.empty((4 * width, w_out), dtype=gdt)
             mq = (x * q2c[:, None]).reshape(-1, width)
@@ -1175,37 +1317,54 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
         del d_mc, d_mq
         d_c2q = d_c2q.reshape(n_seq, t_len, width)
         dx = d_m.reshape(n_seq, t_len, width)
-        dw_h = np.zeros(width, dtype=gdt)
-        dw_u = np.zeros(width, dtype=gdt)
-        for i, (live, (top_at, lse, beta)) in enumerate(zip(rows, saved)):
+        # one task per sequence, in the scratch of the thread that runs it;
+        # each adds its K gradient into dx and writes its w_h and w_u terms
+        # to its rows of dw, summed here in sequence order
+        dw = np.empty((2, n_seq, width), dtype=gdt)
+        scratch = [(np.empty((2, t_len, width + 1), dtype=dtype),
+                    np.empty((t_len, width + 1), dtype=gdt), np.empty((t_len, width), dtype=gdt),
+                    np.empty(block * t_len, dtype=dtype), np.empty(block * t_len, dtype=gdt),
+                    np.empty(t_len * (width + 1), dtype=gdt)) for _ in range(size)]
+
+        def seq_grads(i: int) -> None:
+            sides_buf, d_right, dk, p_buf, ds_buf, tmp = scratch[_slot.index]
+            live, (top_at, lse, beta) = rows[i], saved[i]
             k = x[i, live]
             n = len(k)
-            left, right = sides(k, *np.empty((2, n, width + 1), dtype=dtype))
+            left, right = sides(k, sides_buf[0, :n], sides_buf[1, :n])
+            d_right, dk = d_right[:n], dk[:n]
             dck = d_c2q[i, live]
-            row_dot = (dck * c2q[i, live]).sum(axis=1)
+            row_dot = np.multiply(dck, c2q[i, live], out=_rows(tmp, n, width)).sum(axis=1)
             # q2c = beta^T K and beta = softmax(m)
             d_beta = k @ d_q2c[i]
             d_top = beta * (d_beta - beta @ d_beta)
-            dk = np.outer(beta, d_q2c[i])
-            d_right = np.zeros((n, width + 1), dtype=gdt)
+            np.outer(beta, d_q2c[i], out=dk)
+            d_right[...] = 0.0
             for r0, r1 in blocks(n):
-                p = left[r0:r1] @ right.T
+                p = np.matmul(left[r0:r1], right.T, out=_rows(p_buf, r1 - r0, n))
                 p -= lse[r0:r1, None]
                 np.exp(p, out=p)
-                ds = dck[r0:r1] @ k.T
-                dk += p.T @ dck[r0:r1]
+                ds = np.matmul(dck[r0:r1], k.T, out=_rows(ds_buf, r1 - r0, n))
+                dk += np.matmul(p.T, dck[r0:r1], out=_rows(tmp, n, width))
                 ds -= row_dot[r0:r1, None]
                 ds *= p
                 ds[np.arange(r1 - r0), top_at[r0:r1]] += d_top[r0:r1]
-                dk[r0:r1] += ds @ k
-                d_right += ds.T @ left[r0:r1]
+                dk[r0:r1] += np.matmul(ds, k, out=_rows(tmp, r1 - r0, width))
+                d_right += np.matmul(ds.T, left[r0:r1], out=_rows(tmp, n, width + 1))
             dk += d_right[:, :width]
             d_b = d_right[:, width]
-            dk += np.outer(d_top, w_hv)
-            dk += np.outer(d_b, w_uv)
-            dw_h += k.T @ d_top
-            dw_u += k.T @ d_b
+            dk += np.outer(d_top, w_hv, out=_rows(tmp, n, width))
+            dk += np.outer(d_b, w_uv, out=_rows(tmp, n, width))
+            np.matmul(k.T, d_top, out=dw[0, i])
+            np.matmul(k.T, d_b, out=dw[1, i])
             dx[i, live] += dk
+
+        _join([_submit(pool, seq_grads, i) for i in range(n_seq)])
+        dw_h = np.zeros(width, dtype=gdt)
+        dw_u = np.zeros(width, dtype=gdt)
+        for i in range(n_seq):
+            dw_h += dw[0, i]
+            dw_u += dw[1, i]
         _accum(M, dx.reshape(M.shape))
         _accum(w_h, dw_h[:, None])
         _accum(w_u, dw_u[:, None])
@@ -1251,12 +1410,14 @@ def backward(loss: Tensor) -> None:
     Gradients accumulate additively when a tensor feeds several consumers,
     summed in the order the contributions arrive, so the result is the
     serial sum ``((g1 + g2) + g3) ...`` bit for bit. A closure may hand a
-    contribution over while a task on the worker pool (``_submit``) still
+    contribution over while a task on the pool (``_submit``) still
     computes it; the sweep goes on to other nodes, folds finished
     contributions as they arrive and waits for a node's pending ones just
-    before its closure runs, and for every leaf's before it returns. So the
+    before its closure runs, and for every leaf's before it returns, running
+    in this thread each pending task that no worker has started. So the
     weight-gradient GEMMs of one node run while the calling thread works
-    through the nodes after it.
+    through the nodes after it, and the sweep never waits for a task queued
+    behind others.
 
     Interior (non-leaf) gradients live only during the sweep: each is
     cleared before it starts and freed once its node has passed it on, so
@@ -1283,9 +1444,11 @@ def backward(loss: Tensor) -> None:
     except BaseException:
         for node in order:
             if isinstance(node.grad, _Sum):
-                wait([task for _, task in node.grad.pending if task is not None])
+                _finish([t for _, tasks in node.grad.pending for t in tasks])
                 node.grad = node.grad.acc
         raise
+    finally:
+        _sweep.bigru_tasks.clear()
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

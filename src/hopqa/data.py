@@ -154,7 +154,8 @@ def _check_type(value, kind: type, where: str, name: str) -> None:
                         f"got {type(value).__name__} {reprlib.repr(value)}")
 
 
-def _example_from_hotpot_record(rec: dict, index: int, stats: LoadStats) -> Example:
+def _example_from_hotpot_record(rec: dict, index: int, stats: LoadStats,
+                                source: str) -> Example:
     try:
         rec_id = str(rec["_id"])
         question = rec["question"]
@@ -162,8 +163,8 @@ def _example_from_hotpot_record(rec: dict, index: int, stats: LoadStats) -> Exam
         context = rec["context"]
         supporting = rec.get("supporting_facts", [])
     except (KeyError, TypeError) as exc:
-        raise DataError(f"record {index}: missing field {exc}") from exc
-    where = f"record {index} ({rec_id!r})"
+        raise DataError(f"{source}: record {index}: missing field {exc}") from exc
+    where = f"{source}: record {index} ({rec_id!r})"
     _check_type(question, str, where, "question")
     _check_type(answer, str, where, "answer")
     _check_type(context, list, where, "context")
@@ -179,8 +180,8 @@ def _example_from_hotpot_record(rec: dict, index: int, stats: LoadStats) -> Exam
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2
                 and isinstance(entry[0], str) and isinstance(entry[1], (list, tuple))
                 and all(isinstance(sent, str) for sent in entry[1])):
-            raise DataError(f"record {index}: context entry {doc_idx} is not "
-                            f"[title, [sentences]]: {entry!r}")
+            raise DataError(f"{where}: context entry {doc_idx} is not "
+                            f"[title, [sentences]]: {reprlib.repr(entry)}")
         title, sentences = entry
         doc_start = len(context_tokens)
         for sid, sent in enumerate(sentences):
@@ -204,7 +205,7 @@ def _example_from_hotpot_record(rec: dict, index: int, stats: LoadStats) -> Exam
             doc, sid = fact
             key = (doc, int(sid))
         except (TypeError, ValueError) as exc:
-            raise DataError(f"record {index}: supporting fact {fact!r} is not "
+            raise DataError(f"{where}: supporting fact {reprlib.repr(fact)} is not "
                             "[title, sentence id]") from exc
         k = by_title_sid.get(key)
         if k is None:
@@ -231,12 +232,14 @@ def _example_from_hotpot_record(rec: dict, index: int, stats: LoadStats) -> Exam
                    sup_labels=sup_labels, gold_sup=gold_sup, answers=[answer_clean])
 
 
-def examples_from_hotpot_records(records: list, stats: LoadStats | None = None
-                                 ) -> tuple[list[Example], LoadStats]:
+def examples_from_hotpot_records(records: list, stats: LoadStats | None = None,
+                                 source: str = "hotpotqa") -> tuple[list[Example], LoadStats]:
+    """Examples from HotpotQA-schema records. A malformed record raises
+    ``DataError`` naming ``source`` (the file, for ``load_hotpotqa``)."""
     stats = stats or LoadStats()
-    if not isinstance(records, list):
-        raise DataError("hotpotqa: top-level JSON must be a list of records")
-    return [_example_from_hotpot_record(r, i, stats) for i, r in enumerate(records)], stats
+    _check_type(records, list, source, "top-level JSON")
+    return [_example_from_hotpot_record(r, i, stats, source)
+            for i, r in enumerate(records)], stats
 
 
 def load_hotpotqa(path: str) -> tuple[list[Example], LoadStats]:
@@ -246,7 +249,7 @@ def load_hotpotqa(path: str) -> tuple[list[Example], LoadStats]:
             records = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}") from exc
-    return examples_from_hotpot_records(records)
+    return examples_from_hotpot_records(records, source=path)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +290,7 @@ def load_squad(path: str) -> tuple[list[Example], LoadStats]:
     for article_idx, article in enumerate(articles):
         _check_type(article, dict, path, f"data[{article_idx}]")
         title = article.get("title", "untitled")
+        _check_type(title, str, f"{path}: article {article_idx}", "title")
         paragraphs = article.get("paragraphs", [])
         _check_type(paragraphs, list, f"{path}: article {article_idx}", "paragraphs")
         for para_idx, para in enumerate(paragraphs):

@@ -29,15 +29,18 @@ over its real positions only, a block of query rows at a time, so no
 T x T array is built in training or evaluation. Its padded rows get a zero
 context-to-query readout; nothing downstream reads them.
 
-Two forwards use a pool of worker threads in ``autodiff``, sized from the
-machine alone: one thread per CPU the process may run on, at most two.
-Each BiGRU projects its next chunk of input, one task per direction, while
-its step loop runs the current one; self-attention runs its sequences
-split over one task per worker. Both do so only for sequences longer than
-one chunk or block (256 positions); shorter ones are too little work to
-hand over, and run in the calling thread. The caller allocates every array
-a worker writes, so the workers' temporaries stay small, and the results
-are bit-identical to a serial run. In the backward, under the same length
+Two forwards hand tasks to a pool in ``autodiff``, sized from the machine
+alone: one computing thread per CPU the process may run on, at most two,
+and the calling thread is one of them. So the pool has one worker thread
+on two CPUs and none on one, and a thread that waits for a task that no
+worker has started runs it itself. Each BiGRU projects its next chunk of
+input, one task per direction and sequence, while its step loop runs the
+current one; self-attention runs its sequences split over one task per
+computing thread. Both do so only for sequences longer than one chunk or
+block (256 positions); shorter ones are too little work to hand over, and
+run in the calling thread. The caller allocates every array a task
+writes, so the worker's temporaries stay small, and the results are
+bit-identical to a serial run. In the backward, under the same length
 rule, each BiGRU hands its input- and weight-gradient GEMMs to the pool,
 and self-attention its projection's weight gradients, while the calling
 thread goes on through the graph; ``ad.backward`` sums each gradient's

@@ -1,9 +1,12 @@
 import ast
+import gc
 import inspect
 import math
 import multiprocessing
+import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -633,6 +636,86 @@ def test_join_waits_for_every_task_before_raising():
     with pytest.raises(ad.NumericError, match="first"):
         ad._join([pool.submit(fail), pool.submit(slow)])
     assert done.is_set()
+
+
+def _blocked_pool():
+    """The pool with its worker, if it has one, held by a task until the
+    returned event is set; the task is returned too."""
+    pool, size = ad._workers()
+    started, release = threading.Event(), threading.Event()
+
+    def hold():
+        started.set()
+        assert release.wait(10)
+
+    blocker = pool.submit(hold)
+    if size > 1:                        # one worker, now busy
+        assert started.wait(10)
+    return pool, release, blocker
+
+
+def test_a_task_no_worker_has_started_runs_in_the_waiting_thread():
+    pool, release, blocker = _blocked_pool()
+    try:
+        ran = pool.submit(lambda: threading.get_ident())
+        failed = pool.submit(lambda: 1 / 0)
+        assert not ran.done() and not failed.done()
+        assert ran.result(10) == threading.get_ident()
+        assert ran.done()
+        assert isinstance(failed.exception(10), ZeroDivisionError)
+        with pytest.raises(ZeroDivisionError):
+            failed.result(10)
+    finally:
+        release.set()
+    assert blocker.result(10) is None
+
+
+def test_join_runs_queued_tasks_in_the_caller_while_the_worker_is_blocked():
+    pool, release, blocker = _blocked_pool()
+    try:
+        tasks = [pool.submit(threading.get_ident) for _ in range(3)]
+        ad._join(tasks)
+        assert [t.result() for t in tasks] == [threading.get_ident()] * 3
+    finally:
+        release.set()
+    blocker.result(10)
+
+
+def test_each_task_runs_once_while_callers_race_the_worker_for_it():
+    # four callers join their own tasks, taking from the back of the queue
+    # what the worker takes from the front; a task taken twice runs twice
+    pool = ad._workers()[0]
+    ran = []
+
+    def caller(c):
+        for r in range(50):
+            ad._join([pool.submit(ran.append, (c, r, j)) for j in range(4)])
+
+    threads = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(ran) == [(c, r, j) for c in range(4) for r in range(50) for j in range(4)]
+
+
+def test_bigru_forward_keeps_no_input_alive_once_it_returns():
+    rng = np.random.default_rng(0)
+    t_len = 2 * ad.BIGRU_CHUNK + 5      # three chunks, two projected ahead
+    parts = [Tensor(rng.standard_normal((2, t_len, 3)).astype(np.float32)) for _ in range(2)]
+    cell = lambda: [constant(rng.standard_normal(s)) for s in ((6, 6), (2, 6), (6,))]
+    refs = [weakref.ref(p.data) for p in parts]
+    out = ad.bigru(parts, cell(), cell())
+    del parts
+    gc.collect()
+    assert out.shape == (2, t_len, 4)
+    assert [r() for r in refs] == [None, None]
 
 
 def test_backward_twice_gives_same_leaf_grads():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -121,24 +122,37 @@ def _hotpot_with(field: str, value):
     return rec
 
 
-@pytest.mark.parametrize("rec", [
-    _hotpot_with("context", [["Rex"]]),
-    _hotpot_with("context", ["Rex"]),
-    _hotpot_with("supporting_facts", [["Rex"]]),
-    _hotpot_with("supporting_facts", [["Rex", "x"]]),
+def _hotpot_file(tmp_path, payload) -> str:
+    path = tmp_path / "hotpot.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("payload,match", [
+    ([_table_record(), _hotpot_with("context", [["Rex"]])], "record 1"),
+    ([_table_record(), _hotpot_with("context", ["Rex"])], "record 1"),
+    ([_table_record(), _hotpot_with("supporting_facts", [["Rex"]])], "record 1"),
+    ([_table_record(), _hotpot_with("supporting_facts", [["Rex", "x"]])], "record 1"),
+    ([_table_record(), {k: v for k, v in _table_record().items() if k != "context"}],
+     "record 1: missing field 'context'"),
+    ({"data": [_table_record()]}, "field 'top-level JSON' must be a list"),
 ], ids=["entry_without_sentences", "entry_as_string", "fact_without_sentence_id",
-        "fact_with_text_sentence_id"])
-def test_hotpot_malformed_record_raises_data_error(rec):
-    with pytest.raises(DataError, match="record 1"):
-        examples_from_hotpot_records([_table_record(), rec])
+        "fact_with_text_sentence_id", "missing_context", "dict_top_level"])
+def test_hotpot_malformed_record_raises_data_error(tmp_path, payload, match):
+    path = _hotpot_file(tmp_path, payload)
+    with pytest.raises(DataError, match=f"{re.escape(path)}: {match}"):
+        load_hotpotqa(path)
 
 
 @pytest.mark.parametrize("field,value", [
     ("answer", 5), ("answer", None), ("question", 7), ("supporting_facts", 5),
-], ids=["numeric_answer", "null_answer", "numeric_question", "numeric_facts"])
-def test_hotpot_wrong_typed_field_raises_data_error(field, value):
-    with pytest.raises(DataError, match=f"record 1 .*'{field}'"):
-        examples_from_hotpot_records([_table_record(), _hotpot_with(field, value)])
+    ("context", "Rex"),
+], ids=["numeric_answer", "null_answer", "numeric_question", "numeric_facts",
+        "string_context"])
+def test_hotpot_wrong_typed_field_raises_data_error(tmp_path, field, value):
+    path = _hotpot_file(tmp_path, [_table_record(), _hotpot_with(field, value)])
+    with pytest.raises(DataError, match=f"{re.escape(path)}: record 1 .*'{field}'"):
+        load_hotpotqa(path)
 
 
 def test_hotpot_truncated_json_raises(tmp_path):
@@ -254,8 +268,9 @@ def _squad_with(where: str, key: str, value) -> dict:
     ({"data": [[]]}, r"squad.json: field 'data\[0\]' must be a dict"),
     ({"data": [{"paragraphs": {}}]}, "article 0: field 'paragraphs' must be a list"),
     (_squad_with("para", "qas", 3), "article 0 paragraph 0: field 'qas' must be a list"),
+    ({"data": [{"title": 5, "paragraphs": []}]}, "article 0: field 'title' must be a str"),
 ], ids=["numeric_answer_text", "numeric_context", "numeric_question", "list_top_level",
-        "dict_data", "list_article", "dict_paragraphs", "numeric_qas"])
+        "dict_data", "list_article", "dict_paragraphs", "numeric_qas", "numeric_title"])
 def test_squad_wrong_typed_field_raises_data_error(tmp_path, payload, match):
     path = tmp_path / "squad.json"
     path.write_text(json.dumps(payload))
