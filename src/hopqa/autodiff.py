@@ -20,27 +20,25 @@ activations only when they will be used.
 A backward closure may hand the same array object to several consumers,
 so ``backward`` sums in place only into arrays it owns (see ``Tensor``).
 
-``bigru`` and ``self_attention`` hand tasks to a pool made on first use
-(``_workers``). The calling thread is one of the threads that compute: the
-pool has one worker fewer, and a thread that waits for a task no worker
-has started runs it itself. Their forwards split work into tasks. Their
-backwards hand GEMMs over as pending gradient contributions (``_accum``),
-which ``backward`` sums in arrival order while it goes on with other
-nodes. Tasks run numpy only; they never make a ``Tensor`` or touch a
-``grad``, and every array a task writes, or reads as a copy, is allocated
-by the calling thread and passed in. Grad mode is per thread, so callers in
-several threads may each run ``no_grad`` blocks.
+``bigru`` and ``self_attention`` hand tasks to the pool in ``hopqa.pool``,
+which describes the scheduling. Their forwards split work into tasks.
+Their backwards hand GEMMs over as pending gradient contributions
+(``_accum``), which ``backward`` sums in arrival order while it goes on
+with other nodes. Tasks run numpy only; they never make a ``Tensor`` or
+touch a ``grad``, and every array a task writes, or reads as a copy, is
+allocated by the calling thread and passed in. Grad mode is per thread, so
+callers in several threads may each run ``no_grad`` blocks.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
-import os
 import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from . import pool
 
 MASK_FILL = -1e30  # additive bias that zeroes softmax mass at padding
 
@@ -84,156 +82,6 @@ def no_grad():
         yield
     finally:
         _grad_mode.enabled = prev
-
-
-class _Task:
-    """A call handed to the pool (``_submit``). A thread that waits for its
-    outcome (``result``, ``exception``) takes it out of the queue and runs
-    it if no worker has started it, and otherwise waits for the worker. Once
-    it has run, it holds only its outcome."""
-
-    __slots__ = ("_call", "_pool", "_finished", "_value", "_error")
-
-    def __init__(self, fn: Callable, args: tuple, pool: _Pool | None):
-        self._call: tuple | None = (fn, args)
-        self._pool = pool
-        self._finished = threading.Event()
-        self._value = self._error = None
-
-    def _run(self) -> None:
-        (fn, args), self._call = self._call, None
-        try:
-            self._value = fn(*args)
-        except BaseException as e:      # handed to whoever waits
-            self._error = e
-        del fn, args                    # before a waiter may go on
-        self._finished.set()
-
-    def done(self) -> bool:
-        return self._finished.is_set()
-
-    def exception(self, timeout: float | None = None) -> BaseException | None:
-        if not self.done() and self._pool is not None and self._pool._take(self):
-            self._run()
-        if not self._finished.wait(timeout):
-            raise TimeoutError("task still running")
-        return self._error
-
-    def result(self, timeout: float | None = None):
-        error = self.exception(timeout)
-        if error is not None:
-            raise error
-        return self._value
-
-
-class _Pool:
-    """Worker threads that run queued tasks first in, first out."""
-
-    def __init__(self, n_workers: int):
-        self._queue: collections.deque[_Task] = collections.deque()
-        self._ready = threading.Condition()
-        for i in range(n_workers):
-            threading.Thread(target=self._work, args=(i + 1,), daemon=True,
-                             name=f"hopqa-worker-{i}").start()
-
-    def submit(self, fn: Callable, *args) -> _Task:
-        task = _Task(fn, args, self)
-        with self._ready:
-            self._queue.append(task)
-            self._ready.notify()
-        return task
-
-    def _take(self, task: _Task) -> bool:
-        """Whether ``task`` was still queued; it is not any more."""
-        with self._ready:
-            try:
-                self._queue.remove(task)
-            except ValueError:
-                return False
-        return True
-
-    def _work(self, slot: int) -> None:
-        _slot.index = slot
-        while True:
-            with self._ready:
-                while not self._queue:
-                    self._ready.wait()
-                task = self._queue.popleft()
-            task._run()
-            del task                    # hold nothing while idle
-
-
-class _Slot(threading.local):
-    index = 0       # 0 in a calling thread, i in pool worker i (from 1)
-
-
-_slot = _Slot()
-_pool: _Pool | None = None
-_pool_size = 0
-_pool_lock = threading.Lock()
-
-
-def _workers() -> tuple[_Pool, int]:
-    """The pool and the number of threads that compute, made on first use:
-    one per CPU this process may run on, at most two. The thread that waits
-    for a task is one of them, so the pool has one worker fewer, and none on
-    one CPU; there every task runs in the thread that waits for it. It
-    assumes BLAS runs one thread, as a worker and a BLAS thread would
-    otherwise compete for one core. A task may run in any of them, and
-    ``_slot.index`` tells which, from 0 to the count less one."""
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool is None:
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-                else os.cpu_count() or 1
-            _pool_size = min(2, cpus)
-            _pool = _Pool(_pool_size - 1)
-        return _pool, _pool_size
-
-
-def _forget_pool() -> None:
-    # a forked child has none of the parent's threads, and the lock may have
-    # been held by one of them
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):     # absent where processes cannot fork
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _submit(pool: _Pool | None, fn: Callable, *args) -> _Task:
-    """Queue ``fn(*args)`` on ``pool`` under the caller's numpy error
-    handling, which numpy keeps per thread, or, without a pool, run it now
-    in this thread. ``fn`` writes arrays the caller allocated; the task
-    keeps no result, so once it has run it holds none of them."""
-    errors = np.geterr()
-
-    def call() -> None:
-        with np.errstate(**errors):
-            fn(*args)
-
-    if pool is None:
-        task = _Task(call, (), None)
-        task._run()
-        return task
-    return pool.submit(call)
-
-
-def _finish(tasks: Sequence[_Task]) -> list[BaseException | None]:
-    """Wait for every task, the last first, running in this thread each one
-    that no worker has started (workers take the first first), and return
-    their errors in task order."""
-    return [t.exception() for t in reversed(tasks)][::-1]
-
-
-def _join(tasks: Sequence[_Task]) -> None:
-    """Wait for every task as ``_finish`` does, then raise the first task's
-    error, if any, so no task still writes the caller's arrays once the
-    caller sees an error."""
-    for e in _finish(tasks):
-        if e is not None:
-            raise e
 
 
 class Tensor:
@@ -334,20 +182,20 @@ class _Sum:
     def __init__(self, acc: np.ndarray | None):
         self.acc = acc
         self.owned = False
-        self.pending: list[tuple[np.ndarray, tuple[_Task, ...]]] = []
+        self.pending: list[tuple[np.ndarray, tuple[pool.Task, ...]]] = []
 
     def fold(self, block: bool) -> None:
         """Add the pending contributions in order, up to the first whose
         tasks are not all done, or, with ``block``, all of them. A task's
         error is raised here."""
-        done = 0
+        folded = 0
         for g, tasks in self.pending:
-            if not (block or all(t.done() for t in tasks)):
+            if not (block or pool.done(tasks)):
                 break
-            _join(tasks)
+            pool.join(tasks)
             self.acc, self.owned = _add(self.acc, self.owned, g, bool(tasks))
-            done += 1
-        del self.pending[:done]
+            folded += 1
+        del self.pending[:folded]
 
 
 def _add(acc, acc_owned: bool, g, g_owned: bool):
@@ -363,8 +211,8 @@ def _add(acc, acc_owned: bool, g, g_owned: bool):
     return total, isinstance(total, np.ndarray)
 
 
-def _accum(t: Tensor, g: np.ndarray, *tasks: _Task) -> None:
-    """Add ``g`` to ``t.grad``. With ``tasks``, handles from ``_submit``,
+def _accum(t: Tensor, g: np.ndarray, *tasks: pool.Task) -> None:
+    """Add ``g`` to ``t.grad``. With ``tasks``, handles from ``pool.submit``,
     ``g`` is an array the closure allocated for ``t`` alone (or a column
     slice of one) that the tasks are still filling; it is added once they
     are done, in its place among ``t``'s contributions."""
@@ -806,7 +654,7 @@ class _Sweep(threading.local):
     ``backward``, oldest first."""
 
     def __init__(self):
-        self.bigru_tasks: collections.deque[list[_Task]] = collections.deque()
+        self.bigru_tasks: list[list[pool.Task]] = []
 
 
 _sweep = _Sweep()
@@ -844,13 +692,11 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
     ``mask != 0`` (0 if none): one contiguous slice per sequence, chunk and
     direction. The scratch past L_n is written as zeros, since a masked
     step multiplies its input by 0 and whatever the input holds there (NaN
-    too) would otherwise reach the state. When T spans more than one chunk,
-    the projection runs as tasks on the pool (``_workers``), one per
-    direction and sequence: while the step loop reads chunk c from one of
-    two chunk buffers, the tasks fill the other with chunk c + 1, and at
-    each chunk boundary the loop projects, last first, the sequences that
-    the worker has not reached, and waits for the ones it has. With one
-    chunk there is nothing to overlap, and the calling thread projects it.
+    too) would otherwise reach the state. The projection runs as tasks on
+    the pool (``hopqa.pool``), one per direction, sequence and chunk: while
+    the step loop reads chunk c from one of two chunk buffers, the tasks
+    fill the other with chunk c + 1, and at each chunk boundary the loop
+    waits for them (``pool.join``), running those no worker has started.
     The chunk buffers, and a GEMM product and addend per computing thread,
     are allocated here and passed in; a task computes what the calling
     thread would, so the output does not depend on where it ran. The gate
@@ -859,19 +705,17 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
     derivatives computed for all steps at once, then gets the input and
     weight gradients from a few GEMMs over all steps; it assumes the input
     is finite everywhere. The calling thread keeps the local derivatives,
-    the reverse loop and the layout of the gate gradients ``da``. When T
-    spans more than one chunk, the GEMMs run on the pool as pending
-    contributions (``_accum``): one task per direction for ``dW_h``, one per
-    input part for ``da @ w_x[rows_k]^T`` and for ``dw_x``'s rows
-    ``part_k^T @ da``, and one for the biases, and the sweep goes on with
-    other nodes while they run. This thread allocates every array a task
-    writes or reads as a copy, and
-    ``backward`` sums contributions in arrival order, so the gradients do
-    not depend on where the tasks ran. The queued tasks hold the gate
-    gradients and states they read, so before allocating its own arrays, a
-    BiGRU backward finishes (runs or waits for) the tasks of the BiGRU
-    backward two before it in the sweep; a sweep then holds the arrays of
-    at most two such backwards.
+    the reverse loop and the layout of the gate gradients ``da``. The GEMMs
+    run on the pool as pending contributions (``_accum``): one task per
+    direction for ``dW_h``, one per input part for ``da @ w_x[rows_k]^T``
+    and for ``dw_x``'s rows ``part_k^T @ da``, and one for the biases, and
+    the sweep goes on with other nodes while they run. This thread allocates
+    every array a task writes or reads as a copy, and ``backward`` sums
+    contributions in arrival order, so the gradients do not depend on where
+    the tasks ran. The queued tasks hold the gate gradients and states they
+    read, so before allocating its own arrays, a BiGRU backward finishes
+    (runs or waits for) the tasks of the BiGRU backward two before it in the
+    sweep; a sweep then holds the arrays of at most two such backwards.
     """
     parts = [x] if isinstance(x, Tensor) else list(x)
     if not parts:
@@ -926,20 +770,18 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
 
     xs = [p.data.reshape(n_seq, t_len, w) for p, w in zip(parts, widths)]
     chunk = min(t_len, BIGRU_CHUNK)
-    # with one chunk there is no step loop to overlap, so it is projected here
-    pool, size = _workers() if t_len > chunk else (None, 1)
     # two chunks of projected input, one read by the step loop while the
     # pool fills the other, and per computing thread a GEMM product and addend
     x_zr = np.empty((2, chunk, 2, n_seq, 2 * hid), dtype=dtype)
     x_n = np.empty((2, chunk, 2, n_seq, hid), dtype=dtype)
-    prods = np.empty((size, 2, chunk, 3 * hid), dtype=dtype)
+    prods = np.empty((pool.threads(), 2, chunk, 3 * hid), dtype=dtype)
 
     def project(d: int, n: int, s0: int, s1: int, buf: int) -> None:
         """Steps [s0, s1) of direction d and sequence n into chunk scratch
         ``buf``."""
         c = s1 - s0
         ws, bias = proj[d]
-        acc, term = prods[_slot.index]
+        acc, term = prods[pool.slot()]
         zr, xn = x_zr[buf, :, d, n], x_n[buf, :, d, n]
         # the chunk's positions are [lo, lo + c); the sequence's real ones
         # fill the first k steps forward and the last k steps backward
@@ -958,9 +800,9 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
             np.add(p[:, :2 * hid], bias[:2 * hid], out=zr[dst])
             np.add(p[:, 2 * hid:], bias[2 * hid:], out=xn[dst])
 
-    def submit(s0: int, buf: int) -> list[_Task]:
+    def submit(s0: int, buf: int) -> list[pool.Task]:
         s1 = min(s0 + chunk, t_len)
-        return [_submit(pool, project, d, n, s0, s1, buf) for d in (0, 1) for n in range(n_seq)]
+        return [pool.submit(project, d, n, s0, s1, buf) for d in (0, 1) for n in range(n_seq)]
 
     tracking = _tracking(*parts, *weights)
     kept = t_len if tracking else 1
@@ -972,7 +814,7 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
     for s in range(t_len):
         i = s % chunk
         if i == 0:
-            _join(tasks)
+            pool.join(tasks)
             buf = s // chunk % 2
             if s + chunk < t_len:
                 tasks = submit(s + chunk, 1 - buf)
@@ -998,7 +840,7 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
         # and states, before allocating this one's.
         backlog = _sweep.bigru_tasks
         while len(backlog) > 1:
-            _finish(backlog.popleft())
+            pool.finish(backlog.pop(0))
         gdt = np.result_type(g, dtype)
         g3 = g.reshape(n_seq, t_len, 2 * hid)
         g_out = np.empty((t_len, 2, n_seq, hid), dtype=gdt)
@@ -1053,12 +895,11 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
         # end waits for. Per part, no task is long enough to keep a thread
         # that finishes the backlog waiting for long.
         # Every array a task writes, or reads as a copy, is made here.
-        pool = _workers()[0] if t_len > chunk else None
-        tasks: list[_Task] = []
+        tasks: list[pool.Task] = []
         backlog.append(tasks)
 
-        def queue_task(fn: Callable, *args) -> _Task:
-            tasks.append(_submit(pool, fn, *args))
+        def queue_task(fn: Callable, *args) -> pool.Task:
+            tasks.append(pool.submit(fn, *args))
             return tasks[-1]
 
         flat = da.reshape(-1, 6 * hid)
@@ -1110,7 +951,7 @@ def _join_blocks(blocks: list[Tensor]) -> np.ndarray:
     return np.concatenate([t.data for t in blocks], axis=-1)
 
 
-def _accum_blocks(blocks: list[Tensor], g: np.ndarray, *tasks: _Task) -> None:
+def _accum_blocks(blocks: list[Tensor], g: np.ndarray, *tasks: pool.Task) -> None:
     """Give each of ``blocks`` its columns of ``g``, the gradient of their
     join, which ``tasks``, if given, are still filling (see ``_accum``)."""
     ofs = 0
@@ -1172,27 +1013,22 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
     see it: a block is the one GEMM [K, 1] @ [K, b]^T with b = K w_u, a is
     added to the row maxima only, and its gradient is that of m.
 
-    When T exceeds ``ATTENTION_BLOCK``, the forward runs as tasks on the
-    pool (``_workers``), one per computing thread, the calling thread
-    included; with n of them, task j takes sequences j, j + n, ... and the
-    calling thread runs the ones no worker has started. Shorter sequences
-    are too little work to hand over, and the calling thread runs them as
-    one task. A task makes each of
-    its sequences' c2q, q2c and out rows, the four projection terms added in
-    the order above. This thread allocates every array a task writes: c2q
-    and out, and per task [K, 1], [K, b], a block of S, its [P K, row sums]
-    and two row buffers of one sequence, so a no-grad call holds c2q and
-    out beside per-task scratch of O(T w + ATTENTION_BLOCK T). A non-finite
-    similarity raises ``NumericError`` once every task has finished. The
-    backward recomputes M * q2c. Under the same length rule, it hands the
-    four row-block GEMMs of ``proj_w``'s gradient and ``proj_b``'s column
-    sums to the pool as pending contributions (``_accum``), on arrays
-    allocated here, and runs its per-sequence part as one task per
-    sequence. Each task works in the scratch of the computing thread that
-    runs it, allocated here, adds its sequence's gradient into the input's
-    and writes its ``w_h`` and ``w_u`` terms to its own rows, which this
-    thread sums in sequence order, so the gradients do not depend on where
-    the tasks ran.
+    The forward runs one task per sequence on the pool (``hopqa.pool``); a
+    task makes its sequence's c2q, q2c and out rows, the four projection
+    terms added in the order above. Each task works in the scratch of the
+    computing thread that runs it (``pool.slot``): [K, 1], [K, b], a block
+    of S, its [P K, row sums] and two row buffers of one sequence. This
+    thread allocates every array a task writes, so a no-grad call holds c2q
+    and out beside per-thread scratch of O(T w + ATTENTION_BLOCK T). A
+    non-finite similarity raises ``NumericError`` once every task has
+    finished. The backward recomputes M * q2c. It hands the four row-block
+    GEMMs of ``proj_w``'s gradient and ``proj_b``'s column sums to the pool
+    as pending contributions (``_accum``), on arrays allocated here, and
+    runs its per-sequence part as one task per sequence, again in per-thread
+    scratch allocated here. Each task adds its sequence's gradient into the
+    input's and writes its ``w_h`` and ``w_u`` terms to its own rows, which
+    this thread sums in sequence order, so the gradients do not depend on
+    where the tasks ran.
     """
     if M.ndim < 2:
         raise ShapeError(f"self_attention: input must be at least rank 2, got {M.shape}")
@@ -1240,57 +1076,49 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
     out = np.empty((n_seq, t_len, w_out), dtype=dtype)
     saved: list = [None] * n_seq     # per sequence: row maximizers, log-sum-exps, q2c weights
 
-    def attend(seqs: range, left: np.ndarray, right: np.ndarray, s_buf: np.ndarray,
-               pk_buf: np.ndarray, row_buf: np.ndarray, prod: np.ndarray) -> None:
-        """c2q, q2c and out of each sequence in ``seqs``, in the scratch given."""
-        for i in seqs:
-            live = rows[i]
-            k = x[i, live]
-            n = len(k)
-            lk, rk = sides(k, left[:n], right[:n])
-            top_at = np.empty(n, dtype=np.intp)
-            top = k @ w_hv                      # m = a + the row max of S - a
-            lse = np.empty(n, dtype=dtype)
-            ck = row_buf[:n]
-            for r0, r1 in blocks(n):
-                s = np.matmul(lk[r0:r1], rk.T, out=_rows(s_buf, r1 - r0, n))
-                at = s.argmax(axis=1)
-                peak = s[np.arange(r1 - r0), at]
-                if not np.isfinite(peak).all() or not np.isfinite(s.min()):
-                    raise NumericError("self_attention: non-finite similarity")
-                s -= peak[:, None]
-                np.exp(s, out=s)
-                pk = np.matmul(s, lk, out=pk_buf[:r1 - r0])   # [P K, row sums of P]
-                np.divide(pk[:, :width], pk[:, width:], out=ck[r0:r1])
-                top_at[r0:r1] = at
-                top[r0:r1] += peak
-                lse[r0:r1] = peak + np.log(pk[:, width])
-            beta = np.exp(top - top.max())
-            beta /= beta.sum()
-            q2c[i] = beta @ k
-            c2q[i, live] = ck
-            saved[i] = (top_at, lse, beta)
-            # out = [M, c2q, M * c2q, M * q2c] proj_w + proj_b, summed in that order
-            xi, oi = x[i], out[i]
-            np.matmul(xi, p_w[0], out=oi)
-            oi += np.matmul(c2q[i], p_w[1], out=prod)
-            oi += np.matmul(np.multiply(xi, c2q[i], out=row_buf), p_w[2], out=prod)
-            oi += np.matmul(np.multiply(xi, q2c[i], out=row_buf), p_w[3], out=prod)
-            oi += proj_b.data
-
-    # one task per computing thread, taking every n_tasks-th sequence, with
-    # scratch allocated here; sequences of one block are too little work to
-    # hand over
-    pool, size = _workers() if t_len > ATTENTION_BLOCK else (None, 1)
-    n_tasks = min(size, n_seq)
     block = min(ATTENTION_BLOCK, t_len)
-    _join([_submit(pool, attend, range(w, n_seq, n_tasks),
-                       np.empty((t_len, width + 1), dtype=dtype),
-                       np.empty((t_len, width + 1), dtype=dtype),
-                       np.empty(block * t_len, dtype=dtype),
-                       np.empty((block, width + 1), dtype=dtype),
-                       np.empty((t_len, width), dtype=dtype),
-                       np.empty((t_len, w_out), dtype=dtype)) for w in range(n_tasks)])
+    scratch = [(np.empty((2, t_len, width + 1), dtype=dtype), np.empty(block * t_len, dtype=dtype),
+                np.empty((block, width + 1), dtype=dtype), np.empty((t_len, width), dtype=dtype),
+                np.empty((t_len, w_out), dtype=dtype)) for _ in range(pool.threads())]
+
+    def attend(i: int) -> None:
+        """c2q, q2c and out of sequence i, in this thread's scratch."""
+        sides_buf, s_buf, pk_buf, row_buf, prod = scratch[pool.slot()]
+        live = rows[i]
+        k = x[i, live]
+        n = len(k)
+        lk, rk = sides(k, sides_buf[0, :n], sides_buf[1, :n])
+        top_at = np.empty(n, dtype=np.intp)
+        top = k @ w_hv                      # m = a + the row max of S - a
+        lse = np.empty(n, dtype=dtype)
+        ck = row_buf[:n]
+        for r0, r1 in blocks(n):
+            s = np.matmul(lk[r0:r1], rk.T, out=_rows(s_buf, r1 - r0, n))
+            at = s.argmax(axis=1)
+            peak = s[np.arange(r1 - r0), at]
+            if not np.isfinite(peak).all() or not np.isfinite(s.min()):
+                raise NumericError("self_attention: non-finite similarity")
+            s -= peak[:, None]
+            np.exp(s, out=s)
+            pk = np.matmul(s, lk, out=pk_buf[:r1 - r0])   # [P K, row sums of P]
+            np.divide(pk[:, :width], pk[:, width:], out=ck[r0:r1])
+            top_at[r0:r1] = at
+            top[r0:r1] += peak
+            lse[r0:r1] = peak + np.log(pk[:, width])
+        beta = np.exp(top - top.max())
+        beta /= beta.sum()
+        q2c[i] = beta @ k
+        c2q[i, live] = ck
+        saved[i] = (top_at, lse, beta)
+        # out = [M, c2q, M * c2q, M * q2c] proj_w + proj_b, summed in that order
+        xi, oi = x[i], out[i]
+        np.matmul(xi, p_w[0], out=oi)
+        oi += np.matmul(c2q[i], p_w[1], out=prod)
+        oi += np.matmul(np.multiply(xi, c2q[i], out=row_buf), p_w[2], out=prod)
+        oi += np.matmul(np.multiply(xi, q2c[i], out=row_buf), p_w[3], out=prod)
+        oi += proj_b.data
+
+    pool.join([pool.submit(attend, i) for i in range(n_seq)])
     result = out.reshape(M.shape[:-1] + (w_out,))
 
     def bwd(g):
@@ -1299,15 +1127,14 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
         x2 = x.reshape(-1, width)
         c2q2 = c2q.reshape(-1, width)
         # the projection's weight gradients run as tasks, on arrays made here
-        pool, size = _workers() if t_len > ATTENTION_BLOCK else (None, 1)
         if proj_w.requires_grad:
             dp_w = np.empty((4 * width, w_out), dtype=gdt)
             mq = (x * q2c[:, None]).reshape(-1, width)
-            _accum(proj_w, dp_w, _submit(pool, _gemms_into, dp_w, [
+            _accum(proj_w, dp_w, pool.submit(_gemms_into, dp_w, [
                 (x2, g2), (c2q2, g2), (x2 * c2q2, g2), (mq, g2)], 0))
         if proj_b.requires_grad:
             dp_b = np.empty(w_out, dtype=g2.dtype)
-            _accum(proj_b, dp_b, _submit(pool, np.sum, g2, 0, None, dp_b))
+            _accum(proj_b, dp_b, pool.submit(np.sum, g2, 0, None, dp_b))
         d_m, d_c2q, d_mc, d_mq = (g2 @ p.T for p in p_w)
         d_q2c = (d_mq * x2).reshape(n_seq, t_len, width).sum(axis=1)
         d_c2q += d_mc * x2
@@ -1324,10 +1151,10 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
         scratch = [(np.empty((2, t_len, width + 1), dtype=dtype),
                     np.empty((t_len, width + 1), dtype=gdt), np.empty((t_len, width), dtype=gdt),
                     np.empty(block * t_len, dtype=dtype), np.empty(block * t_len, dtype=gdt),
-                    np.empty(t_len * (width + 1), dtype=gdt)) for _ in range(size)]
+                    np.empty(t_len * (width + 1), dtype=gdt)) for _ in range(pool.threads())]
 
         def seq_grads(i: int) -> None:
-            sides_buf, d_right, dk, p_buf, ds_buf, tmp = scratch[_slot.index]
+            sides_buf, d_right, dk, p_buf, ds_buf, tmp = scratch[pool.slot()]
             live, (top_at, lse, beta) = rows[i], saved[i]
             k = x[i, live]
             n = len(k)
@@ -1359,7 +1186,7 @@ def self_attention(M: Tensor, w_h: Tensor, w_u: Tensor, proj_w: Tensor,
             np.matmul(k.T, d_b, out=dw[1, i])
             dx[i, live] += dk
 
-        _join([_submit(pool, seq_grads, i) for i in range(n_seq)])
+        pool.join([pool.submit(seq_grads, i) for i in range(n_seq)])
         dw_h = np.zeros(width, dtype=gdt)
         dw_u = np.zeros(width, dtype=gdt)
         for i in range(n_seq):
@@ -1410,7 +1237,7 @@ def backward(loss: Tensor) -> None:
     Gradients accumulate additively when a tensor feeds several consumers,
     summed in the order the contributions arrive, so the result is the
     serial sum ``((g1 + g2) + g3) ...`` bit for bit. A closure may hand a
-    contribution over while a task on the pool (``_submit``) still
+    contribution over while a task on the pool (``hopqa.pool``) still
     computes it; the sweep goes on to other nodes, folds finished
     contributions as they arrive and waits for a node's pending ones just
     before its closure runs, and for every leaf's before it returns, running
@@ -1444,7 +1271,7 @@ def backward(loss: Tensor) -> None:
     except BaseException:
         for node in order:
             if isinstance(node.grad, _Sum):
-                _finish([t for _, tasks in node.grad.pending for t in tasks])
+                pool.finish([t for _, tasks in node.grad.pending for t in tasks])
                 node.grad = node.grad.acc
         raise
     finally:

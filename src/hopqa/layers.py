@@ -112,13 +112,14 @@ def load_glove(path: str, vocab_words: dict[str, int], dim: int = 300,
     """Read GloVe text vectors for the given word->id map.
 
     Lines whose vector length differs from ``dim`` are skipped and counted.
-    Returns (vocab_size x dim matrix, stats) where stats carries the number
-    of skipped lines and of vocabulary words found.
+    A word listed more than once keeps its first vector. Returns
+    (vocab_size x dim matrix, stats) where stats carries the number of
+    skipped lines and of vocabulary words found and missing.
     """
     vocab_size = max(vocab_words.values()) + 1
     table = np.zeros((vocab_size, dim), dtype=dtype)
     skipped = 0
-    found = 0
+    found: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             parts = line.rstrip("\n").split(" ")
@@ -127,7 +128,7 @@ def load_glove(path: str, vocab_words: dict[str, int], dim: int = 300,
                 continue
             word = parts[0]
             wid = vocab_words.get(word)
-            if wid is None or wid == PAD_ID:
+            if wid is None or wid == PAD_ID or word in found:
                 continue
             try:
                 vec = np.array([float(v) for v in parts[1:]], dtype=dtype)
@@ -135,9 +136,9 @@ def load_glove(path: str, vocab_words: dict[str, int], dim: int = 300,
                 skipped += 1
                 continue
             table[wid] = vec
-            found += 1
-    return table, {"skipped_lines": skipped, "found": found,
-                   "missing": len(vocab_words) - found}
+            found.add(word)
+    return table, {"skipped_lines": skipped, "found": len(found),
+                   "missing": len(vocab_words) - len(found)}
 
 
 # ---------------------------------------------------------------------------

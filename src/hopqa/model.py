@@ -29,25 +29,16 @@ over its real positions only, a block of query rows at a time, so no
 T x T array is built in training or evaluation. Its padded rows get a zero
 context-to-query readout; nothing downstream reads them.
 
-Two forwards hand tasks to a pool in ``autodiff``, sized from the machine
-alone: one computing thread per CPU the process may run on, at most two,
-and the calling thread is one of them. So the pool has one worker thread
-on two CPUs and none on one, and a thread that waits for a task that no
-worker has started runs it itself. Each BiGRU projects its next chunk of
-input, one task per direction and sequence, while its step loop runs the
-current one; self-attention runs its sequences split over one task per
-computing thread. Both do so only for sequences longer than one chunk or
-block (256 positions); shorter ones are too little work to hand over, and
-run in the calling thread. The caller allocates every array a task
-writes, so the worker's temporaries stay small, and the results are
-bit-identical to a serial run. In the backward, under the same length
-rule, each BiGRU hands its input- and weight-gradient GEMMs to the pool,
-and self-attention its projection's weight gradients, while the calling
-thread goes on through the graph; ``ad.backward`` sums each gradient's
-contributions in arrival order, so the gradients are bit-identical to a
-serial run too. The pool assumes BLAS at one thread. ``Model.forward`` may
-be called from several threads at once: grad mode is per thread, and every
-call has its own scratch.
+Two forwards hand tasks to the pool in ``hopqa.pool``: each BiGRU projects
+its next chunk of input, one task per direction and sequence, while its
+step loop runs the current one, and self-attention runs one task per
+sequence. In the backward, each BiGRU hands its input- and weight-gradient
+GEMMs to the pool, and self-attention its projection's weight gradients,
+while the calling thread goes on through the graph. The caller allocates
+every array a task writes, and ``ad.backward`` sums each gradient's
+contributions in arrival order, so outputs and gradients are bit-identical
+to a serial run. ``Model.forward`` may be called from several threads at
+once: grad mode is per thread, and every call has its own scratch.
 """
 
 from __future__ import annotations

@@ -27,6 +27,8 @@ def save_tensors(prefix: str, named: Mapping[str, np.ndarray],
     for key, value in (meta or {}).items():
         if any(c.isspace() for c in key):
             raise CheckpointError(f"meta key may not contain whitespace: {key!r}")
+        if "\n" in value or "\r" in value:
+            raise CheckpointError(f"meta value may not contain a line break: {key!r}")
         lines.append(f"meta {key} {value}")
     blobs = []
     for name, arr in named.items():

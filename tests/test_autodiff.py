@@ -3,7 +3,6 @@ import gc
 import inspect
 import math
 import multiprocessing
-import sys
 import threading
 import time
 import weakref
@@ -15,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopqa import autodiff as ad
+from hopqa import pool as hp
 from hopqa.autodiff import (
     DataError,
     LabelError,
@@ -621,90 +621,6 @@ def test_worker_pool_is_remade_in_a_forked_child():
     assert child.exitcode == 0
 
 
-def test_join_waits_for_every_task_before_raising():
-    pool, size = ad._workers()
-    assert 1 <= size <= 2
-    done = threading.Event()
-
-    def fail():
-        raise ad.NumericError("first")
-
-    def slow():
-        time.sleep(0.05)
-        done.set()
-
-    with pytest.raises(ad.NumericError, match="first"):
-        ad._join([pool.submit(fail), pool.submit(slow)])
-    assert done.is_set()
-
-
-def _blocked_pool():
-    """The pool with its worker, if it has one, held by a task until the
-    returned event is set; the task is returned too."""
-    pool, size = ad._workers()
-    started, release = threading.Event(), threading.Event()
-
-    def hold():
-        started.set()
-        assert release.wait(10)
-
-    blocker = pool.submit(hold)
-    if size > 1:                        # one worker, now busy
-        assert started.wait(10)
-    return pool, release, blocker
-
-
-def test_a_task_no_worker_has_started_runs_in_the_waiting_thread():
-    pool, release, blocker = _blocked_pool()
-    try:
-        ran = pool.submit(lambda: threading.get_ident())
-        failed = pool.submit(lambda: 1 / 0)
-        assert not ran.done() and not failed.done()
-        assert ran.result(10) == threading.get_ident()
-        assert ran.done()
-        assert isinstance(failed.exception(10), ZeroDivisionError)
-        with pytest.raises(ZeroDivisionError):
-            failed.result(10)
-    finally:
-        release.set()
-    assert blocker.result(10) is None
-
-
-def test_join_runs_queued_tasks_in_the_caller_while_the_worker_is_blocked():
-    pool, release, blocker = _blocked_pool()
-    try:
-        tasks = [pool.submit(threading.get_ident) for _ in range(3)]
-        ad._join(tasks)
-        assert [t.result() for t in tasks] == [threading.get_ident()] * 3
-    finally:
-        release.set()
-    blocker.result(10)
-
-
-def test_each_task_runs_once_while_callers_race_the_worker_for_it():
-    # four callers join their own tasks, taking from the back of the queue
-    # what the worker takes from the front; a task taken twice runs twice
-    pool = ad._workers()[0]
-    ran = []
-
-    def caller(c):
-        for r in range(50):
-            ad._join([pool.submit(ran.append, (c, r, j)) for j in range(4)])
-
-    threads = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(ran) == [(c, r, j) for c in range(4) for r in range(50) for j in range(4)]
-
-
 def test_bigru_forward_keeps_no_input_alive_once_it_returns():
     rng = np.random.default_rng(0)
     t_len = 2 * ad.BIGRU_CHUNK + 5      # three chunks, two projected ahead
@@ -753,7 +669,6 @@ def _chain(x: Tensor, contributions) -> tuple[Tensor, dict]:
     "task" an array that a pool task fills once the next closure has run,
     "done" one that a pool task fills at once, and "raise" raises in the
     closure. Returns the last node and the buffers the tasks filled."""
-    pool = ad._workers()[0]
     gates = [threading.Event() for _ in contributions]
     buffers = {}
 
@@ -774,7 +689,7 @@ def _chain(x: Tensor, contributions) -> tuple[Tensor, dict]:
                 buffers[i] = buf = np.empty(x.shape, dtype=x.dtype)
                 if mode == "done":
                     gates[i].set()
-                ad._accum(x, buf, ad._submit(pool, fill, buf, value, gates[i]))
+                ad._accum(x, buf, hp.submit(fill, buf, value, gates[i]))
             if i:
                 gates[i - 1].set()          # the closures before i have run
             if prev is not None:
@@ -847,7 +762,6 @@ def _wait_for(event: threading.Event):
 
 
 def test_backward_raises_a_task_error_after_every_task_has_finished():
-    pool = ad._workers()[0]
     x = parameter(np.zeros(2))
     y = parameter(np.zeros(2))
     done = threading.Event()
@@ -857,25 +771,26 @@ def test_backward_raises_a_task_error_after_every_task_has_finished():
 
     def bwd(g):
         failed, slow = np.empty(2), np.empty(2)
-        ad._accum(x, failed, ad._submit(pool, fail, failed))
-        ad._accum(y, slow, ad._submit(pool, _wait_for(done), slow))
+        ad._accum(x, failed, hp.submit(fail, failed))
+        ad._accum(y, slow, hp.submit(_wait_for(done), slow))
 
     # the sweep resolves x, whose task failed, before y, whose task still runs
     with pytest.raises(ad.NumericError, match="task failed"):
         backward(ad._make(np.zeros(()), (y, x), bwd))
     assert done.is_set()
     assert not isinstance(x.grad, ad._Sum) and not isinstance(y.grad, ad._Sum)
-    assert pool.submit(lambda: 7).result(10) == 7
+    ran = []
+    hp.join([hp.submit(ran.append, 7)])
+    assert ran == [7]
 
 
 def test_backward_raises_a_closure_error_after_every_task_has_finished():
     x = parameter(np.zeros(2, dtype=np.float32))
     done = threading.Event()
-    pool = ad._workers()[0]
 
     def first(g):
         buf = np.empty(2, dtype=np.float32)
-        ad._accum(x, buf, ad._submit(pool, _wait_for(done), buf))
+        ad._accum(x, buf, hp.submit(_wait_for(done), buf))
         ad._accum(inner, g)
 
     inner, _ = _chain(x, [(np.float32(1.0), "raise")])
@@ -891,8 +806,8 @@ def test_backward_raises_a_closure_error_after_every_task_has_finished():
 
 
 def _bigru_with_parts_loss(rng):
-    # two BiGRUs over the same two parts, past one chunk so the backward's
-    # GEMMs run on the pool, and the second also over the first's output
+    # two BiGRUs over the same two parts, past one chunk, and the second
+    # also over the first's output
     t_len, d_in, hid = ad.BIGRU_CHUNK + 9, 3, 2
     parts = [parameter(rng.standard_normal((2, t_len, d_in))) for _ in range(2)]
     cell = lambda d: [parameter(rng.standard_normal(s)) for s in ((d, 3 * hid), (hid, 3 * hid),
@@ -920,7 +835,9 @@ def test_bigru_backward_twice_and_inline_give_the_same_leaf_grads(monkeypatch):
 
     pooled = grads()
     again = grads()
-    monkeypatch.setattr(ad, "_workers", lambda: (None, 1))
+    # the one-CPU pool: the thread that waits for a task runs it
+    monkeypatch.setattr(hp, "_pool", hp._Pool(0))
+    monkeypatch.setattr(hp, "_size", 1)
     inline = grads()
     for a, b, c in zip(pooled, again, inline):
         assert np.array_equal(a, b) and np.array_equal(a, c)

@@ -74,6 +74,15 @@ def test_glove_loader_skips_malformed_lines(tmp_path):
     assert not table[4].any()
 
 
+def test_glove_loader_counts_a_repeated_word_once_and_keeps_its_first_vector(tmp_path):
+    path = tmp_path / "glove.txt"
+    path.write_text("cat 1.0 2.0\ncat 3.0 4.0\n")
+    vocab = {"cat": 2, "dog": 3}
+    table, stats = load_glove(str(path), vocab, dim=2)
+    assert stats == {"skipped_lines": 0, "found": 1, "missing": 1}
+    assert table[2].tolist() == [1.0, 2.0]
+
+
 # ---------------------------------------------------------------------------
 # char cnn
 

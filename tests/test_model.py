@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopqa import autodiff as ad
+from hopqa import pool as hp
 from hopqa.autodiff import Tensor, backward, constant, no_grad, zero_grads
 from hopqa.data import build_vocab, make_batches, synth_two_hop
 from hopqa.gradcheck import grad_check
@@ -18,8 +21,10 @@ from hopqa.model import (
     predictions_to_json,
     self_attention,
 )
+import random
 import sys
 import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -475,7 +480,7 @@ def _self_attention_peak_bytes(t_len: int, with_backward: bool) -> int:
 
 @pytest.mark.parametrize("t_len", [7, 300], ids=["calling_thread", "pool"])
 def test_self_attention_errors_from_workers_leave_the_pool_working(t_len):
-    # past the 256-row block, each worker gets sequences of the five
+    # each of the five sequences is a pool task, at one block or past it
     p, m, mask, _, _ = _self_attention_case((5, t_len, 4), np.float32)
     with no_grad():
         want = self_attention(m, p, mask).data
@@ -853,9 +858,10 @@ def test_concurrent_predict_batches_match_serial_runs(monkeypatch):
 
 
 
-def test_training_step_gradients_do_not_depend_on_the_worker_pool(monkeypatch):
-    # a train_t512-shaped batch (4 contexts past two 256-step BiGRU chunks)
-    # at small d: the backward's tasks run inline give the pool's bits
+def _t512_step():
+    """A train_t512-shaped batch (4 contexts past two 256-step BiGRU chunks)
+    at small d, and a function that runs one training step on it and
+    returns the loss and the parameters' gradients."""
     examples = synth_two_hop(4, seed=0, n_distractors=22)
     vocab = build_vocab(examples)
     batch = make_batches(examples, vocab, batch_size=4, max_word_len=8)[0][0]
@@ -871,13 +877,113 @@ def test_training_step_gradients_do_not_depend_on_the_worker_pool(monkeypatch):
         backward(loss)
         return loss.data.copy(), {k: p.grad for k, p in params.items() if p.grad is not None}
 
+    return step
+
+
+def _zero_worker_pool(monkeypatch):
+    # the one-CPU pool: the thread that waits for a task runs it
+    monkeypatch.setattr(hp, "_pool", hp._Pool(0))
+    monkeypatch.setattr(hp, "_size", 1)
+
+
+def test_training_step_gradients_do_not_depend_on_the_worker_pool(monkeypatch):
+    # the tasks run by the calling thread alone give the pool's bits
+    step = _t512_step()
     pooled_loss, pooled = step()
-    monkeypatch.setattr(ad, "_workers", lambda: (None, 1))
+    _zero_worker_pool(monkeypatch)
     inline_loss, inline = step()
     assert np.array_equal(pooled_loss, inline_loss)
     assert pooled.keys() == inline.keys() and len(pooled) > 100
     for name, g in pooled.items():
         assert type(g) is np.ndarray and np.array_equal(g, inline[name]), name
+
+
+class _ShuffledPool:
+    """A stand-in for the pool's workers. They run queued tasks in a seeded
+    random order, yielding at random, and a thread that waits for a queued
+    task runs it itself only when a coin says so; otherwise a worker does."""
+
+    def __init__(self, seed: int, n_workers: int):
+        self._rng = random.Random(seed)
+        self._queue: list = []
+        self._ready = threading.Condition()
+        self._closed = False
+        self._threads = [threading.Thread(target=self._work, args=(i + 1,), daemon=True)
+                         for i in range(n_workers)]
+        for t in self._threads:
+            t.start()
+
+    def _coin(self) -> bool:
+        with self._ready:
+            return self._rng.random() < 0.5
+
+    def submit(self, fn, *args):
+        task = hp.Task(fn, args, self)
+        with self._ready:
+            self._queue.append(task)
+            self._ready.notify()
+        return task
+
+    def _take(self, task) -> bool:
+        if self._coin():
+            time.sleep(0)
+        with self._ready:
+            if task not in self._queue or self._rng.random() < 0.5:
+                return False
+            self._queue.remove(task)
+        return True
+
+    def _work(self, slot: int) -> None:
+        hp._slot.index = slot
+        while True:
+            with self._ready:
+                while not self._queue and not self._closed:
+                    self._ready.wait()
+                if self._closed:
+                    return
+                task = self._queue.pop(self._rng.randrange(len(self._queue)))
+            if self._coin():
+                time.sleep(0)
+            task._run()
+            del task
+
+    def close(self) -> list:
+        """Stop the workers; returns the tasks still queued."""
+        with self._ready:
+            self._closed = True
+            self._ready.notify_all()
+        for t in self._threads:
+            t.join(10)
+        assert not any(t.is_alive() for t in self._threads)
+        return self._queue
+
+
+@pytest.fixture(scope="module")
+def t512_step_and_serial_run():
+    step = _t512_step()
+    with pytest.MonkeyPatch.context() as mp:
+        _zero_worker_pool(mp)
+        return step, step()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_training_step_gives_the_same_bits_under_any_schedule(t512_step_and_serial_run, seed):
+    step, (want_loss, want) = t512_step_and_serial_run
+    pool = _ShuffledPool(seed, n_workers=2)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hp, "_pool", pool)
+            mp.setattr(hp, "_size", 3)
+            loss, grads = step()
+    finally:
+        left = pool.close()
+    assert left == []
+    assert np.array_equal(loss, want_loss)
+    assert grads.keys() == want.keys()
+    for name, g in grads.items():
+        assert type(g) is np.ndarray and np.array_equal(g, want[name]), name
+
 
 def test_predict_batches_round_trip():
     model, batch, _ = make_model_and_batch(n=3, seed=4)

@@ -72,3 +72,10 @@ def test_record_without_a_field_raises_checkpoint_error_naming_the_line(tmp_path
     (tmp_path / "bad.bin").write_bytes(b"")
     with pytest.raises(CheckpointError, match=f"malformed record '{line}'"):
         load_tensors(str(tmp_path / "bad"))
+
+
+@pytest.mark.parametrize("value", ["a\nmeta step 99", "a\ntensor x 3 <f4", "a\rb"])
+def test_rejects_meta_values_with_line_breaks(tmp_path, value):
+    with pytest.raises(CheckpointError, match="line break"):
+        save_tensors(str(tmp_path / "x"), {"w": np.zeros(2, np.float32)}, meta={"note": value})
+    assert not (tmp_path / "x.manifest").exists()
