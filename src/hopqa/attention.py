@@ -140,9 +140,9 @@ def cgde(H: Tensor, U: Tensor, S: Tensor, f: FusionParams,
 
 def vanilla_q2c(H: Tensor, S: Tensor, trace: AttentionTrace | None = None) -> Tensor:
     """Classic query-to-context: softmax over positions of the per-row
-    maximum similarity, a single weighted context sum (..., 1, 2d), which
-    the products in ``fuse_g`` broadcast over every row. A trace gets it
-    tiled to (..., T, 2d)."""
+    maximum similarity, a single weighted context sum (..., 1, 2d). It is
+    one factor of ``fuse_g``'s two products, which broadcast it over every
+    row. A trace gets it tiled to (..., T, 2d)."""
     m = ad.max_reduce(S, axis=-1)                         # (..., T)
     b = softmax(m, axis=-1)
     b_row = ad.reshape(b, b.shape[:-1] + (1, b.shape[-1]))
@@ -152,21 +152,24 @@ def vanilla_q2c(H: Tensor, S: Tensor, trace: AttentionTrace | None = None) -> Te
     return pooled
 
 
-def fgin_q2c(H: Tensor, S_bar: Tensor, trace: AttentionTrace | None = None) -> Tensor:
-    """Fine-grained query-to-context.
+def fgin_q2c(H: Tensor, S_bar: Tensor,
+             trace: AttentionTrace | None = None) -> tuple[Tensor, Tensor]:
+    """Fine-grained query-to-context, as the factors ``(weights, H)`` of the
+    product weights * H (..., T, 2d).
 
     Each similarity column is softmax-normalized over context positions and
     scales the context row-wise; the per-query-word products are summed.
     Since the context does not depend on the query word, the sum collapses
-    to (row sums of the column weights) * H, kept here for speed.
+    to (row sums of the column weights) * H. That product is not built: the
+    weights (..., T, 1) and H are returned as factors for ``fuse_g``, whose
+    parts the BiGRUs form a chunk at a time. A trace gets the product.
     """
     a_cols = softmax(S_bar, axis=-2)                      # (..., T, J), columns stochastic
     weights = ad.reduce_sum(a_cols, axis=-1, keepdims=True)
-    out = ad.mul(weights, H)                              # (..., T, 2d)
     if trace is not None:
         trace.q2c_weights = a_cols.data.copy()
-        trace.q2c_vectors = out.data.copy()
-    return out
+        trace.q2c_vectors = weights.data * H.data
+    return weights, H
 
 
 def context2query(Qrows: Tensor, S_bar: Tensor,
@@ -180,12 +183,19 @@ def context2query(Qrows: Tensor, S_bar: Tensor,
     return out
 
 
-def fuse_g(H: Tensor, c2q: Tensor, q2c: Tensor) -> list[Tensor]:
+def fuse_g(H: Tensor, c2q: Tensor,
+           q2c: Tensor | tuple[Tensor, ...]) -> list[Tensor | tuple[Tensor, ...]]:
     """The context fused with both attention readouts, as the four (..., T, 2d)
     parts [H, c2q, H * q2c, q2c * c2q] of G (..., T, 8d); the consumers take
-    parts, so G is never joined. ``q2c`` may be one (..., 1, 2d) row, which
-    both products broadcast."""
-    for name, t in (("c2q", c2q), ("q2c", q2c)):
-        if t.shape[-1] != H.shape[-1]:
-            raise ShapeError(f"fuse_g: {name} width {t.shape[-1]} != context width {H.shape[-1]}")
-    return [H, c2q, ad.mul(H, q2c), ad.mul(q2c, c2q)]
+    parts, so G is never joined. ``q2c`` is a tensor, such as
+    ``vanilla_q2c``'s (..., 1, 2d) row, or a tuple of factors, such as
+    ``fgin_q2c``'s. Neither product is built: they are returned as the
+    factors ``(*q2c, H)`` and ``(*q2c, c2q)``, which ``ad.bigru`` multiplies
+    left to right a chunk at a time. A product of two numbers does not
+    depend on their order, so these are the bits of H * q2c and q2c * c2q."""
+    q2c = (q2c,) if isinstance(q2c, Tensor) else tuple(q2c)
+    q2c_shape = np.broadcast_shapes(*(t.shape for t in q2c))
+    for name, shape in (("c2q", c2q.shape), ("q2c", q2c_shape)):
+        if shape[-1] != H.shape[-1]:
+            raise ShapeError(f"fuse_g: {name} width {shape[-1]} != context width {H.shape[-1]}")
+    return [H, c2q, (*q2c, H), (*q2c, c2q)]

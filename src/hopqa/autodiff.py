@@ -524,30 +524,57 @@ def binary_cross_entropy(logits: Tensor, labels, reduction: str = "mean",
     return _make(out, (logits,), bwd)
 
 
-def dropout(x: Tensor | Sequence[Tensor], rate: float, training: bool,
-            rng: np.random.Generator | None = None) -> Tensor | list[Tensor]:
+def _factors(part: Tensor | Sequence[Tensor]) -> tuple[Tensor, ...]:
+    """The factors of an input part: a tensor is its own one factor."""
+    return (part,) if isinstance(part, Tensor) else tuple(part)
+
+
+def _part_shape(factors: tuple[Tensor, ...], opname: str) -> tuple[int, ...]:
+    """The shape of the product of ``factors``, which must broadcast."""
+    if not factors:
+        raise ShapeError(f"{opname}: a part needs at least one factor")
+    shape = factors[0].shape
+    for f in factors[1:]:
+        _broadcast_check(shape, f.shape, opname)
+        shape = np.broadcast_shapes(shape, f.shape)
+    return shape
+
+
+def dropout(x: Tensor | Sequence[Tensor | Sequence[Tensor]], rate: float, training: bool,
+            rng: np.random.Generator | None = None) -> Tensor | list:
     """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval mode.
 
-    ``x`` may be a list of parts that make one tensor when joined on the last
-    axis. The keep mask is then drawn at the joined shape, so the random
-    stream is that of the join, and each part is returned dropped by its
-    columns of the mask, as a list; the join is never built."""
+    ``x`` may also be a list of parts that make one tensor when joined on
+    the last axis, each a tensor or a tuple of factors whose product it is
+    (see ``bigru``). The keep mask is then drawn at the joined shape one
+    sequence (the last two axes) at a time, in C order, which is the random
+    stream of one draw at the joined shape with a transient of one
+    sequence's draw. Nothing is multiplied: each part is returned as a tuple
+    of its factors followed by its columns of the bool mask and the scale
+    1/(1-rate), in the part's dtype, so a ``bigru`` that reads the parts
+    forms the dropped input a chunk at a time and never stores it."""
     if not 0.0 <= rate < 1.0:
         raise UsageError(f"dropout: rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x if isinstance(x, Tensor) else list(x)
     if rng is None:
         raise UsageError("dropout: training mode requires an rng")
-    if not isinstance(x, Tensor):
-        parts = list(x)
-        if not parts or any(p.shape[:-1] != parts[0].shape[:-1] for p in parts):
-            raise ShapeError(f"dropout: need parts that agree before the last axis, got "
-                             f"{[p.shape for p in parts]}")
-        widths = [p.shape[-1] for p in parts]
-        keep = rng.random(parts[0].shape[:-1] + (sum(widths),)) >= rate
-        masks = np.split(keep, np.cumsum(widths)[:-1], axis=-1)
-        return [_drop(p, k, rate) for p, k in zip(parts, masks)]
-    return _drop(x, rng.random(x.shape) >= rate, rate)
+    if isinstance(x, Tensor):
+        return _drop(x, rng.random(x.shape) >= rate, rate)
+    parts = [_factors(p) for p in x]
+    shapes = [_part_shape(fs, "dropout") for fs in parts]
+    if not parts or any(s[:-1] != shapes[0][:-1] for s in shapes):
+        raise ShapeError(f"dropout: need parts that agree before the last axis, got {shapes}")
+    widths = [s[-1] for s in shapes]
+    keep = np.empty(shapes[0][:-1] + (sum(widths),), dtype=bool)
+    for seq in keep.reshape((-1,) + keep.shape[-2:]):
+        np.greater_equal(rng.random(seq.shape), rate, out=seq)
+    dropped = []
+    for fs, cols in zip(parts, np.split(keep, np.cumsum(widths)[:-1], axis=-1)):
+        dt = np.result_type(*(f.data for f in fs)).type
+        scale = constant(dt(1) / dt(1.0 - rate), dtype=dt)
+        dropped.append((*fs, constant(cols, dtype=bool), scale))
+    return dropped
 
 
 def _drop(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
@@ -660,7 +687,8 @@ class _Sweep(threading.local):
 _sweep = _Sweep()
 
 
-def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
+def bigru(x: Tensor | Sequence[Tensor | Sequence[Tensor]],
+          fw: Sequence[Tensor | Sequence[Tensor]],
           bw: Sequence[Tensor | Sequence[Tensor]], mask: np.ndarray | None = None) -> Tensor:
     """Bidirectional GRU over axis -2 as a single graph node.
 
@@ -670,17 +698,31 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
     and the backward gives each part ``da @ w_x[rows_k]^T`` and each
     ``w_x`` its rows ``part_k^T @ da``.
 
+    A part is a tensor, or a tuple of factors whose product it is,
+    multiplied left to right and broadcast to (..., T, w_k); a factor spans
+    all of the leading axes or none. ``fuse_g``'s two products and the parts
+    that ``dropout`` returns (a part's factors, its bool keep mask and the
+    scale) come this way. A product is only ever formed in the scratch of
+    the computing thread that needs it, a chunk's rows of one sequence at a
+    time, and never stored. In the backward, a sequence at a time, the
+    part's gradient ``g_part`` is made in scratch and each factor that
+    requires grad gets ``unbroadcast(g_part * the product of the other
+    factors)``; a factor that recurs with the same other factors, as H in
+    (w, H, H), gets that term once, times its count. ``w_x``'s rows of the
+    part are summed over sequences, each sequence's product formed again.
+
     ``fw`` and ``bw`` are ``(w_x, w_h, b)`` with the gates stacked in order
     ``[z | r | n]``: ``w_x`` is in x 3h, ``w_h`` is h x 3h and ``b`` is 3h.
     Each of the three is one tensor or, like ``x``, a list of blocks joined
     on the last axis, such as the per-gate tensors ``[w_z, w_r, w_n]``; the
-    op joins them once and the backward gives each block its columns.
-    Per direction and step, from h = 0: z = sigmoid(x_t W_xz + b_z + h W_hz),
-    r likewise, n = tanh(x_t W_xn + b_n + (r * h) W_hn) and
-    h' = h + m_t z (n - h), where m_t is ``mask`` (..., T) or 1, so padded
-    steps copy h through. The forward direction starts at the first
-    position, the backward one at the last. The output holds, per position,
-    the forward state then the backward state: (..., T, 2h).
+    op joins them once per pass and the backward gives each block its
+    columns. Per direction and step, from h = 0:
+    z = sigmoid(x_t W_xz + b_z + h W_hz), r likewise,
+    n = tanh(x_t W_xn + b_n + (r * h) W_hn) and h' = h + m_t z (n - h),
+    where m_t is ``mask`` (..., T) or 1, so padded steps copy h through. The
+    forward direction starts at the first position, the backward one at the
+    last. The output holds, per position, the forward state then the
+    backward state: (..., T, 2h).
 
     One loop runs both directions: step s computes forward position s and
     backward position T-1-s, and each per-step array is a contiguous
@@ -697,19 +739,20 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
     the step loop reads chunk c from one of two chunk buffers, the tasks
     fill the other with chunk c + 1, and at each chunk boundary the loop
     waits for them (``pool.join``), running those no worker has started.
-    The chunk buffers, and a GEMM product and addend per computing thread,
-    are allocated here and passed in; a task computes what the calling
-    thread would, so the output does not depend on where it ran. The gate
-    activations are kept for every step only when tracking. The backward
-    walks the steps once in reverse with the mask folded into local
-    derivatives computed for all steps at once, then gets the input and
-    weight gradients from a few GEMMs over all steps; it assumes the input
-    is finite everywhere. The calling thread keeps the local derivatives,
-    the reverse loop and the layout of the gate gradients ``da``. The GEMMs
-    run on the pool as pending contributions (``_accum``): one task per
-    direction for ``dW_h``, one per input part for ``da @ w_x[rows_k]^T``
-    and for ``dw_x``'s rows ``part_k^T @ da``, and one for the biases, and
-    the sweep goes on with other nodes while they run. This thread allocates
+    The chunk buffers, and a GEMM product, an addend and a product part's
+    rows per computing thread, are allocated here and passed in; a task
+    computes what the calling thread would, so the output does not depend
+    on where it ran. The gate activations are kept for every step only when
+    tracking. The backward walks the steps once in reverse with the mask
+    folded into local derivatives computed for all steps at once, then gets
+    the input and weight gradients from a few GEMMs over all steps; it
+    assumes the input is finite everywhere. The calling thread keeps the
+    local derivatives, the reverse loop and the layout of the gate gradients
+    ``da``. The GEMMs run on the pool as pending contributions (``_accum``):
+    one task for ``dW_h`` per direction whose blocks need it, one per input
+    part for ``da @ w_x[rows_k]^T`` (and its factors' gradients) and for
+    ``dw_x``'s rows ``part_k^T @ da``, and one for the biases, and the
+    sweep goes on with other nodes while they run. This thread allocates
     every array a task writes or reads as a copy, and ``backward`` sums
     contributions in arrival order, so the gradients do not depend on where
     the tasks ran. The queued tasks hold the gate gradients and states they
@@ -717,21 +760,23 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
     (runs or waits for) the tasks of the BiGRU backward two before it in the
     sweep; a sweep then holds the arrays of at most two such backwards.
     """
-    parts = [x] if isinstance(x, Tensor) else list(x)
+    parts = [_factors(p) for p in ([x] if isinstance(x, Tensor) else x)]
     if not parts:
         raise ShapeError("bigru: need at least one input part")
-    if parts[0].ndim < 2:
-        raise ShapeError(f"bigru: input must be at least rank 2, got {parts[0].shape}")
-    lead = parts[0].shape[:-1]
-    for p in parts[1:]:
-        if p.shape[:-1] != lead:
-            raise ShapeError(f"bigru: input parts {parts[0].shape} and {p.shape} differ "
+    shapes = [_part_shape(fs, "bigru") for fs in parts]
+    if len(shapes[0]) < 2:
+        raise ShapeError(f"bigru: input must be at least rank 2, got {shapes[0]}")
+    lead = shapes[0][:-1]
+    for s in shapes[1:]:
+        if s[:-1] != lead:
+            raise ShapeError(f"bigru: input parts {shapes[0]} and {s} differ "
                              "before the last axis")
     t_len = lead[-1]
     if t_len < 1:
         raise ShapeError("bigru: empty sequence")
-    widths = [p.shape[-1] for p in parts]
+    widths = [s[-1] for s in shapes]
     d_in = sum(widths)
+    factors = [f for fs in parts for f in fs]
     # per direction, the blocks of w_x, w_h and b, and their joins
     blocks = [[[w] if isinstance(w, Tensor) else list(w) for w in cell] for cell in (fw, bw)]
     weights = [t for cell in blocks for bl in cell for t in bl]
@@ -743,7 +788,7 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
             raise ShapeError(f"bigru: stacked weights {w_x.shape}, {w_h.shape}, {b.shape} "
                              f"do not fit input widths {widths} and hidden size {hid}")
     n_seq = int(np.prod(lead[:-1]))
-    dtype = np.result_type(*(p.data for p in parts), *(t.data for t in weights))
+    dtype = np.result_type(*(f.data for f in factors), *(t.data for t in weights))
     # mask per step and direction, step-major like every per-step array
     m = np.ones((t_len, 2, n_seq, 1), dtype=dtype)
     ends = np.full(n_seq, t_len)                        # L_n per sequence
@@ -764,17 +809,22 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
     splits = np.cumsum(widths)[:-1]
     half = np.repeat(np.array([0.5, 0.5, 1.0], dtype=dtype), hid)
     proj = [(np.split(w_x * half, splits), b * half) for w_x, _, b in joined]
-    (fw_x, fw_h, _), (bw_x, bw_h, _) = joined
-    wh_zr = 0.5 * np.stack([fw_h[:, :2 * hid], bw_h[:, :2 * hid]])
-    wh_n = 0.5 * np.stack([fw_h[:, 2 * hid:], bw_h[:, 2 * hid:]])
+    wh_zr = 0.5 * np.stack([w_h[:, :2 * hid] for _, w_h, _ in joined])
+    wh_n = 0.5 * np.stack([w_h[:, 2 * hid:] for _, w_h, _ in joined])
 
-    xs = [p.data.reshape(n_seq, t_len, w) for p, w in zip(parts, widths)]
+    # each part's factors as (N or 1, T or 1, w or 1); a part of one factor
+    # is read in place, a product is formed
+    xs = [[_by_sequence(f.data, lead) for f in fs] for fs in parts]
+    plain = [len(fs) == 1 for fs in parts]
+    formed_w = max((w for w, p in zip(widths, plain) if not p), default=0)
     chunk = min(t_len, BIGRU_CHUNK)
     # two chunks of projected input, one read by the step loop while the
-    # pool fills the other, and per computing thread a GEMM product and addend
+    # pool fills the other, and per computing thread a GEMM product and
+    # addend, and the rows of a formed part
     x_zr = np.empty((2, chunk, 2, n_seq, 2 * hid), dtype=dtype)
     x_n = np.empty((2, chunk, 2, n_seq, hid), dtype=dtype)
     prods = np.empty((pool.threads(), 2, chunk, 3 * hid), dtype=dtype)
+    formed = np.empty((pool.threads(), chunk * formed_w), dtype=dtype)
 
     def project(d: int, n: int, s0: int, s1: int, buf: int) -> None:
         """Steps [s0, s1) of direction d and sequence n into chunk scratch
@@ -782,6 +832,7 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
         c = s1 - s0
         ws, bias = proj[d]
         acc, term = prods[pool.slot()]
+        rows = formed[pool.slot()]
         zr, xn = x_zr[buf, :, d, n], x_n[buf, :, d, n]
         # the chunk's positions are [lo, lo + c); the sequence's real ones
         # fill the first k steps forward and the last k steps backward
@@ -792,9 +843,10 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
             zr[pad] = 0.0
             xn[pad] = 0.0
         if k:
-            p = np.matmul(xs[0][n, lo:lo + k], ws[0], out=acc[:k])
-            for xk, wk in zip(xs[1:], ws[1:]):
-                p += np.matmul(xk[n, lo:lo + k], wk, out=term[:k])
+            p = np.matmul(_part_rows(xs[0], n, lo, lo + k, rows, widths[0]), ws[0],
+                          out=acc[:k])
+            for fs, w, wk in zip(xs[1:], widths[1:], ws[1:]):
+                p += np.matmul(_part_rows(fs, n, lo, lo + k, rows, w), wk, out=term[:k])
             if d:
                 p = p[::-1]
             np.add(p[:, :2 * hid], bias[:2 * hid], out=zr[dst])
@@ -804,7 +856,7 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
         s1 = min(s0 + chunk, t_len)
         return [pool.submit(project, d, n, s0, s1, buf) for d in (0, 1) for n in range(n_seq)]
 
-    tracking = _tracking(*parts, *weights)
+    tracking = _tracking(*factors, *weights)
     kept = t_len if tracking else 1
     u = np.empty((kept, 2, n_seq, 2 * hid), dtype=dtype)   # 2 * sigmoid of z, r
     nn = np.empty((kept, 2, n_seq, hid), dtype=dtype)
@@ -865,8 +917,10 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
         dr_da = r * (1.0 - r)
         dr_da *= h_prev
         del z, mz
-        wh_zr_t = np.stack([fw_h[:, :2 * hid].T, bw_h[:, :2 * hid].T])
-        wh_n_t = np.stack([fw_h[:, 2 * hid:].T, bw_h[:, 2 * hid:].T])
+        # the weights are joined again here, so the node keeps no copy
+        w_x, w_h = ([_join_blocks(cell[i]) for cell in blocks] for i in (0, 1))
+        wh_zr_t = np.stack([wh[:, :2 * hid].T for wh in w_h])
+        wh_n_t = np.stack([wh[:, 2 * hid:].T for wh in w_h])
         da_zr_dir = np.empty((2, t_len, n_seq, 2 * hid), dtype=gdt)
         da_n_dir = np.empty((2, t_len, n_seq, hid), dtype=gdt)
         da_zr, da_n = da_zr_dir.transpose(1, 0, 2, 3), da_n_dir.transpose(1, 0, 2, 3)
@@ -903,43 +957,144 @@ def bigru(x: Tensor | Sequence[Tensor], fw: Sequence[Tensor | Sequence[Tensor]],
             return tasks[-1]
 
         flat = da.reshape(-1, 6 * hid)
-        w_rows = np.split(np.concatenate([fw_x, bw_x], axis=1), splits)
-        need_wx, need_wh, need_b = (any(t.requires_grad for cell in blocks for t in cell[i])
-                                    for i in range(3))
-        if need_wh:
-            dw_h = []
-            for d in (0, 1):
+        w_rows = np.split(np.concatenate(w_x, axis=1), splits)
+        need_wx, need_b = (any(t.requires_grad for cell in blocks for t in cell[i])
+                           for i in (0, 2))
+        dw_h: list = [None, None]
+        for d, cell in enumerate(blocks):
+            if any(t.requires_grad for t in cell[1]):
                 buf = np.empty((hid, 3 * hid), dtype=gdt)
                 rh = np.multiply(r[:, d], h_dir[d]).reshape(-1, hid)
-                dw_h.append((buf, queue_task(_gemms_into, buf, [
+                dw_h[d] = buf, queue_task(_gemms_into, buf, [
                     (h_dir[d].reshape(-1, hid), da_zr_dir[d].reshape(-1, 2 * hid)),
-                    (rh, da_n_dir[d].reshape(-1, hid))], 1)))
-        dx: list = [None] * len(parts)
+                    (rh, da_n_dir[d].reshape(-1, hid))], 1)
+        # per computing thread, a formed part's rows, one sequence's part
+        # gradient, its product with the rows, and a GEMM addend
+        scratch = [(np.empty(t_len * formed_w, dtype=dtype),
+                    *(np.empty(t_len * formed_w, dtype=gdt) for _ in range(2)),
+                    np.empty((formed_w, 6 * hid), dtype=gdt)) for _ in range(pool.threads())]
+        dx: list = [None] * len(parts)      # per part, its (factor, gradient) pairs and task
         for k in reversed(range(len(parts))):
-            if parts[k].requires_grad:
-                buf = np.empty(parts[k].shape, dtype=gdt)
-                dx[k] = buf, queue_task(np.matmul, da, w_rows[k].T,
-                                        buf.reshape(n_seq, t_len, widths[k]))
+            fs, w = parts[k], widths[k]
+            if plain[k] and fs[0].requires_grad:
+                buf = np.empty(shapes[k], dtype=gdt)
+                dx[k] = [(fs[0], buf)], queue_task(np.matmul, da, w_rows[k].T,
+                                                   buf.reshape(n_seq, t_len, w))
+            elif not plain[k] and any(f.requires_grad for f in fs):
+                # a factor that recurs with the same other factors, as H in
+                # (w, H, H), gets one gradient: that term times its count
+                counts: dict = {}
+                for i, f in enumerate(fs):
+                    if f.requires_grad:
+                        key = tuple(id(t) for t in (f, *fs[:i], *fs[i + 1:]))
+                        counts.setdefault(key, [i, 0])[1] += 1
+                grads = {i: (np.empty(fs[i].shape, dtype=gdt), c) for i, c in counts.values()}
+                dx[k] = [(fs[i], g) for i, (g, _) in grads.items()], queue_task(
+                    _factor_grads, da, w_rows[k].T, xs[k],
+                    {i: (_by_sequence(g, lead), c) for i, (g, c) in grads.items()}, scratch)
         if need_wx:
             buf = np.empty((d_in, 6 * hid), dtype=gdt)
-            dw_x = buf, [queue_task(np.matmul, xk.reshape(-1, xk.shape[-1]).T, flat, rows)
-                         for xk, rows in zip(xs, np.split(buf, splits))]
+            dw_x = buf, [queue_task(np.matmul, fs[0].reshape(-1, w).T, flat, rows) if p
+                         else queue_task(_factor_dw, rows, fs, da, scratch)
+                         for fs, w, p, rows in zip(xs, widths, plain, np.split(buf, splits))]
         if need_b:
             buf = np.empty(6 * hid, dtype=gdt)
             db = buf, queue_task(np.sum, flat, 0, None, buf)
-        for p, g_task in zip(parts, dx):       # in part order, as a serial sum
-            if g_task is not None:
-                _accum(p, *g_task)
+        for entry in dx:                        # in part order, as a serial sum
+            if entry is not None:
+                for f, gf in entry[0]:
+                    _accum(f, gf, entry[1])
         for d, (bx, bh, bb) in enumerate(blocks):
             cols = slice(3 * hid * d, 3 * hid * (d + 1))
             if need_wx:
                 _accum_blocks(bx, dw_x[0][:, cols], *dw_x[1])
-            if need_wh:
+            if dw_h[d] is not None:
                 _accum_blocks(bh, *dw_h[d])
             if need_b:
                 _accum_blocks(bb, db[0][cols], db[1])
 
-    return _make(result, (*parts, *weights), bwd)
+    return _make(result, (*factors, *weights), bwd)
+
+
+def _by_sequence(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """``a``, which broadcasts to ``lead + (w,)``, as (N or 1, T or 1,
+    w or 1): N = prod(lead[:-1]) sequences when it spans the leading axes,
+    1 when it spans none of them."""
+    a = a.reshape((1,) * (len(lead) + 1 - a.ndim) + a.shape)
+    head = a.shape[:-2]
+    if head != lead[:-1] and any(s != 1 for s in head):
+        raise ShapeError(f"bigru: a factor of shape {a.shape} spans some but not all of "
+                         f"the leading axes {lead[:-1]}")
+    return a.reshape((int(np.prod(head)),) + a.shape[-2:])
+
+
+def _part_rows(fs: Sequence[np.ndarray], n: int, r0: int, r1: int, buf: np.ndarray,
+               width: int) -> np.ndarray:
+    """Rows [r0, r1) of sequence n of the product of ``fs``, each (N or 1,
+    T or 1, w or 1): a view of a lone factor, which broadcasts to the rows,
+    or the product of two or more, multiplied left to right into the flat
+    ``buf`` as a C-contiguous (r1 - r0, width) array."""
+    pick = [f[n if len(f) > 1 else 0, slice(r0, r1) if f.shape[1] > 1 else slice(0, 1)]
+            for f in fs]
+    if len(pick) == 1:
+        return pick[0]
+    rows = _rows(buf, r1 - r0, width)
+    np.multiply(pick[0], pick[1], out=rows)
+    for f in pick[2:]:
+        rows *= f
+    return rows
+
+
+def _factor_grads(da: np.ndarray, w_t: np.ndarray, fs: Sequence[np.ndarray],
+                  grads: dict[int, tuple[np.ndarray, int]],
+                  scratch: Sequence[tuple[np.ndarray, ...]]) -> None:
+    """The gradients of a product part's factors, from (N, T, .) ``da``. A
+    sequence at a time, the part's gradient ``da[n] @ w_t`` is made in
+    scratch (the GEMM ``np.matmul`` runs for that sequence of ``da @ w_t``).
+    ``grads`` maps the index of a factor in ``fs`` to its gradient array,
+    shaped as the factor, and a count: the array gets the part's gradient
+    times the product of the other factors, times the count, summed over
+    the axes the factor broadcasts on."""
+    formed, g_buf, term_buf, _ = scratch[pool.slot()]
+    n_seq, t_len = da.shape[:2]
+    width = w_t.shape[1]
+    # per gradient: its array, count, the other factors and the axes its
+    # factor broadcasts on; one with the part's shape is written in place
+    wanted = [(g, count, [*fs[:i], *fs[i + 1:]],
+               tuple(ax for ax in (0, 1) if g.shape[ax + 1] < (t_len, width)[ax]))
+              for i, (g, count) in grads.items()]
+    for n in range(n_seq):
+        g_part = np.matmul(da[n], w_t, out=_rows(g_buf, t_len, width))
+        for g, count, rest, axes in wanted:
+            whole = len(g) > 1 and not axes
+            term = g[n] if whole else _rows(term_buf, t_len, width)
+            np.multiply(g_part, _part_rows(rest, n, 0, t_len, formed, width), out=term)
+            if count > 1:
+                term *= count
+            if whole:
+                continue
+            if axes:
+                term = term.sum(axis=axes, keepdims=True)
+            if len(g) > 1:
+                g[n] = term
+            elif n:                             # a factor that all sequences share
+                g[0] += term
+            else:
+                g[0] = term
+
+
+def _factor_dw(out: np.ndarray, fs: Sequence[np.ndarray], da: np.ndarray,
+               scratch: Sequence[tuple[np.ndarray, ...]]) -> None:
+    """``out`` = part^T @ da for a product part, over (N, T, .) ``da``, as a
+    sum over sequences of each one's rows, formed again, times its ``da``."""
+    formed, _, _, term = scratch[pool.slot()]
+    width = out.shape[0]
+    for n in range(da.shape[0]):
+        rows = _part_rows(fs, n, 0, da.shape[1], formed, width)
+        if n:
+            out += np.matmul(rows.T, da[n], out=term[:width])
+        else:
+            np.matmul(rows.T, da[n], out=out)
 
 
 def _join_blocks(blocks: list[Tensor]) -> np.ndarray:
@@ -1241,10 +1396,10 @@ def backward(loss: Tensor) -> None:
     computes it; the sweep goes on to other nodes, folds finished
     contributions as they arrive and waits for a node's pending ones just
     before its closure runs, and for every leaf's before it returns, running
-    in this thread each pending task that no worker has started. So the
-    weight-gradient GEMMs of one node run while the calling thread works
-    through the nodes after it, and the sweep never waits for a task queued
-    behind others.
+    in this thread each pending task that no worker has started; it returns
+    only once every task it started has finished. So the weight-gradient
+    GEMMs of one node run while the calling thread works through the nodes
+    after it, and the sweep never waits for a task queued behind others.
 
     Interior (non-leaf) gradients live only during the sweep: each is
     cleared before it starts and freed once its node has passed it on, so
@@ -1275,6 +1430,8 @@ def backward(loss: Tensor) -> None:
                 node.grad = node.grad.acc
         raise
     finally:
+        for tasks in _sweep.bigru_tasks:
+            pool.finish(tasks)
         _sweep.bigru_tasks.clear()
 
 

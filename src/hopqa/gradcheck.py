@@ -31,6 +31,7 @@ class ParamReport:
 @dataclass
 class GradReport:
     params: dict[str, ParamReport]
+    loss: float = 0.0           # f() at the given parameters
 
     @property
     def worst_rel_err(self) -> float:
@@ -108,4 +109,4 @@ def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor],
     finally:
         for name, t in tensors.items():
             t.data = originals[name]
-    return GradReport(params=report)
+    return GradReport(params=report, loss=float(loss.data))

@@ -260,14 +260,15 @@ class BiGruParams:
                    bw=GruCellParams.create(in_dim, hidden, rng, dtype))
 
 
-def bigru(x: Tensor | Sequence[Tensor], p: BiGruParams,
+def bigru(x: Tensor | Sequence[Tensor | Sequence[Tensor]], p: BiGruParams,
           mask: np.ndarray | None = None) -> Tensor:
     """Bidirectional GRU over axis -2; outputs the two directions
     concatenated per position: (..., T, 2 * hidden).
 
     ``x`` is the input or a list of parts whose join on the last axis is the
     input, in the order of the rows of the ``wx_*`` weights; the join is
-    never built. ``mask`` is (..., T) with 1.0 at real positions; padded
+    never built. A part may be a tuple of factors whose product it is (see
+    ``ad.bigru``). ``mask`` is (..., T) with 1.0 at real positions; padded
     steps keep the previous hidden state in both directions, and positions
     past a sequence's last real one are not projected at all.
     """

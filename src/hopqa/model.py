@@ -17,12 +17,19 @@ is gathered before the char dropout, which is drawn at the per-position
 shapes, so the random stream does not change (``Model._embed``).
 
 The fused block G = [H, c2q, H * q2c, q2c * c2q] stays four parts of
-(B, T, 2d) each and is never joined. The modeling BiGRU reads G, and the
-prediction BiGRUs read [*G, M] and [*G, M, g], g being the previous one's
-output, in training too: a dropout over parts draws its mask at the joined
-shape and applies it part by part, so the random stream is that of the
-join. Each BiGRU is one graph node that reads its per-gate weights as they
-are stored, and sums one input-projection GEMM per part.
+(B, T, 2d) each and is never joined, and its two products are never built:
+they are the tuples of factors (*q2c, H) and (*q2c, c2q), q2c being FGIn's
+(weights, H) or the vanilla (B, 1, 2d) row. The modeling BiGRU reads G, and
+the prediction BiGRUs read [*G, M] and [*G, M, g], g being the previous
+one's output. Each BiGRU is one graph node that reads its per-gate weights
+as they are stored, sums one input-projection GEMM per part, and forms a
+product part's rows a chunk at a time in per-thread scratch. The dropout
+before a BiGRU (the encoder's input, G and [*G, M]) is a dropout over parts:
+it draws its bool mask at the joined shape one sequence at a time, which is
+the random stream of the join, and appends each part's mask columns and the
+scale 1/(1 - rate) to its factors, so no dropped copy is stored either.
+The same code runs in evaluation and training; only the char features and
+the heads' inputs are dropped as tensors.
 
 Self-attention is one ``ad.self_attention`` node: each sequence attends
 over its real positions only, a block of query rows at a time, so no
@@ -232,7 +239,9 @@ class Model:
 
     # ------------------------------------------------------------------
 
-    def _drop(self, x: Tensor | list[Tensor], training: bool, rng) -> Tensor | list[Tensor]:
+    def _drop(self, x: Tensor | list, training: bool, rng) -> Tensor | list:
+        """``ad.dropout``: a tensor is dropped as a node, a list of BiGRU
+        input parts as factors."""
         return ad.dropout(x, self.config.dropout, training, rng)
 
     def _embed(self, batch: Batch, training, rng) -> tuple[Tensor, Tensor]:
@@ -276,8 +285,8 @@ class Model:
         qmask = batch.question_mask.astype(dt)
 
         ctx, qry = self._embed(batch, training, rng)
-        H = bigru(self._drop(ctx, training, rng), self.encoder, mask=cmask)
-        U = bigru(self._drop(qry, training, rng), self.encoder, mask=qmask)
+        H = bigru(self._drop([ctx], training, rng), self.encoder, mask=cmask)
+        U = bigru(self._drop([qry], training, rng), self.encoder, mask=qmask)
 
         trace = AttentionTrace(context_mask=cmask.copy(), query_mask=qmask.copy()) \
             if capture_trace else None

@@ -29,23 +29,27 @@ def tiny_batch(n_sentences: int = 2) -> Batch:
 
 
 def full_model_check(dtype_name: str, d: int = 4, seed: int = 0,
-                     max_coords: int = 4,
-                     param_filter: list[str] | None = None) -> tuple[float, GradReport, Model]:
+                     max_coords: int = 4, param_filter: list[str] | None = None,
+                     training: bool = False) -> tuple[float, GradReport, Model]:
     """Gradient-check the joint loss of the whole model on the tiny batch.
 
     One representative parameter per block is sampled unless
     ``param_filter`` lists explicit names; a name that is not a parameter
-    raises ``KeyError``.
+    raises ``KeyError``. With ``training`` the model has dropout 0.2 and
+    each evaluation of the loss runs the training forward with a dropout
+    rng seeded afresh, so every difference quotient sees the same masks.
     """
     batch = tiny_batch()
-    config = ModelConfig(d=d, dropout=0.0, word_dim=8, char_dim=4, char_filters=6,
-                         max_word_len=8, dtype=dtype_name, train_word_emb=True)
+    config = ModelConfig(d=d, dropout=0.2 if training else 0.0, word_dim=8, char_dim=4,
+                         char_filters=6, max_word_len=8, dtype=dtype_name,
+                         train_word_emb=True)
     n_words = max(int(batch.token_words.max()) + 1, 20)
     n_chars = int(batch.token_chars.max()) + 1
     model = Model(config, n_words, n_chars, np.random.default_rng(seed))
 
     def f():
-        out = model.forward(batch, training=False)
+        rng = np.random.default_rng(seed + 1) if training else None
+        out = model.forward(batch, training=training, rng=rng)
         loss, _ = joint_loss(out, batch, config.lambda_a, config.lambda_s)
         return loss
 

@@ -9,6 +9,8 @@ primitives instead, so they live beside the tests rather than in
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from hopqa.autodiff import (
@@ -19,7 +21,14 @@ from hopqa.autodiff import (
     _make,
     _stable_sigmoid,
     _unbroadcast,
+    mul,
 )
+
+
+def product(part) -> Tensor:
+    """A BiGRU input part as one tensor: a tensor is itself, a tuple of
+    factors their product, multiplied left to right with ``mul``."""
+    return part if isinstance(part, Tensor) else functools.reduce(mul, part)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

@@ -15,6 +15,7 @@ from hopqa.attention import (
     vanilla_q2c,
 )
 from hopqa.gradcheck import grad_check
+from reference_ops import product
 
 
 def _zero_sim_params(width):
@@ -168,15 +169,15 @@ def test_vanilla_q2c_single_position():
 def test_fgin_uniform_single_column_halves_rows():
     H = constant([[2.0, 4.0], [6.0, 8.0]])
     S_bar = constant(np.zeros((2, 1), dtype=np.float32))   # uniform column weights 0.5
-    out = fgin_q2c(H, S_bar).data
+    out = product(fgin_q2c(H, S_bar)).data
     assert np.allclose(out, [[1.0, 2.0], [3.0, 4.0]], atol=1e-6)
 
 
 def test_fgin_identical_columns_scale_linearly():
     H = constant(np.random.default_rng(12).standard_normal((3, 4)).astype(np.float32))
     col = np.random.default_rng(13).standard_normal((3, 1)).astype(np.float32)
-    one = fgin_q2c(H, constant(col)).data
-    two = fgin_q2c(H, constant(np.concatenate([col, col], axis=1))).data
+    one = product(fgin_q2c(H, constant(col))).data
+    two = product(fgin_q2c(H, constant(np.concatenate([col, col], axis=1)))).data
     assert np.allclose(two, 2.0 * one, atol=1e-5)
 
 
@@ -184,7 +185,7 @@ def test_fgin_rows_distinct_unlike_vanilla():
     rng = np.random.default_rng(14)
     H, U = _rand_hu(rng, 6, 3, 4)
     S = similarity(H, U, SimilarityParams.create(4, rng))
-    out = fgin_q2c(H, S).data
+    out = product(fgin_q2c(H, S)).data
     gaps = [np.abs(out[i] - out[k]).max() for i in range(6) for k in range(i + 1, 6)]
     assert max(gaps) > 1e-3
 
@@ -245,7 +246,7 @@ def test_fuse_g_width_is_four_blocks():
     H = constant(rng.standard_normal((5, 6)).astype(np.float32))
     c2q = constant(rng.standard_normal((5, 6)).astype(np.float32))
     q2c = constant(rng.standard_normal((5, 6)).astype(np.float32))
-    assert [part.shape for part in fuse_g(H, c2q, q2c)] == [(5, 6)] * 4
+    assert [product(part).shape for part in fuse_g(H, c2q, q2c)] == [(5, 6)] * 4
 
 
 def test_fuse_g_zero_q2c_zeroes_last_blocks():
@@ -253,7 +254,7 @@ def test_fuse_g_zero_q2c_zeroes_last_blocks():
     H = constant(rng.standard_normal((4, 2)).astype(np.float32))
     c2q = constant(rng.standard_normal((4, 2)).astype(np.float32))
     q2c = constant(np.zeros((4, 2), dtype=np.float32))
-    g = np.concatenate([part.data for part in fuse_g(H, c2q, q2c)], axis=-1)
+    g = np.concatenate([product(part).data for part in fuse_g(H, c2q, q2c)], axis=-1)
     assert np.array_equal(g[:, :2], H.data)
     assert np.array_equal(g[:, 2:4], c2q.data)
     assert not g[:, 4:].any()
@@ -261,7 +262,7 @@ def test_fuse_g_zero_q2c_zeroes_last_blocks():
 
 def test_fuse_g_all_ones():
     ones = constant(np.ones((3, 2), dtype=np.float32))
-    g = np.concatenate([part.data for part in fuse_g(ones, ones, ones)], axis=-1)
+    g = np.concatenate([product(part).data for part in fuse_g(ones, ones, ones)], axis=-1)
     assert np.array_equal(g, np.ones((3, 8), dtype=np.float32))
 
 
@@ -345,7 +346,8 @@ def test_full_attention_chain_grad_check(dtype):
         S2 = similarity(H, q_bar, p)
         q2c = fgin_q2c(H, S2)
         c2q = context2query(q_bar, S2)
-        return reduce_sum(ad.mul(ad.concat(fuse_g(H, c2q, q2c), axis=-1), probe))
+        return reduce_sum(ad.mul(ad.concat([product(p) for p in fuse_g(H, c2q, q2c)], axis=-1),
+                                 probe))
 
     report = grad_check(forward, {"H": H, "U": U, "w_h": p.w_h, "w_u": p.w_u,
                                   "w_s": f.w_s}, rng=np.random.default_rng(5))

@@ -39,7 +39,7 @@ from hopqa.autodiff import (
     tensor,
     transpose,
 )
-from reference_ops import narrow, sigmoid, sub, tanh
+from reference_ops import narrow, product, sigmoid, sub, tanh
 
 
 def naive_matmul(a, b):
@@ -389,7 +389,7 @@ def test_dropout_parts_equal_slices_of_dropout_on_their_join(dtype):
     def run(drop):
         for p in parts:
             p.grad = None
-        outs = drop(np.random.default_rng(4))
+        outs = [product(o) for o in drop(np.random.default_rng(4))]
         backward(reduce_sum(ad.mul(concat(outs, axis=-1), Tensor(g))))
         return [o.data for o in outs], [p.grad for p in parts]
 
@@ -401,6 +401,27 @@ def test_dropout_parts_equal_slices_of_dropout_on_their_join(dtype):
         assert out.dtype == dtype and np.array_equal(out, want)
     for grad, want in zip(grads, ref_grads):
         assert np.array_equal(grad, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_parts_are_their_factors_with_the_joined_mask_and_the_scale(dtype):
+    # each part keeps its factors and gains its columns of the mask drawn at
+    # the joined shape, one sequence at a time, and the scale; the leading
+    # axes are (2, 3), so the sequences are drawn in C order over both
+    rng = np.random.default_rng(10)
+    data = lambda *shape: constant(rng.standard_normal(shape).astype(dtype), dtype=dtype)
+    w, h, c = data(2, 3, 5, 1), data(2, 3, 5, 4), data(2, 3, 5, 2)
+    parts = [h, (w, h, h), c]
+    dropped = dropout(parts, 0.3, training=True, rng=np.random.default_rng(4))
+    keep = np.random.default_rng(4).random((2, 3, 5, 10)) >= 0.3
+    for part, cols, out in zip(parts, np.split(keep, [4, 8], axis=-1), dropped):
+        factors = (part,) if isinstance(part, Tensor) else part
+        assert len(out) == len(factors) + 2
+        assert all(a is b for a, b in zip(out, factors))
+        assert out[-2].dtype == np.bool_ and np.array_equal(out[-2].data, cols)
+        assert out[-1].shape == () and out[-1].dtype == dtype
+        assert out[-1].data == dtype(1) / dtype(0.7)
+        assert not out[-2].requires_grad and not out[-1].requires_grad
 
 
 def test_dropout_parts_eval_identity_and_bad_parts():
@@ -803,6 +824,21 @@ def test_backward_raises_a_closure_error_after_every_task_has_finished():
     loss, _ = _chain(x, [(np.float32(2.0), "task"), (np.float32(3.0), "now")])
     backward(loss)
     assert np.array_equal(x.grad, [5.0, 5.0])
+
+
+def test_bigru_backward_leaves_no_task_behind_when_one_direction_needs_no_w_h(monkeypatch):
+    # the zero-worker pool runs a task only when someone waits for it: a
+    # dW_h task that nothing waits for would stay queued, holding the states
+    monkeypatch.setattr(hp, "_pool", hp._Pool(0))
+    monkeypatch.setattr(hp, "_size", 1)
+    rng = np.random.default_rng(11)
+    x = parameter(rng.standard_normal((2, ad.BIGRU_CHUNK + 3, 3)))
+    fw = [parameter(rng.standard_normal(s)) for s in ((3, 6), (2, 6), (6,))]
+    bw = [parameter(rng.standard_normal((3, 6))), constant(rng.standard_normal((2, 6))),
+          parameter(rng.standard_normal(6))]
+    backward(reduce_sum(ad.bigru(x, fw, bw)))
+    assert not hp._pool._queue
+    assert fw[1].grad is not None and bw[1].grad is None and bw[0].grad is not None
 
 
 def _bigru_with_parts_loss(rng):

@@ -21,7 +21,7 @@ from hopqa.layers import (
     load_glove,
     named_tensors,
 )
-from reference_ops import narrow, sigmoid, sub, tanh
+from reference_ops import narrow, product, sigmoid, sub, tanh
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +640,57 @@ def test_bigru_parts_mask_cases_match_per_timestep_reference():
     assert np.allclose(out, ref_out, rtol=0, atol=1e-12)
     for g, ref in zip(grads, ref_grads):
         assert np.allclose(g, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t_len", [7, ad.BIGRU_CHUNK + 44], ids=["short", "past_chunk"])
+@pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_bigru_factor_parts_match_their_products(dtype, rtol, t_len):
+    # a plain part, a product (w, H, H) dropped by a bool mask and a scale,
+    # a (N, 1, w) row times c2q and a factor all sequences share: the output
+    # has the bits of the products made as tensors, with or without grad,
+    # and the gradients move only by the order of their sums
+    rng = np.random.default_rng(29)
+    n = len(MASK_CASES)
+    leaf = lambda *shape: parameter(rng.standard_normal(shape).astype(dtype) * 0.5, dtype=dtype)
+    w, h, c2q, row, shared = (leaf(n, t_len, 1), leaf(n, t_len, 3), leaf(n, t_len, 3),
+                              leaf(n, 1, 3), leaf(3))
+    keep = constant(rng.random((n, t_len, 3)) >= 0.3, dtype=bool)
+    scale = constant(dtype(1) / dtype(0.7), dtype=dtype)
+    parts = [h, (w, h, h, keep, scale), (row, c2q), (shared, c2q)]
+    fw, bw = _stacked_weights(rng, 12, 3, dtype)
+    mask = _case_masks(t_len, dtype)
+    probe = constant(rng.standard_normal((n, t_len, 6)).astype(dtype) * 0.1, dtype=dtype)
+    tensors = [w, h, c2q, row, shared, *fw, *bw]
+
+    def run(x):
+        for t in tensors:
+            t.grad = None
+        out = ad.bigru(x, fw, bw, mask=mask)
+        backward(reduce_sum(ad.mul(out, probe)))
+        return out.data, [t.grad for t in tensors]
+
+    out, grads = run(parts)
+    ref_out, ref_grads = run([product(p) for p in parts])
+    assert out.dtype == dtype and np.array_equal(out, ref_out)
+    with ad.no_grad():
+        assert np.array_equal(ad.bigru(parts, fw, bw, mask=mask).data, out)
+    for t, g, ref in zip(tensors, grads, ref_grads):
+        assert g.dtype == dtype and g.shape == t.shape
+        assert np.abs(g - ref).max() <= rtol * np.abs(ref).max()
+
+
+def test_bigru_factors_must_broadcast_and_span_all_leading_axes_or_none():
+    rng = np.random.default_rng(30)
+    fw, bw = _stacked_weights(rng, 3, 2, np.float32)
+    ones = lambda *shape: constant(np.ones(shape, dtype=np.float32))
+    assert ad.bigru([(ones(2, 3, 4, 1), ones(2, 3, 4, 3))], fw, bw).shape == (2, 3, 4, 4)
+    assert ad.bigru([(ones(1, 1, 4, 3), ones(2, 3, 4, 3))], fw, bw).shape == (2, 3, 4, 4)
+    with pytest.raises(ShapeError, match="spans some"):
+        ad.bigru([(ones(1, 3, 4, 3), ones(2, 3, 4, 3))], fw, bw)
+    with pytest.raises(ShapeError):
+        ad.bigru([(ones(2, 4, 3), ones(2, 5, 3))], fw, bw)
+    with pytest.raises(ShapeError):
+        ad.bigru([()], fw, bw)
 
 
 @pytest.mark.parametrize("nan_part", [0, 1])

@@ -7,7 +7,7 @@ from hopqa import autodiff as ad
 from hopqa import pool as hp
 from hopqa.autodiff import Tensor, backward, constant, no_grad, zero_grads
 from hopqa.data import build_vocab, make_batches, synth_two_hop
-from hopqa.gradcheck import grad_check
+from hopqa.gradcheck import DEFAULT_EPS, grad_check
 from hopqa.model import (
     Model,
     ModelConfig,
@@ -36,6 +36,7 @@ from hopqa.attention import (
 )
 from hopqa.autodiff import DataError, NumericError, ShapeError
 from hopqa.layers import CHAR_KERNEL, UNK_ID, Linear, char_cnn, embed_words, highway, linear, xavier_uniform
+from hopqa.layers import bigru as bigru_layer
 from hopqa.serialization import load_tensors, save_tensors
 from hopqa.training import TrainConfig, train
 from hopqa.verification import full_model_check, tiny_batch
@@ -171,6 +172,34 @@ def test_eval_forward_builds_no_joined_g_and_finds_no_tokens(monkeypatch):
     with no_grad():
         model.forward(batch)
     assert widths and max(widths) < 8 * model.config.d, widths
+
+
+@pytest.mark.parametrize("use_fgin", [True, False], ids=["fgin", "vanilla"])
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+def test_forward_stores_no_product_of_g_and_no_dropped_copy(monkeypatch, training, use_fgin):
+    # G's products, and in training its dropped parts, reach the modeling
+    # BiGRU as factors: the only float (B, T, 2d) arrays its input parts hold
+    # are H and c2q, the dropout masks being bool
+    import hopqa.model as hm
+    model, batch, _ = make_model_and_batch(dropout=0.2, use_fgin=use_fgin)
+    inputs, outputs = [], []
+
+    def spy(x, p, mask=None):
+        inputs.append(x)
+        outputs.append(bigru_layer(x, p, mask=mask))
+        return outputs[-1]
+
+    monkeypatch.setattr(hm, "bigru", spy)
+    if training:
+        model.forward(batch, training=True, rng=np.random.default_rng(0))
+    else:
+        with no_grad():
+            model.forward(batch)
+    b, t_len = batch.context_mask.shape
+    g_parts = inputs[2]
+    full = {id(f.data) for part in g_parts for f in (part if isinstance(part, tuple) else (part,))
+            if f.shape == (b, t_len, 2 * model.config.d) and f.dtype != np.bool_}
+    assert len(g_parts) == 4 and len(full) == 2 and id(outputs[0].data) in full
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +602,22 @@ def test_zero_sup_weight_decouples_sup_head():
 def test_joint_loss_grad_check_tiny_dims():
     worst, report, _ = full_model_check("float32")
     assert worst < 1e-3, f"worst {worst:.2e} at {report.worst_param()}"
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+def test_float64_whole_model_gradients_agree_with_finite_differences(training):
+    # 12 coordinates per tensor, in the eval forward and in the training
+    # forward with dropout 0.2 (the same masks in every evaluation). Each
+    # must lie within 1e-6 of the difference quotient, relatively, plus ten
+    # times the quotient's rounding noise |L| eps_64 / eps: a gradient that
+    # reaches the loss only through near-cancelling terms, such as
+    # selfatt.sim.w_h's, has a quotient made of that noise alone
+    _, report, model = full_model_check("float64", max_coords=12, training=training)
+    assert model.config.dropout == (0.2 if training else 0.0)
+    noise = 10 * abs(report.loss) * np.finfo(np.float64).eps / DEFAULT_EPS
+    outside = [(name, s.index, s.analytic, s.numeric) for name, p in report.params.items()
+               for s in p.samples if abs(s.analytic - s.numeric) > 1e-6 * abs(s.numeric) + noise]
+    assert len(report.params) == 23 and outside == []
 
 
 def test_full_model_check_rejects_unknown_parameter_name():
