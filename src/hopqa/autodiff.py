@@ -17,9 +17,6 @@ its backward closure and hands it to ``_make``, which drops it for a
 constant; only ``highway`` and ``bigru`` also ask, to keep per-step
 activations only when they will be used.
 
-A backward closure may hand the same array object to several consumers,
-so ``backward`` sums in place only into arrays it owns (see ``Tensor``).
-
 ``bigru`` and ``self_attention`` hand tasks to the pool in ``hopqa.pool``,
 which describes the scheduling. Their forwards split work into tasks.
 Their backwards hand GEMMs over as pending gradient contributions
@@ -93,12 +90,7 @@ class Tensor:
 
     During ``backward`` a ``grad`` that has more than one contribution, or
     one still being computed, is a ``_Sum``; ``backward`` turns it into an
-    array before the node's closure sees it and before it returns. The sweep
-    sums in place only into arrays it owns: a sum it allocated, or an array
-    that a closure allocated for one tensor and handed over together with
-    the task that fills it. It never writes into an array a closure handed
-    over on its own, since a closure may give one array to several
-    consumers, nor into a ``grad`` that was there when the sweep began."""
+    array before the node's closure sees it and before it returns."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -173,15 +165,14 @@ def _make(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
 
 class _Sum:
     """A gradient while the sweep sums it: the sum of the contributions
-    folded so far, whether the sweep owns that array, and the contributions
-    after them as ``(array, tasks)`` pairs in arrival order, ``tasks`` being
-    the tasks that still fill the array, none for an array that is ready."""
+    folded so far, and the contributions after them as ``(array, tasks)``
+    pairs in arrival order, ``tasks`` being the tasks that still fill the
+    array, none for an array that is ready."""
 
-    __slots__ = ("acc", "owned", "pending")
+    __slots__ = ("acc", "pending")
 
     def __init__(self, acc: np.ndarray | None):
         self.acc = acc
-        self.owned = False
         self.pending: list[tuple[np.ndarray, tuple[pool.Task, ...]]] = []
 
     def fold(self, block: bool) -> None:
@@ -193,34 +184,20 @@ class _Sum:
             if not (block or pool.done(tasks)):
                 break
             pool.join(tasks)
-            self.acc, self.owned = _add(self.acc, self.owned, g, bool(tasks))
+            self.acc = g if self.acc is None else np.asarray(self.acc + g)
             folded += 1
         del self.pending[:folded]
 
 
-def _add(acc, acc_owned: bool, g, g_owned: bool):
-    """``acc + g`` and whether the sweep owns it, written into whichever of
-    the two the sweep owns when the sum has its dtype and shape."""
-    if acc is None:
-        return g, g_owned
-    for buf, owned in ((acc, acc_owned), (g, g_owned)):
-        if owned and buf.dtype == np.result_type(acc, g) \
-                and buf.shape == np.broadcast_shapes(acc.shape, g.shape):
-            return np.add(acc, g, out=buf), True
-    total = acc + g
-    return total, isinstance(total, np.ndarray)
-
-
 def _accum(t: Tensor, g: np.ndarray, *tasks: pool.Task) -> None:
     """Add ``g`` to ``t.grad``. With ``tasks``, handles from ``pool.submit``,
-    ``g`` is an array the closure allocated for ``t`` alone (or a column
-    slice of one) that the tasks are still filling; it is added once they
+    ``g`` is an array the tasks are still filling; it is added once they
     are done, in its place among ``t``'s contributions."""
     if not t.requires_grad:
         return
     s = t.grad
     if s is None and not tasks:
-        t.grad = g
+        t.grad = np.asarray(g)
         return
     if not isinstance(s, _Sum):
         s = t.grad = _Sum(s)
@@ -1391,15 +1368,17 @@ def backward(loss: Tensor) -> None:
 
     Gradients accumulate additively when a tensor feeds several consumers,
     summed in the order the contributions arrive, so the result is the
-    serial sum ``((g1 + g2) + g3) ...`` bit for bit. A closure may hand a
-    contribution over while a task on the pool (``hopqa.pool``) still
-    computes it; the sweep goes on to other nodes, folds finished
-    contributions as they arrive and waits for a node's pending ones just
-    before its closure runs, and for every leaf's before it returns, running
-    in this thread each pending task that no worker has started; it returns
-    only once every task it started has finished. So the weight-gradient
-    GEMMs of one node run while the calling thread works through the nodes
-    after it, and the sweep never waits for a task queued behind others.
+    serial sum ``((g1 + g2) + g3) ...`` bit for bit. Every sum is a new
+    array: the sweep never writes into an array a closure hands it, or into
+    a ``grad`` that already exists. A closure may hand a contribution over
+    while a task on the pool (``hopqa.pool``) still computes it; the sweep
+    goes on to other nodes, folds finished contributions as they arrive and
+    waits for a node's pending ones just before its closure runs, and for
+    every leaf's before it returns, running in this thread each pending task
+    that no worker has started; it returns only once every task it started
+    has finished. So the weight-gradient GEMMs of one node run while the
+    calling thread works through the nodes after it, and the sweep never
+    waits for a task queued behind others.
 
     Interior (non-leaf) gradients live only during the sweep: each is
     cleared before it starts and freed once its node has passed it on, so

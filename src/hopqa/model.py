@@ -66,7 +66,16 @@ from .attention import (
     similarity,
     vanilla_q2c,
 )
-from .autodiff import MASK_FILL, ShapeError, Tensor, UsageError, concat, gather_rows, no_grad
+from .autodiff import (
+    MASK_FILL,
+    DataError,
+    ShapeError,
+    Tensor,
+    UsageError,
+    concat,
+    gather_rows,
+    no_grad,
+)
 from .data import ANSWER_TYPES, Batch, Example
 from .layers import (
     CHAR_KERNEL,
@@ -422,12 +431,15 @@ def decode_example(ex: Example, type_row: np.ndarray, start_row: np.ndarray,
 
 
 def predict_batches(model: Model, batches: list[Batch]) -> dict[str, Prediction]:
-    """Eval-mode decoding over a batch list."""
+    """Eval-mode decoding over a batch list, keyed by example id. Raises
+    ``DataError`` when two examples share an id."""
     preds: dict[str, Prediction] = {}
     with no_grad():
         for batch in batches:
             out = model.forward(batch, training=False)
             for i, ex in enumerate(batch.examples):
+                if ex.id in preds:
+                    raise DataError(f"predict_batches: example id {ex.id!r} is repeated")
                 preds[ex.id] = decode_example(
                     ex, out.type_logits.data[i], out.start_logits.data[i],
                     out.end_logits.data[i], out.sup_logits.data[i], model.config)

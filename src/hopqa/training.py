@@ -103,7 +103,12 @@ def train(model: Model, train_examples: list[Example],
     After each epoch the dev slice is scored with the averaged weights;
     training stops once the chosen dev metric fails to improve for
     ``patience`` consecutive epochs, keeping the best averaged weights.
+    Without ``predict_support`` every supporting-fact and joint score is 0,
+    so ``eval_metric`` must then be an answer score (``ValueError``).
     """
+    if not model.config.predict_support and not tcfg.eval_metric.startswith("answer_"):
+        raise ValueError(f"eval_metric {tcfg.eval_metric!r} is 0 for every example "
+                         "without predict_support; use answer_em or answer_f1")
     params = model.parameters()
     opt = make_optimizer(tcfg.optimizer, params, tcfg.lr)
     ema = EmaWeights(params, decay=tcfg.ema_decay)

@@ -740,8 +740,8 @@ def test_backward_sums_pending_contributions_in_arrival_order(modes):
     backward(loss)
     assert type(x.grad) is np.ndarray and x.grad.dtype == np.float32
     assert np.array_equal(x.grad, np.zeros(3, dtype=np.float32))
-    if modes[0] != "now":           # later contributions fold into the task's buffer
-        assert x.grad is buffers[0]
+    for i, buf in buffers.items():      # no sum is written into a task's buffer
+        assert np.array_equal(buf, np.full(3, values[i], dtype=np.float32))
 
 
 def test_backward_adds_to_an_existing_grad_without_writing_into_it():
@@ -752,6 +752,16 @@ def test_backward_adds_to_an_existing_grad_without_writing_into_it():
     backward(loss)
     assert np.array_equal(x.grad, np.zeros(3, dtype=np.float32))
     assert np.array_equal(before, np.full(3, 1e8, dtype=np.float32))
+
+
+@pytest.mark.parametrize("n_terms", [1, 3])
+def test_backward_gives_a_0d_leaf_an_array_grad(n_terms):
+    # numpy gives a scalar for a product or sum of 0-d arrays
+    x = parameter(np.float32(2.0))
+    loss = ad.mul(x, constant(np.float32(3.0))) if n_terms == 1 else ad.add(ad.mul(x, x), x)
+    backward(loss)
+    assert type(x.grad) is np.ndarray and x.grad.dtype == np.float32
+    assert x.grad == np.float32(3.0 if n_terms == 1 else 5.0)
 
 
 def test_backward_never_writes_into_arrays_closures_hand_over():

@@ -21,6 +21,7 @@ from hopqa.model import (
     predictions_to_json,
     self_attention,
 )
+import dataclasses
 import random
 import sys
 import threading
@@ -1028,6 +1029,18 @@ def test_training_step_gives_the_same_bits_under_any_schedule(t512_step_and_seri
     assert grads.keys() == want.keys()
     for name, g in grads.items():
         assert type(g) is np.ndarray and np.array_equal(g, want[name]), name
+
+
+@pytest.mark.parametrize("batch_size", [3, 2])
+def test_predict_batches_rejects_a_repeated_example_id(batch_size):
+    # with batches of 2 the repeat sits in the next batch
+    examples = synth_two_hop(3, seed=4)
+    examples[2] = dataclasses.replace(examples[2], id=examples[0].id)
+    vocab = build_vocab(examples)
+    batches, _ = make_batches(examples, vocab, batch_size=batch_size, max_word_len=8)
+    model = Model(tiny_config(), vocab.n_words, vocab.n_chars, np.random.default_rng(4))
+    with pytest.raises(DataError, match=f"id '{examples[0].id}' is repeated"):
+        predict_batches(model, batches)
 
 
 def test_predict_batches_round_trip():

@@ -100,6 +100,22 @@ def test_train_config_accepts_zero_clip_norm_and_each_optimizer():
         assert TrainConfig(optimizer=kind).optimizer == kind
 
 
+@pytest.mark.parametrize("metric", ["joint_f1", "sup_em"])
+def test_train_without_support_prediction_needs_an_answer_metric(setup, metric):
+    # without supporting facts every sup and joint score is 0, so early
+    # stopping on one would keep epoch 1's weights
+    _, examples, vocab = setup
+    model = Model(ModelConfig(d=4, dropout=0.0, word_dim=8, char_dim=4, char_filters=6,
+                              max_word_len=8, predict_support=False),
+                  vocab.n_words, vocab.n_chars, np.random.default_rng(1))
+    with pytest.raises(ValueError, match=f"eval_metric '{metric}' .* predict_support"):
+        train(model, examples[:2], examples[2:4], vocab,
+              TrainConfig(epochs=1, batch_size=2, eval_metric=metric))
+    result = train(model, examples[:2], examples[2:4], vocab,
+                   TrainConfig(epochs=1, batch_size=2, eval_metric="answer_f1"))
+    assert result.best_epoch == 1
+
+
 def test_train_frees_each_step_graph_before_the_next_forward(setup):
     _, examples, vocab = setup
     model = Model(ModelConfig(d=4, dropout=0.0, word_dim=8, char_dim=4, char_filters=6,
