@@ -18,7 +18,7 @@ import json
 import reprlib
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -110,8 +110,7 @@ class LoadStats:
 
     @property
     def warnings_total(self) -> int:
-        return (self.answers_not_found + self.sup_dropped
-                + self.offsets_snapped + self.empty_sentences)
+        return sum(getattr(self, f.name) for f in fields(self))
 
 
 def _char_span_to_tokens(tokens: list[Token], lo: int, hi: int) -> tuple[int, int] | None:

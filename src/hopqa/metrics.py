@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
@@ -110,16 +110,13 @@ def score_example(ex_id: str, pred_answer: str, gold_answers: list[str],
     return ExampleScore(ex_id, a_em, a_f1, s_em, s_f1, j_em, j_f1)
 
 
+def score_names() -> list[str]:
+    """The score fields that ``MetricReport`` and ``ExampleScore`` share, in order."""
+    return [f.name for f in fields(MetricReport) if isinstance(f.default, float)]
+
+
 def aggregate(scores: list[ExampleScore]) -> MetricReport:
     if not scores:
         return MetricReport()
-    n = len(scores)
-    return MetricReport(
-        answer_em=sum(s.answer_em for s in scores) / n,
-        answer_f1=sum(s.answer_f1 for s in scores) / n,
-        sup_em=sum(s.sup_em for s in scores) / n,
-        sup_f1=sum(s.sup_f1 for s in scores) / n,
-        joint_em=sum(s.joint_em for s in scores) / n,
-        joint_f1=sum(s.joint_f1 for s in scores) / n,
-        per_example=scores,
-    )
+    return MetricReport(**{k: sum(getattr(s, k) for s in scores) / len(scores)
+                           for k in score_names()}, per_example=scores)

@@ -50,6 +50,7 @@ once: grad mode is per thread, and every call has its own scratch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,8 +118,12 @@ class ModelConfig:
         if self.max_word_len < CHAR_KERNEL:
             raise ValueError(f"max_word_len must be >= the char-CNN kernel {CHAR_KERNEL}, "
                              f"got {self.max_word_len}")
-        if self.lambda_a <= 0 or self.lambda_s <= 0:
-            raise ValueError("loss weights must be positive")
+        for name in ("lambda_a", "lambda_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not 0.0 <= self.sup_threshold <= 1.0:
+            raise ValueError(f"sup_threshold must be in [0, 1], got {self.sup_threshold}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):

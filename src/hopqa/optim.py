@@ -38,8 +38,8 @@ class _SlotState:
     """Per-parameter state slots (``SLOTS``), saved and loaded by name.
 
     A slot ``m`` is a dict ``self.m`` from parameter name to array, saved as
-    ``m.<name>``. Loading checks every key and shape before it assigns
-    anything, so a bad state leaves the optimizer as it was."""
+    ``m.<name>``. Loading checks the step, every key and every shape before it
+    assigns anything, so a bad state leaves the optimizer as it was."""
 
     KIND = ""
     SLOTS: tuple[str, ...] = ()
@@ -55,14 +55,16 @@ class _SlotState:
         return out, {"optimizer": self.KIND, "step": str(self.step_count)}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], meta: dict[str, str]) -> None:
-        step = int(meta.get("step", "0"))
+        step = meta.get("step", "0")
+        if not (step.isascii() and step.isdigit()):
+            raise ValueError(f"{self.KIND} state step must be an integer >= 0, got {step!r}")
         for key, have in self.state_arrays()[0].items():
             if key not in arrays:
                 raise KeyError(f"{self.KIND} state missing {key!r}")
             if tuple(arrays[key].shape) != have.shape:
                 raise ShapeError(f"{self.KIND} state {key!r} has shape "
                                  f"{arrays[key].shape}, expected {have.shape}")
-        self.step_count = step
+        self.step_count = int(step)
         for n in self.params:
             for slot in self.SLOTS:
                 table = getattr(self, slot)

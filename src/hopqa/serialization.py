@@ -1,100 +1,60 @@
-"""Checkpoint files: a text manifest plus a little-endian binary blob.
-
-The manifest lists one tensor per line (name, shape and dtype); the blob
-holds the tensors' data concatenated in manifest order. Floating-point
-tensors keep their dtype, so round-trips are bit-exact; other arrays are
-stored as float32.
-"""
+"""Checkpoint files: one numpy ``.npz`` archive, read without pickles. It holds the float
+tensors positionally (``arr_0``, ``arr_1``, ...), each in its own dtype and shape; their
+names as the string array ``names``, which would drop a final NUL, so no name may hold one;
+and the string-to-string meta as one JSON string ``meta``."""
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Mapping
+from zipfile import BadZipFile
 
 import numpy as np
-
-FORMAT_LINE = "hopqa-checkpoint 2"
 
 
 class CheckpointError(ValueError):
     pass
 
 
+def _maps_str_to_str(meta) -> bool:
+    return isinstance(meta, dict) and all(isinstance(s, str) for kv in meta.items() for s in kv)
+
+
 def save_tensors(prefix: str, named: Mapping[str, np.ndarray],
                  meta: Mapping[str, str] | None = None) -> None:
-    """Write ``<prefix>.manifest`` and ``<prefix>.bin``."""
-    lines = [FORMAT_LINE]
-    for key, value in (meta or {}).items():
-        if any(c.isspace() for c in key):
-            raise CheckpointError(f"meta key may not contain whitespace: {key!r}")
-        if "\n" in value or "\r" in value:
-            raise CheckpointError(f"meta value may not contain a line break: {key!r}")
-        lines.append(f"meta {key} {value}")
-    blobs = []
-    for name, arr in named.items():
-        if any(c.isspace() for c in name):
-            raise CheckpointError(f"tensor name may not contain whitespace: {name!r}")
-        arr = np.asarray(arr)
-        dtype = np.dtype(arr.dtype if arr.dtype.kind == "f" else np.float32).newbyteorder("<")
-        shape = "x".join(str(d) for d in arr.shape) if arr.ndim else "1"
-        lines.append(f"tensor {name} {shape} {dtype.str}")
-        blobs.append(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-    os.makedirs(os.path.dirname(os.path.abspath(prefix)), exist_ok=True)
-    with open(prefix + ".manifest", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(prefix + ".bin", "wb") as fh:
-        fh.write(b"".join(blobs))
+    """Write ``<prefix>.npz``; a tensor that is not floating point raises."""
+    path, meta, arrays = prefix + ".npz", dict(meta or {}), [np.asarray(a) for a in named.values()]
+    if not _maps_str_to_str(meta):
+        raise CheckpointError(f"{path}: meta must map strings to strings")
+    for name, arr in zip(named, arrays):
+        if not isinstance(name, str) or "\0" in name or arr.dtype.kind != "f":
+            raise CheckpointError(f"{path}: tensor {name!r} ({arr.dtype}) needs a float dtype "
+                                  "and a str name without NUL")
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    # positional, so no tensor name can collide with a keyword of np.savez
+    np.savez(path, *arrays, names=np.array(list(named), dtype=str), meta=json.dumps(meta))
 
 
 def load_tensors(prefix: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Read a checkpoint back; returns (name -> array in its saved dtype, meta)."""
-    with open(prefix + ".manifest", "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != FORMAT_LINE:
-        raise CheckpointError(f"{prefix}.manifest: unrecognized format line")
-    meta: dict[str, str] = {}
-    entries: list[tuple[str, tuple[int, ...], np.dtype]] = []
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        kind, sep, rest = ln.partition(" ")
-        if not sep:
-            raise CheckpointError(f"{prefix}.manifest: malformed record {ln!r}")
-        if kind == "meta":
-            key, _, value = rest.partition(" ")
-            meta[key] = value
-        elif kind == "tensor":
-            fields = rest.split(" ")
-            if len(fields) != 3:
-                raise CheckpointError(f"{prefix}.manifest: malformed tensor record {ln!r}")
-            name, shape_s, dtype_s = fields
-            dims = shape_s.split("x")
-            if not all(d.isascii() and d.isdigit() for d in dims):
-                raise CheckpointError(f"{prefix}.manifest: tensor {name!r} has malformed "
-                                      f"shape {shape_s!r}")
-            shape = tuple(int(d) for d in dims)
-            try:
-                dtype = np.dtype(dtype_s)
-            except TypeError:
-                dtype = None
-            if dtype is None or dtype.kind != "f":
-                raise CheckpointError(f"{prefix}.manifest: tensor {name!r} has unsupported "
-                                      f"dtype {dtype_s!r}")
-            entries.append((name, shape, dtype))
-        else:
-            raise CheckpointError(f"{prefix}.manifest: unknown record {kind!r}")
-    with open(prefix + ".bin", "rb") as fh:
-        blob = fh.read()
-    out: dict[str, np.ndarray] = {}
-    ofs = 0
-    for name, shape, dtype in entries:
-        n = int(np.prod(shape))
-        nbytes = n * dtype.itemsize
-        if ofs + nbytes > len(blob):
-            raise CheckpointError(f"{prefix}.bin: truncated at tensor {name!r}")
-        arr = np.frombuffer(blob, dtype=dtype, count=n, offset=ofs).reshape(shape)
-        out[name] = arr.copy()
-        ofs += nbytes
-    if ofs != len(blob):
-        raise CheckpointError(f"{prefix}.bin: {len(blob) - ofs} trailing bytes")
+    """Read ``<prefix>.npz`` back as (name -> array, meta); a bad file raises CheckpointError."""
+    path = prefix + ".npz"
+    with open(path, "rb") as fh:
+        try:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz archive")
+            with npz:
+                entries = {k: np.asarray(npz[k]) for k in npz.files}
+            names, meta = entries.pop("names"), entries.pop("meta")
+            keys = {f"arr_{i}" for i in range(names.size)}
+            if names.dtype.kind != "U" or names.ndim != 1 or set(entries) != keys \
+                    or len(set(names.tolist())) < names.size or meta.dtype.kind != "U":
+                raise ValueError("names must be unique strings, one per array; meta a string")
+            meta = json.loads(meta.item())
+            out = {name: entries[f"arr_{i}"] for i, name in enumerate(names.tolist())}
+            if any(a.dtype.kind != "f" for a in out.values()) or not _maps_str_to_str(meta):
+                raise ValueError("tensors must be float arrays, meta a string-to-string map")
+        except (KeyError, OSError, EOFError, ValueError, RuntimeError, BadZipFile) as e:
+            raise CheckpointError(f"{path}: {e}") from e
     return out, meta

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .autodiff import backward, zero_grads
 from .data import Example, Vocab, make_batches
-from .metrics import MetricReport, aggregate, score_example
+from .metrics import MetricReport, aggregate, score_example, score_names
 from .model import Model, joint_loss, predict_batches
 from .optim import OPTIMIZERS, EmaWeights, clip_global_norm, make_optimizer
 
@@ -36,16 +36,16 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.clip_norm < 0:
-            raise ValueError(f"clip_norm must be >= 0, got {self.clip_norm}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
+            raise ValueError(f"clip_norm must be finite and >= 0, got {self.clip_norm}")
         if not 0.0 < self.ema_decay < 1.0:
             raise ValueError(f"ema_decay must be in (0, 1), got {self.ema_decay}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {sorted(OPTIMIZERS)}, "
                              f"got {self.optimizer!r}")
-        scores = [f.name for f in fields(MetricReport) if isinstance(f.default, float)]
+        scores = score_names()
         if self.eval_metric not in scores:
             raise ValueError(f"eval_metric must be one of {scores}, got {self.eval_metric!r}")
 

@@ -512,3 +512,10 @@ def test_sup_labels_always_index_real_sentences():
             if lab:
                 span = ex.sentence_spans[k]
                 assert span.end > span.start
+
+
+def test_load_stats_total_counts_every_counter():
+    assert LoadStats().warnings_total == 0
+    assert LoadStats(1, 2, 4, 8).warnings_total == 15
+    for name in ("answers_not_found", "sup_dropped", "offsets_snapped", "empty_sentences"):
+        assert LoadStats(**{name: 3}).warnings_total == 3, name

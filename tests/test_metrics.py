@@ -1,10 +1,13 @@
 """Metric checks against a naive, independently written reference scorer."""
 
+import random
 import re
 
 import pytest
 
 from hopqa.metrics import (
+    ExampleScore,
+    MetricReport,
     aggregate,
     exact_match_score,
     f1_score,
@@ -139,6 +142,18 @@ def test_all_metrics_in_unit_interval_and_joint_em_bound():
     assert report.joint_em <= min(report.answer_em, report.sup_em) + 1e-12
     for s in scores:
         assert s.joint_em <= min(s.answer_em, s.sup_em) + 1e-12
+
+
+def test_aggregate_averages_each_score_in_example_order():
+    rng = random.Random(7)
+    scores = [ExampleScore(str(i), *(rng.random() for _ in range(6))) for i in range(7)]
+    report = aggregate(scores)
+    assert report.per_example is scores and aggregate([]) == MetricReport()
+    for name in ("answer_em", "answer_f1", "sup_em", "sup_f1", "joint_em", "joint_f1"):
+        total = 0.0
+        for s in scores:
+            total += getattr(s, name)
+        assert getattr(report, name) == total / 7, name      # the same float, bit for bit
 
 
 def test_sup_scores_edge_cases():

@@ -30,6 +30,7 @@ import tracemalloc
 from types import SimpleNamespace
 
 from hopqa.attention import (
+    AttentionTrace,
     SimilarityParams,
     context2query,
     similarity,
@@ -364,6 +365,44 @@ def test_fgin_on_gives_distinct_rows():
     rows = vec[0, :t]
     gaps = np.abs(rows - rows[0]).max(axis=1)
     assert gaps.max() > 1e-3
+
+
+@pytest.mark.parametrize("use_cgde, use_fgin", [(False, False), (True, False), (False, True),
+                                            (True, True)])
+def test_attention_trace_example_and_lengths_on_a_padded_batch(use_cgde, use_fgin):
+    examples = [synth_two_hop(1, seed=k, n_distractors=n)[0] for k, n in enumerate([3, 0, 1])]
+    vocab = build_vocab(examples)
+    batch = make_batches(examples, vocab, batch_size=3, max_word_len=8)[0][0]
+    model = Model(tiny_config(use_cgde=use_cgde, use_fgin=use_fgin), vocab.n_words,
+                  vocab.n_chars, np.random.default_rng(0))
+    trace = model.forward(batch, capture_trace=True).trace
+    assert len({ex.n_tokens for ex in batch.examples}) == 3       # two rows are padded
+    assert (trace.attended_query is None) == (not use_cgde)
+    for i, ex in enumerate(batch.examples):
+        one = trace.example(i)
+        assert one.lengths() == (ex.n_tokens, len(ex.question_tokens))
+        for f in dataclasses.fields(AttentionTrace):
+            whole, picked = getattr(trace, f.name), getattr(one, f.name)
+            assert (whole is None) == (picked is None), f.name
+            assert whole is None or np.array_equal(picked, whole[i]), f.name
+    assert AttentionTrace(similarity=np.zeros((5, 3))).lengths() == (5, 3)
+
+
+@pytest.mark.parametrize("train_word_emb", [False, True])
+def test_model_takes_pretrained_word_vectors(train_word_emb):
+    vectors = np.random.default_rng(5).standard_normal((20, 8))
+    config = tiny_config(train_word_emb=train_word_emb)
+    model = Model(config, 20, 20, np.random.default_rng(1), word_vectors=vectors)
+    assert model.word_table.data.dtype == np.float32
+    assert np.array_equal(model.word_table.data, vectors.astype(np.float32))
+    assert np.array_equal(model.state_arrays()["embed.word.table"], model.word_table.data)
+    assert ("embed.word.table" in model.parameters()) == train_word_emb
+    batch = tiny_batch()
+    backward(joint_loss(model.forward(batch), batch, 0.5, 2.0)[0])
+    assert (model.word_table.grad is not None) == train_word_emb
+    for n_words, table in ((20, vectors[:, :7]), (21, vectors)):
+        with pytest.raises(ShapeError, match=r"word vectors \(20, \d\) != "):
+            Model(config, n_words, 20, np.random.default_rng(1), word_vectors=table)
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +871,18 @@ def test_sizes_the_model_cannot_run_are_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= .*got {value}"):
         ModelConfig(**{field: value})
     assert ModelConfig(d=1, max_word_len=CHAR_KERNEL).max_word_len == CHAR_KERNEL
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda_a", 0.0), ("lambda_a", -1.0), ("lambda_a", float("nan")), ("lambda_s", float("inf")),
+    ("sup_threshold", float("nan")), ("sup_threshold", 2.0), ("sup_threshold", -0.5),
+])
+def test_model_config_rejects_loss_weights_and_thresholds_it_cannot_use(field, value):
+    # a NaN or out-of-range sup_threshold predicts no supporting fact at all
+    with pytest.raises(ValueError, match=f"^{field} must be .*got {value}"):
+        ModelConfig(**{field: value})
+    assert ModelConfig(sup_threshold=0.0).sup_threshold == 0.0
+    assert ModelConfig(sup_threshold=1.0).sup_threshold == 1.0
 
 
 def test_predictions_json_layout():

@@ -163,6 +163,22 @@ def test_optimizer_state_loads_all_or_nothing(cls):
     assert all(np.array_equal(now[k], fresh[k]) for k in fresh)
 
 
+@pytest.mark.parametrize("cls", [Adam, AdaDelta])
+@pytest.mark.parametrize("step", ["-1", "1.5", "", "x", " 3"])
+def test_optimizer_state_rejects_a_step_that_is_not_a_count(cls, step):
+    # a negative step made Adam's next bias correction 1 - beta1**0 = 0
+    p = _param([1.0, 2.0])
+    opt = cls({"p": p})
+    arrays, _ = opt.state_arrays()
+    with pytest.raises(ValueError, match="step must be an integer >= 0"):
+        opt.load_state_arrays(arrays, {"step": step})
+    assert opt.step_count == 0
+    opt.load_state_arrays(arrays, {"step": "0"})
+    p.grad = np.array([0.5, -0.5], dtype=np.float32)
+    opt.step()
+    assert opt.step_count == 1 and np.isfinite(p.data).all()
+
+
 def test_make_optimizer_rejects_unknown():
     with pytest.raises(ValueError):
         make_optimizer("sgd", {"p": _param([1.0])}, lr=0.1)

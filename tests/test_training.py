@@ -1,3 +1,4 @@
+import ast
 import weakref
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import hopqa.training as ht
 from hopqa.data import build_vocab, make_batches, synth_two_hop
+from hopqa.metrics import MetricReport
 from hopqa.model import Model, ModelConfig
 from hopqa.optim import OPTIMIZERS
 from hopqa.training import TrainConfig, evaluate_model, train
@@ -86,7 +88,8 @@ def test_eval_metric_must_name_a_score(metric):
 @pytest.mark.parametrize("field, value", [
     ("lr", 0.0), ("lr", -1.0), ("epochs", 0), ("batch_size", 0), ("patience", 0),
     ("patience", -1), ("clip_norm", -1.0), ("ema_decay", 1.5), ("ema_decay", 0.0),
-    ("optimizer", "nope"),
+    ("optimizer", "nope"), ("lr", float("nan")), ("lr", float("inf")),
+    ("clip_norm", float("nan")), ("clip_norm", float("inf")),
 ])
 def test_train_config_rejects_values_train_cannot_use(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be .*got {value!r}"):
@@ -133,3 +136,72 @@ def test_train_frees_each_step_graph_before_the_next_forward(setup):
     model.forward = recording_forward
     train(model, examples[:4], [], vocab, TrainConfig(epochs=1, batch_size=1))
     assert alive == [0, 0, 0, 0]
+
+
+def _fresh_model(vocab, seed=1):
+    return Model(ModelConfig(d=4, dropout=0.0, word_dim=8, char_dim=4, char_filters=6,
+                             max_word_len=8), vocab.n_words, vocab.n_chars,
+                 np.random.default_rng(seed))
+
+
+def _scripted_dev(monkeypatch, metrics):
+    """Make ``train``'s dev scores read ``metrics`` in turn; returns the
+    model state seen at each dev evaluation (the averaged weights)."""
+    seen = []
+
+    def scripted(model, examples, vocab, batch_size=32):
+        seen.append({name: a.copy() for name, a in model.state_arrays().items()})
+        return MetricReport(joint_f1=metrics[len(seen) - 1])
+
+    monkeypatch.setattr(ht, "evaluate_model", scripted)
+    return seen
+
+
+@pytest.mark.parametrize("patience, metrics, epochs_run, best_epoch, stopped", [
+    (1, [0.2, 0.5, 0.4, 0.9, 0.9], 3, 2, True),
+    (1, [0.3, 0.3, 0.9, 0.9, 0.9], 2, 1, True),      # a tie does not improve
+    (2, [0.5, 0.4, 0.45, 0.9, 0.9], 3, 1, True),
+    (2, [0.5, 0.4, 0.6, 0.1, 0.2], 5, 3, True),
+    (2, [0.5, 0.4, 0.6, 0.7, 0.1], 5, 4, False),
+])
+def test_train_stops_after_patience_epochs_without_improvement(
+        monkeypatch, setup, patience, metrics, epochs_run, best_epoch, stopped):
+    _, examples, vocab = setup
+    seen = _scripted_dev(monkeypatch, metrics)
+    result = train(_fresh_model(vocab), examples[:2], examples[2:3], vocab,
+                   TrainConfig(epochs=5, batch_size=2, patience=patience))
+    assert [log.epoch for log in result.epoch_logs] == list(range(1, epochs_run + 1))
+    assert [log.dev.joint_f1 for log in result.epoch_logs] == metrics[:epochs_run]
+    assert result.stopped_early == stopped
+    assert (result.best_epoch, result.best_metric) == (best_epoch, metrics[best_epoch - 1])
+    # the best epoch's averaged weights are kept, not those of the last epoch
+    best, last = seen[best_epoch - 1], seen[-1]
+    assert set(result.best_state) == set(best)
+    assert all(np.array_equal(result.best_state[k], best[k]) for k in best)
+    assert not all(np.array_equal(best[k], last[k]) for k in best)
+
+
+def test_train_stops_when_on_epoch_returns_true(monkeypatch, setup):
+    _, examples, vocab = setup
+    _scripted_dev(monkeypatch, [0.1, 0.2, 0.3, 0.4])
+    calls = []
+
+    def on_epoch(epoch, model, ema, result):
+        calls.append((epoch, len(result.epoch_logs), result.best_epoch))
+        return epoch == 2
+
+    result = train(_fresh_model(vocab), examples[:2], examples[2:3], vocab,
+                   TrainConfig(epochs=4, batch_size=2, patience=1), on_epoch=on_epoch)
+    assert calls == [(1, 1, 1), (2, 2, 2)]
+    assert len(result.epoch_logs) == 2 and not result.stopped_early
+    assert (result.best_epoch, result.best_metric) == (2, 0.2)
+
+
+def test_train_raises_training_diverged_naming_the_batch(setup):
+    _, examples, vocab = setup
+    model = _fresh_model(vocab)
+    model.parameters()["head.type.b"].data[...] = np.nan
+    with pytest.raises(ht.TrainingDiverged, match="non-finite loss at epoch 1; batch ids: ") as info:
+        train(model, examples[:4], [], vocab, TrainConfig(epochs=1, batch_size=2))
+    ids = ast.literal_eval(str(info.value).split("batch ids: ")[1])
+    assert len(ids) == 2 and set(ids) <= {ex.id for ex in examples[:4]}
