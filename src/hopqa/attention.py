@@ -10,7 +10,9 @@ query encoding U (..., J, 2d). On top of it sit four attention readouts:
   that broadcasts over all positions (the classic form);
 * fine-grained query-to-context: column-stochastic weights that keep a
   distinct vector per context position;
-* context-to-query: per-position mixtures of query words.
+* context-to-query: per-position mixtures of query words, returned as
+  the matrix product of the mixing weights and the query
+  (``ad.MatProduct``), which is never formed whole.
 
 All functions are pure; pass an ``AttentionTrace`` to capture the
 intermediate matrices for inspection or export. Masks are 0/1 arrays over
@@ -25,7 +27,17 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import MASK_FILL, ShapeError, Tensor, concat, matmul, softmax, transpose
+from .autodiff import (
+    MASK_FILL,
+    Factor,
+    MatProduct,
+    ShapeError,
+    Tensor,
+    concat,
+    matmul,
+    softmax,
+    transpose,
+)
 from .layers import linear, xavier_uniform
 
 
@@ -173,29 +185,36 @@ def fgin_q2c(H: Tensor, S_bar: Tensor,
 
 
 def context2query(Qrows: Tensor, S_bar: Tensor,
-                  trace: AttentionTrace | None = None) -> Tensor:
-    """Per context position, a softmax over query words mixes query rows."""
+                  trace: AttentionTrace | None = None) -> MatProduct:
+    """Per context position, a softmax over query words mixes query rows:
+    c2q = A Qrows (..., T, 2d), A being the (..., T, J) row-softmax of the
+    similarity. That product is not built: it is returned as the factors
+    ``MatProduct(A, Qrows)`` for ``fuse_g``, and ``ad.bigru`` forms it a
+    chunk of rows at a time. A trace gets the product."""
     a_rows = softmax(S_bar, axis=-1)                      # (..., T, J), rows stochastic
-    out = matmul(a_rows, Qrows)                           # (..., T, 2d)
     if trace is not None:
         trace.c2q_weights = a_rows.data.copy()
-        trace.c2q_vectors = out.data.copy()
-    return out
+        trace.c2q_vectors = a_rows.data @ Qrows.data
+    return MatProduct(a_rows, Qrows)
 
 
-def fuse_g(H: Tensor, c2q: Tensor,
-           q2c: Tensor | tuple[Tensor, ...]) -> list[Tensor | tuple[Tensor, ...]]:
+def fuse_g(H: Tensor, c2q: Tensor | MatProduct,
+           q2c: Tensor | tuple[Tensor, ...]) -> list[Factor | tuple[Factor, ...]]:
     """The context fused with both attention readouts, as the four (..., T, 2d)
     parts [H, c2q, H * q2c, q2c * c2q] of G (..., T, 8d); the consumers take
-    parts, so G is never joined. ``q2c`` is a tensor, such as
-    ``vanilla_q2c``'s (..., 1, 2d) row, or a tuple of factors, such as
-    ``fgin_q2c``'s. Neither product is built: they are returned as the
-    factors ``(*q2c, H)`` and ``(*q2c, c2q)``, which ``ad.bigru`` multiplies
-    left to right a chunk at a time. A product of two numbers does not
-    depend on their order, so these are the bits of H * q2c and q2c * c2q."""
+    parts, so G is never joined. ``c2q`` is a tensor or, as
+    ``context2query`` returns it, the matrix product ``MatProduct(A, q)``.
+    ``q2c`` is a tensor, such as ``vanilla_q2c``'s (..., 1, 2d) row, or a
+    tuple of factors, such as ``fgin_q2c``'s. Neither elementwise product is
+    built: they are returned as the factors ``(*q2c, H)`` and
+    ``(c2q, *q2c)``, which ``ad.bigru`` multiplies left to right a chunk at
+    a time, forming a chunk's rows of c2q from its two factors first (a
+    matrix product must be its part's first factor). A product of two
+    numbers does not depend on their order, so the first has the bits of
+    H * q2c."""
     q2c = (q2c,) if isinstance(q2c, Tensor) else tuple(q2c)
     q2c_shape = np.broadcast_shapes(*(t.shape for t in q2c))
     for name, shape in (("c2q", c2q.shape), ("q2c", q2c_shape)):
         if shape[-1] != H.shape[-1]:
             raise ShapeError(f"fuse_g: {name} width {shape[-1]} != context width {H.shape[-1]}")
-    return [H, c2q, (*q2c, H), (*q2c, c2q)]
+    return [H, c2q, (*q2c, H), (c2q, *q2c)]

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,6 +45,10 @@ DEFAULT_DTYPE = np.float32
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested op."""
+
+
+class DTypeError(TypeError):
+    """An array's dtype is not the one required, as in a loaded state."""
 
 
 class NumericError(ArithmeticError):
@@ -501,12 +506,46 @@ def binary_cross_entropy(logits: Tensor, labels, reduction: str = "mean",
     return _make(out, (logits,), bwd)
 
 
-def _factors(part: Tensor | Sequence[Tensor]) -> tuple[Tensor, ...]:
-    """The factors of an input part: a tensor is its own one factor."""
-    return (part,) if isinstance(part, Tensor) else tuple(part)
+@dataclass(frozen=True)
+class MatProduct:
+    """A factor of an input part that is the matrix product ``a @ b`` of
+    (..., T, J) ``a`` and (..., J, w) ``b``, one product per sequence, such
+    as BiDAF's context-to-query readout: the row-softmax weights times the
+    query. ``bigru`` reads it without forming it whole (see there)."""
+
+    a: Tensor
+    b: Tensor
+
+    def __post_init__(self):
+        if self.a.ndim < 2 or self.a.shape[:-2] != self.b.shape[:-2] \
+                or self.a.shape[-1] != self.b.shape[-2]:
+            raise ShapeError(f"MatProduct: shapes {self.a.shape} and {self.b.shape} do not "
+                             "multiply per sequence")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.a.shape[:-1] + self.b.shape[-1:]
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.a.requires_grad or self.b.requires_grad
 
 
-def _part_shape(factors: tuple[Tensor, ...], opname: str) -> tuple[int, ...]:
+Factor = Tensor | MatProduct
+
+
+def _factors(part: Factor | Sequence[Factor]) -> tuple[Factor, ...]:
+    """The factors of an input part: a tensor or a matrix product is its own
+    one factor."""
+    return (part,) if isinstance(part, (Tensor, MatProduct)) else tuple(part)
+
+
+def _leaves(factors: Iterable[Factor]) -> list[Tensor]:
+    """The tensors of ``factors``, a matrix product's two in place of it."""
+    return [t for f in factors for t in ((f.a, f.b) if isinstance(f, MatProduct) else (f,))]
+
+
+def _part_shape(factors: tuple[Factor, ...], opname: str) -> tuple[int, ...]:
     """The shape of the product of ``factors``, which must broadcast."""
     if not factors:
         raise ShapeError(f"{opname}: a part needs at least one factor")
@@ -517,19 +556,20 @@ def _part_shape(factors: tuple[Tensor, ...], opname: str) -> tuple[int, ...]:
     return shape
 
 
-def dropout(x: Tensor | Sequence[Tensor | Sequence[Tensor]], rate: float, training: bool,
+def dropout(x: Tensor | Sequence[Factor | Sequence[Factor]], rate: float, training: bool,
             rng: np.random.Generator | None = None) -> Tensor | list:
     """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval mode.
 
     ``x`` may also be a list of parts that make one tensor when joined on
-    the last axis, each a tensor or a tuple of factors whose product it is
-    (see ``bigru``). The keep mask is then drawn at the joined shape one
-    sequence (the last two axes) at a time, in C order, which is the random
-    stream of one draw at the joined shape with a transient of one
-    sequence's draw. Nothing is multiplied: each part is returned as a tuple
-    of its factors followed by its columns of the bool mask and the scale
-    1/(1-rate), in the part's dtype, so a ``bigru`` that reads the parts
-    forms the dropped input a chunk at a time and never stores it."""
+    the last axis, each a tensor, a ``MatProduct`` or a tuple of such
+    factors whose elementwise product it is (see ``bigru``). The keep mask
+    is then drawn at the joined shape one sequence (the last two axes) at a
+    time, in C order, which is the random stream of one draw at the joined
+    shape with a transient of one sequence's draw. Nothing is multiplied:
+    each part is returned as a tuple of its factors followed by its columns
+    of the bool mask and the scale 1/(1-rate), in the part's dtype, so a
+    ``bigru`` that reads the parts forms the dropped input a chunk at a time
+    and never stores it."""
     if not 0.0 <= rate < 1.0:
         raise UsageError(f"dropout: rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
@@ -548,7 +588,7 @@ def dropout(x: Tensor | Sequence[Tensor | Sequence[Tensor]], rate: float, traini
         np.greater_equal(rng.random(seq.shape), rate, out=seq)
     dropped = []
     for fs, cols in zip(parts, np.split(keep, np.cumsum(widths)[:-1], axis=-1)):
-        dt = np.result_type(*(f.data for f in fs)).type
+        dt = np.result_type(*(t.data for t in _leaves(fs))).type
         scale = constant(dt(1) / dt(1.0 - rate), dtype=dt)
         dropped.append((*fs, constant(cols, dtype=bool), scale))
     return dropped
@@ -664,7 +704,7 @@ class _Sweep(threading.local):
 _sweep = _Sweep()
 
 
-def bigru(x: Tensor | Sequence[Tensor | Sequence[Tensor]],
+def bigru(x: Factor | Sequence[Factor | Sequence[Factor]],
           fw: Sequence[Tensor | Sequence[Tensor]],
           bw: Sequence[Tensor | Sequence[Tensor]], mask: np.ndarray | None = None) -> Tensor:
     """Bidirectional GRU over axis -2 as a single graph node.
@@ -687,6 +727,14 @@ def bigru(x: Tensor | Sequence[Tensor | Sequence[Tensor]],
     factors)``; a factor that recurs with the same other factors, as H in
     (w, H, H), gets that term once, times its count. ``w_x``'s rows of the
     part are summed over sequences, each sequence's product formed again.
+
+    A part's first factor may also be a ``MatProduct`` a @ b, (..., T, J)
+    times (..., J, w), such as ``fuse_g``'s c2q, with the part's shape. It
+    is formed like a product, a chunk's rows at a time as
+    ``a[n, rows] @ b[n]`` into the scratch that the other factors then
+    multiply, and its gradient term g (the part's gradient times the other
+    factors, if any) gives a ``g b[n]^T`` and b ``a[n]^T g``, so neither
+    its (T, w) rows nor its gradient are stored.
 
     ``fw`` and ``bw`` are ``(w_x, w_h, b)`` with the gates stacked in order
     ``[z | r | n]``: ``w_x`` is in x 3h, ``w_h`` is h x 3h and ``b`` is 3h.
@@ -737,7 +785,7 @@ def bigru(x: Tensor | Sequence[Tensor | Sequence[Tensor]],
     (runs or waits for) the tasks of the BiGRU backward two before it in the
     sweep; a sweep then holds the arrays of at most two such backwards.
     """
-    parts = [_factors(p) for p in ([x] if isinstance(x, Tensor) else x)]
+    parts = [_factors(p) for p in ([x] if isinstance(x, (Tensor, MatProduct)) else x)]
     if not parts:
         raise ShapeError("bigru: need at least one input part")
     shapes = [_part_shape(fs, "bigru") for fs in parts]
@@ -748,12 +796,17 @@ def bigru(x: Tensor | Sequence[Tensor | Sequence[Tensor]],
         if s[:-1] != lead:
             raise ShapeError(f"bigru: input parts {shapes[0]} and {s} differ "
                              "before the last axis")
+    for fs, s in zip(parts, shapes):
+        for i, f in enumerate(fs):
+            if isinstance(f, MatProduct) and (i or f.shape != s):
+                raise ShapeError(f"bigru: a matrix product of shape {f.shape} must be the "
+                                 f"first factor of its part, of shape {s}")
     t_len = lead[-1]
     if t_len < 1:
         raise ShapeError("bigru: empty sequence")
     widths = [s[-1] for s in shapes]
     d_in = sum(widths)
-    factors = [f for fs in parts for f in fs]
+    leaves = _leaves(f for fs in parts for f in fs)
     # per direction, the blocks of w_x, w_h and b, and their joins
     blocks = [[[w] if isinstance(w, Tensor) else list(w) for w in cell] for cell in (fw, bw)]
     weights = [t for cell in blocks for bl in cell for t in bl]
@@ -765,7 +818,7 @@ def bigru(x: Tensor | Sequence[Tensor | Sequence[Tensor]],
             raise ShapeError(f"bigru: stacked weights {w_x.shape}, {w_h.shape}, {b.shape} "
                              f"do not fit input widths {widths} and hidden size {hid}")
     n_seq = int(np.prod(lead[:-1]))
-    dtype = np.result_type(*(f.data for f in factors), *(t.data for t in weights))
+    dtype = np.result_type(*(t.data for t in leaves), *(t.data for t in weights))
     # mask per step and direction, step-major like every per-step array
     m = np.ones((t_len, 2, n_seq, 1), dtype=dtype)
     ends = np.full(n_seq, t_len)                        # L_n per sequence
@@ -789,10 +842,13 @@ def bigru(x: Tensor | Sequence[Tensor | Sequence[Tensor]],
     wh_zr = 0.5 * np.stack([w_h[:, :2 * hid] for _, w_h, _ in joined])
     wh_n = 0.5 * np.stack([w_h[:, 2 * hid:] for _, w_h, _ in joined])
 
-    # each part's factors as (N or 1, T or 1, w or 1); a part of one factor
-    # is read in place, a product is formed
-    xs = [[_by_sequence(f.data, lead) for f in fs] for fs in parts]
-    plain = [len(fs) == 1 for fs in parts]
+    # each part's factors as (N or 1, T or 1, w or 1), a matrix product as
+    # its (N, T, J) and (N, J, w) factors; a part of one tensor is read in
+    # place, any other is formed
+    xs = [[(f.a.data.reshape((n_seq,) + f.a.shape[-2:]),
+            f.b.data.reshape((n_seq,) + f.b.shape[-2:])) if isinstance(f, MatProduct)
+           else _by_sequence(f.data, lead) for f in fs] for fs in parts]
+    plain = [len(fs) == 1 and isinstance(fs[0], Tensor) for fs in parts]
     formed_w = max((w for w, p in zip(widths, plain) if not p), default=0)
     chunk = min(t_len, BIGRU_CHUNK)
     # two chunks of projected input, one read by the step loop while the
@@ -833,7 +889,7 @@ def bigru(x: Tensor | Sequence[Tensor | Sequence[Tensor]],
         s1 = min(s0 + chunk, t_len)
         return [pool.submit(project, d, n, s0, s1, buf) for d in (0, 1) for n in range(n_seq)]
 
-    tracking = _tracking(*factors, *weights)
+    tracking = _tracking(*leaves, *weights)
     kept = t_len if tracking else 1
     u = np.empty((kept, 2, n_seq, 2 * hid), dtype=dtype)   # 2 * sigmoid of z, r
     nn = np.empty((kept, 2, n_seq, hid), dtype=dtype)
@@ -950,14 +1006,31 @@ def bigru(x: Tensor | Sequence[Tensor | Sequence[Tensor]],
         scratch = [(np.empty(t_len * formed_w, dtype=dtype),
                     *(np.empty(t_len * formed_w, dtype=gdt) for _ in range(2)),
                     np.empty((formed_w, 6 * hid), dtype=gdt)) for _ in range(pool.threads())]
-        dx: list = [None] * len(parts)      # per part, its (factor, gradient) pairs and task
+
+        def factor_grads(f: Factor) -> tuple[list, np.ndarray | tuple]:
+            """A factor's gradient arrays as (tensor, array) pairs, and the
+            views a task writes: (N or 1, T or 1, w or 1), or for a matrix
+            product a @ b, a's (N, T, J) and b's (N, J, w), None for one
+            that needs no gradient."""
+            if isinstance(f, MatProduct):
+                gs = [np.empty(t.shape, dtype=gdt) if t.requires_grad else None
+                      for t in (f.a, f.b)]
+                return ([(t, g) for t, g in zip((f.a, f.b), gs) if g is not None],
+                        tuple(g if g is None else g.reshape((n_seq,) + g.shape[-2:])
+                              for g in gs))
+            g = np.empty(f.shape, dtype=gdt)
+            return [(f, g)], _by_sequence(g, lead)
+
+        dx: list = [None] * len(parts)      # per part, its (tensor, gradient) pairs and task
         for k in reversed(range(len(parts))):
             fs, w = parts[k], widths[k]
-            if plain[k] and fs[0].requires_grad:
+            if not any(f.requires_grad for f in fs):
+                continue
+            if plain[k]:
                 buf = np.empty(shapes[k], dtype=gdt)
                 dx[k] = [(fs[0], buf)], queue_task(np.matmul, da, w_rows[k].T,
                                                    buf.reshape(n_seq, t_len, w))
-            elif not plain[k] and any(f.requires_grad for f in fs):
+            else:
                 # a factor that recurs with the same other factors, as H in
                 # (w, H, H), gets one gradient: that term times its count
                 counts: dict = {}
@@ -965,10 +1038,10 @@ def bigru(x: Tensor | Sequence[Tensor | Sequence[Tensor]],
                     if f.requires_grad:
                         key = tuple(id(t) for t in (f, *fs[:i], *fs[i + 1:]))
                         counts.setdefault(key, [i, 0])[1] += 1
-                grads = {i: (np.empty(fs[i].shape, dtype=gdt), c) for i, c in counts.values()}
-                dx[k] = [(fs[i], g) for i, (g, _) in grads.items()], queue_task(
+                made = {i: (factor_grads(fs[i]), c) for i, c in counts.values()}
+                dx[k] = [pair for (pairs, _), _ in made.values() for pair in pairs], queue_task(
                     _factor_grads, da, w_rows[k].T, xs[k],
-                    {i: (_by_sequence(g, lead), c) for i, (g, c) in grads.items()}, scratch)
+                    {i: (views, c) for i, ((_, views), c) in made.items()}, scratch)
         if need_wx:
             buf = np.empty((d_in, 6 * hid), dtype=gdt)
             dw_x = buf, [queue_task(np.matmul, fs[0].reshape(-1, w).T, flat, rows) if p
@@ -990,7 +1063,7 @@ def bigru(x: Tensor | Sequence[Tensor | Sequence[Tensor]],
             if need_b:
                 _accum_blocks(bb, db[0][cols], db[1])
 
-    return _make(result, (*factors, *weights), bwd)
+    return _make(result, (*leaves, *weights), bwd)
 
 
 def _by_sequence(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
@@ -1005,25 +1078,33 @@ def _by_sequence(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
     return a.reshape((int(np.prod(head)),) + a.shape[-2:])
 
 
-def _part_rows(fs: Sequence[np.ndarray], n: int, r0: int, r1: int, buf: np.ndarray,
+def _part_rows(fs: Sequence, n: int, r0: int, r1: int, buf: np.ndarray,
                width: int) -> np.ndarray:
     """Rows [r0, r1) of sequence n of the product of ``fs``, each (N or 1,
-    T or 1, w or 1): a view of a lone factor, which broadcasts to the rows,
-    or the product of two or more, multiplied left to right into the flat
-    ``buf`` as a C-contiguous (r1 - r0, width) array."""
-    pick = [f[n if len(f) > 1 else 0, slice(r0, r1) if f.shape[1] > 1 else slice(0, 1)]
-            for f in fs]
-    if len(pick) == 1:
-        return pick[0]
-    rows = _rows(buf, r1 - r0, width)
-    np.multiply(pick[0], pick[1], out=rows)
-    for f in pick[2:]:
-        rows *= f
+    T or 1, w or 1), the first possibly a matrix product's (a, b): a view
+    of a lone tensor, which broadcasts to the rows, or else the product
+    multiplied left to right into the flat ``buf`` as a C-contiguous
+    (r1 - r0, width) array, a matrix product's rows being
+    ``a[n, r0:r1] @ b[n]``."""
+    def pick(f: np.ndarray) -> np.ndarray:
+        return f[n if len(f) > 1 else 0, slice(r0, r1) if f.shape[1] > 1 else slice(0, 1)]
+
+    if isinstance(fs[0], tuple):
+        a, b = fs[0]
+        rows = np.matmul(a[n, r0:r1], b[n], out=_rows(buf, r1 - r0, width))
+        rest = fs[1:]
+    elif len(fs) == 1:
+        return pick(fs[0])
+    else:
+        rows = np.multiply(pick(fs[0]), pick(fs[1]), out=_rows(buf, r1 - r0, width))
+        rest = fs[2:]
+    for f in rest:
+        rows *= pick(f)
     return rows
 
 
-def _factor_grads(da: np.ndarray, w_t: np.ndarray, fs: Sequence[np.ndarray],
-                  grads: dict[int, tuple[np.ndarray, int]],
+def _factor_grads(da: np.ndarray, w_t: np.ndarray, fs: Sequence,
+                  grads: dict[int, tuple[np.ndarray | tuple, int]],
                   scratch: Sequence[tuple[np.ndarray, ...]]) -> None:
     """The gradients of a product part's factors, from (N, T, .) ``da``. A
     sequence at a time, the part's gradient ``da[n] @ w_t`` is made in
@@ -1031,24 +1112,39 @@ def _factor_grads(da: np.ndarray, w_t: np.ndarray, fs: Sequence[np.ndarray],
     ``grads`` maps the index of a factor in ``fs`` to its gradient array,
     shaped as the factor, and a count: the array gets the part's gradient
     times the product of the other factors, times the count, summed over
-    the axes the factor broadcasts on."""
+    the axes the factor broadcasts on. A matrix product (a, b) has a pair
+    of arrays, None for one not wanted: with that term g, which is the
+    part's gradient when the product is the part's only factor, a gets
+    ``g b[n]^T`` and b ``a[n]^T g``."""
     formed, g_buf, term_buf, _ = scratch[pool.slot()]
     n_seq, t_len = da.shape[:2]
     width = w_t.shape[1]
-    # per gradient: its array, count, the other factors and the axes its
-    # factor broadcasts on; one with the part's shape is written in place
-    wanted = [(g, count, [*fs[:i], *fs[i + 1:]],
+    # per gradient: its array, count, factor, the other factors and the
+    # axes its factor broadcasts on; one with the part's shape is written
+    # in place
+    wanted = [(g, count, fs[i], [*fs[:i], *fs[i + 1:]],
+               () if isinstance(g, tuple) else
                tuple(ax for ax in (0, 1) if g.shape[ax + 1] < (t_len, width)[ax]))
               for i, (g, count) in grads.items()]
     for n in range(n_seq):
         g_part = np.matmul(da[n], w_t, out=_rows(g_buf, t_len, width))
-        for g, count, rest, axes in wanted:
-            whole = len(g) > 1 and not axes
+        for g, count, f, rest, axes in wanted:
+            whole = not isinstance(g, tuple) and len(g) > 1 and not axes
             term = g[n] if whole else _rows(term_buf, t_len, width)
-            np.multiply(g_part, _part_rows(rest, n, 0, t_len, formed, width), out=term)
+            if rest:
+                np.multiply(g_part, _part_rows(rest, n, 0, t_len, formed, width), out=term)
+            else:
+                term = g_part
             if count > 1:
                 term *= count
             if whole:
+                continue
+            if isinstance(g, tuple):
+                (a, b), (ga, gb) = f, g
+                if ga is not None:
+                    np.matmul(term, b[n].T, out=ga[n])
+                if gb is not None:
+                    np.matmul(a[n].T, term, out=gb[n])
                 continue
             if axes:
                 term = term.sum(axis=axes, keepdims=True)
@@ -1060,10 +1156,11 @@ def _factor_grads(da: np.ndarray, w_t: np.ndarray, fs: Sequence[np.ndarray],
                 g[0] = term
 
 
-def _factor_dw(out: np.ndarray, fs: Sequence[np.ndarray], da: np.ndarray,
+def _factor_dw(out: np.ndarray, fs: Sequence, da: np.ndarray,
                scratch: Sequence[tuple[np.ndarray, ...]]) -> None:
-    """``out`` = part^T @ da for a product part, over (N, T, .) ``da``, as a
-    sum over sequences of each one's rows, formed again, times its ``da``."""
+    """``out`` = part^T @ da for a part that is not one tensor, over
+    (N, T, .) ``da``, as a sum over sequences of each one's rows, formed
+    again, times its ``da``."""
     formed, _, _, term = scratch[pool.slot()]
     width = out.shape[0]
     for n in range(da.shape[0]):

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor, gather_rows, matmul
+from .autodiff import Factor, ShapeError, Tensor, gather_rows, matmul
 
 PAD_ID = 0
 UNK_ID = 1
@@ -260,17 +260,19 @@ class BiGruParams:
                    bw=GruCellParams.create(in_dim, hidden, rng, dtype))
 
 
-def bigru(x: Tensor | Sequence[Tensor | Sequence[Tensor]], p: BiGruParams,
+def bigru(x: Factor | Sequence[Factor | Sequence[Factor]], p: BiGruParams,
           mask: np.ndarray | None = None) -> Tensor:
     """Bidirectional GRU over axis -2; outputs the two directions
     concatenated per position: (..., T, 2 * hidden).
 
     ``x`` is the input or a list of parts whose join on the last axis is the
     input, in the order of the rows of the ``wx_*`` weights; the join is
-    never built. A part may be a tuple of factors whose product it is (see
-    ``ad.bigru``). ``mask`` is (..., T) with 1.0 at real positions; padded
-    steps keep the previous hidden state in both directions, and positions
-    past a sequence's last real one are not projected at all.
+    never built. A part may be a tuple of factors whose product it is, and
+    its first factor, or the part itself, may be an ``ad.MatProduct``, such
+    as ``context2query``'s c2q (see ``ad.bigru``). ``mask`` is (..., T) with
+    1.0 at real positions; padded steps keep the previous hidden state in
+    both directions, and positions past a sequence's last real one are not
+    projected at all.
     """
     return ad.bigru(x, p.fw.gates(), p.bw.gates(), mask=mask)
 

@@ -18,10 +18,13 @@ shapes, so the random stream does not change (``Model._embed``).
 
 The fused block G = [H, c2q, H * q2c, q2c * c2q] stays four parts of
 (B, T, 2d) each and is never joined, and its two products are never built:
-they are the tuples of factors (*q2c, H) and (*q2c, c2q), q2c being FGIn's
-(weights, H) or the vanilla (B, 1, 2d) row. The modeling BiGRU reads G, and
-the prediction BiGRUs read [*G, M] and [*G, M, g], g being the previous
-one's output. Each BiGRU is one graph node that reads its per-gate weights
+they are the tuples of factors (*q2c, H) and (c2q, *q2c), q2c being FGIn's
+(weights, H) or the vanilla (B, 1, 2d) row. c2q is not built either: it is
+the matrix product ``ad.MatProduct(A, q)`` of the (B, T, J) row-softmax
+weights and the (B, J, 2d) decomposed query, whose rows a BiGRU forms a
+chunk at a time, so H is the only (B, T, 2d) array that G holds. The
+modeling BiGRU reads G, and the prediction BiGRUs read [*G, M] and
+[*G, M, g], g being the previous one's output. Each BiGRU is one graph node that reads its per-gate weights
 as they are stored, sums one input-projection GEMM per part, and forms a
 product part's rows a chunk at a time in per-thread scratch. The dropout
 before a BiGRU (the encoder's input, G and [*G, M]) is a dropout over parts:
@@ -70,6 +73,7 @@ from .attention import (
 from .autodiff import (
     MASK_FILL,
     DataError,
+    DTypeError,
     ShapeError,
     Tensor,
     UsageError,
@@ -239,17 +243,25 @@ class Model:
         return {name: t.data for name, t in named_tensors(self._tree()).items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Assign every persistent array, or none: all names and shapes are
-        checked before any tensor changes."""
+        """Assign a copy of every persistent array, or none: ``arrays`` must
+        hold exactly the model's names, each at its shape and the model's
+        dtype, and all are checked before any tensor changes."""
         named = named_tensors(self._tree())
+        unknown = sorted(set(arrays) - set(named))
+        if unknown:
+            raise KeyError(f"checkpoint has unknown tensors {unknown}")
+        dtype = np.dtype(self.config.np_dtype)
         for name, t in named.items():
             if name not in arrays:
                 raise KeyError(f"checkpoint missing tensor {name!r}")
             if tuple(arrays[name].shape) != t.shape:
                 raise ShapeError(f"checkpoint tensor {name!r} has shape "
                                  f"{arrays[name].shape}, expected {t.shape}")
+            if arrays[name].dtype != dtype:
+                raise DTypeError(f"checkpoint tensor {name!r} has dtype "
+                                 f"{arrays[name].dtype}, expected {dtype}")
         for name, t in named.items():
-            t.data = arrays[name].astype(self.config.np_dtype)
+            t.data = arrays[name].copy()
 
     # ------------------------------------------------------------------
 
@@ -301,6 +313,7 @@ class Model:
         ctx, qry = self._embed(batch, training, rng)
         H = bigru(self._drop([ctx], training, rng), self.encoder, mask=cmask)
         U = bigru(self._drop([qry], training, rng), self.encoder, mask=qmask)
+        del ctx, qry        # in evaluation nothing else holds them
 
         trace = AttentionTrace(context_mask=cmask.copy(), query_mask=qmask.copy()) \
             if capture_trace else None

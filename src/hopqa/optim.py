@@ -13,14 +13,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .autodiff import NumericError, ShapeError, Tensor
+from .autodiff import DTypeError, NumericError, ShapeError, Tensor
 
 
 def clip_global_norm(params: Mapping[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their joint 2-norm is at most ``max_norm``.
+    """Scale all gradients so their joint 2-norm is at most ``max_norm``,
+    which must be finite and >= 0; 0 disables clipping.
 
     Returns the pre-clip norm. fsum keeps the reduction exact, hence
     invariant to parameter ordering."""
+    if not (math.isfinite(max_norm) and max_norm >= 0):
+        raise ValueError(f"clip_global_norm: max_norm must be finite and >= 0, got {max_norm}")
     sumsqs = []
     for t in params.values():
         if t.grad is not None:
@@ -38,8 +41,8 @@ class _SlotState:
     """Per-parameter state slots (``SLOTS``), saved and loaded by name.
 
     A slot ``m`` is a dict ``self.m`` from parameter name to array, saved as
-    ``m.<name>``. Loading checks the step, every key and every shape before it
-    assigns anything, so a bad state leaves the optimizer as it was."""
+    ``m.<name>``. Loading checks the step, every key, shape and dtype before
+    it assigns anything, so a bad state leaves the optimizer as it was."""
 
     KIND = ""
     SLOTS: tuple[str, ...] = ()
@@ -58,17 +61,23 @@ class _SlotState:
         step = meta.get("step", "0")
         if not (step.isascii() and step.isdigit()):
             raise ValueError(f"{self.KIND} state step must be an integer >= 0, got {step!r}")
-        for key, have in self.state_arrays()[0].items():
+        expected = self.state_arrays()[0]
+        unknown = sorted(set(arrays) - set(expected))
+        if unknown:
+            raise KeyError(f"{self.KIND} state has unknown keys {unknown}")
+        for key, have in expected.items():
             if key not in arrays:
                 raise KeyError(f"{self.KIND} state missing {key!r}")
             if tuple(arrays[key].shape) != have.shape:
                 raise ShapeError(f"{self.KIND} state {key!r} has shape "
                                  f"{arrays[key].shape}, expected {have.shape}")
+            if arrays[key].dtype != have.dtype:
+                raise DTypeError(f"{self.KIND} state {key!r} has dtype "
+                                 f"{arrays[key].dtype}, expected {have.dtype}")
         self.step_count = int(step)
         for n in self.params:
             for slot in self.SLOTS:
-                table = getattr(self, slot)
-                table[n] = arrays[f"{slot}.{n}"].astype(table[n].dtype)
+                getattr(self, slot)[n] = arrays[f"{slot}.{n}"].copy()
 
 
 class Adam(_SlotState):

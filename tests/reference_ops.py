@@ -14,6 +14,7 @@ import functools
 import numpy as np
 
 from hopqa.autodiff import (
+    MatProduct,
     ShapeError,
     Tensor,
     _accum,
@@ -21,14 +22,18 @@ from hopqa.autodiff import (
     _make,
     _stable_sigmoid,
     _unbroadcast,
+    matmul,
     mul,
 )
 
 
 def product(part) -> Tensor:
-    """A BiGRU input part as one tensor: a tensor is itself, a tuple of
-    factors their product, multiplied left to right with ``mul``."""
-    return part if isinstance(part, Tensor) else functools.reduce(mul, part)
+    """A BiGRU input part as one tensor: a tensor is itself, a
+    ``MatProduct`` its ``matmul``, a tuple of factors their product,
+    multiplied left to right with ``mul``."""
+    if isinstance(part, MatProduct):
+        return matmul(part.a, part.b)
+    return part if isinstance(part, Tensor) else functools.reduce(mul, map(product, part))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

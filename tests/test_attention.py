@@ -215,7 +215,7 @@ def test_context2query_single_query_word():
     rng = np.random.default_rng(16)
     q = constant(rng.standard_normal((1, 4)).astype(np.float32))
     S_bar = constant(rng.standard_normal((5, 1)).astype(np.float32))
-    out = context2query(q, S_bar).data
+    out = product(context2query(q, S_bar)).data
     assert np.allclose(out, np.tile(q.data[0], (5, 1)), atol=1e-6)
 
 
@@ -223,7 +223,7 @@ def test_context2query_rows_inside_query_hull():
     rng = np.random.default_rng(17)
     q = constant(rng.standard_normal((4, 6)).astype(np.float32))
     S_bar = constant(rng.standard_normal((7, 4)).astype(np.float32))
-    out = context2query(q, S_bar).data
+    out = product(context2query(q, S_bar)).data
     lo, hi = q.data.min(axis=0), q.data.max(axis=0)
     assert np.all(out >= lo - 1e-6) and np.all(out <= hi + 1e-6)
 
@@ -233,7 +233,7 @@ def test_context2query_saturated_row_picks_argmax_word():
     q = constant(rng.standard_normal((4, 3)).astype(np.float32))
     S_data = rng.standard_normal((5, 4)).astype(np.float32)
     S_data[1, 2] += 1e6
-    out = context2query(q, constant(S_data)).data
+    out = product(context2query(q, constant(S_data))).data
     assert np.allclose(out[1], q.data[2], atol=1e-4)
 
 

@@ -58,6 +58,11 @@ def test_primitive_ops_pass_grad_check(dtype):
     seq2 = parameter(_rand(rng, (2, 4, 2), dtype), dtype=dtype)
     fw2, bw2 = ([parameter(_rand(rng, shape, dtype), dtype=dtype)
                  for shape in ((5, 6), (2, 6), (6,))] for _ in range(2))
+    # a (2, 4, 2) part that is the matrix product of (2, 4, 3) and (2, 3, 2)
+    att = parameter(_rand(rng, (2, 4, 3), dtype), dtype=dtype)
+    qry = parameter(_rand(rng, (2, 3, 2), dtype), dtype=dtype)
+    gru2 = {f"{d}.{n}": t for d, ts in (("fw", fw2), ("bw", bw2))
+            for n, t in zip(("w_x", "w_h", "b"), ts)}
 
     cases = {
         "matmul": (lambda: reduce_sum(ad.mul(matmul(x, w), probe)), {"x": x}),
@@ -92,6 +97,13 @@ def test_primitive_ops_pass_grad_check(dtype):
                                                   seq_probe)),
                         {"seq": seq, "seq2": seq2, **{f"{d}.{n}": t for d, ts in (("fw", fw2), ("bw", bw2))
                                                       for n, t in zip(("w_x", "w_h", "b"), ts)}}),
+        "bigru_matprod": (lambda: reduce_sum(ad.mul(
+            ad.bigru([seq, ad.MatProduct(att, qry)], fw2, bw2, mask=seq_mask), seq_probe)),
+                          {"seq": seq, "att": att, "qry": qry, **gru2}),
+        "bigru_matprod_dropped": (lambda: reduce_sum(ad.mul(ad.bigru(
+            dropout([seq, ad.MatProduct(att, qry)], 0.3, training=True,
+                    rng=np.random.default_rng(drop_rng_seed)), fw2, bw2, mask=seq_mask),
+            seq_probe)), {"seq": seq, "att": att, "qry": qry, **gru2}),
         "self_attention": (lambda: reduce_sum(ad.mul(ad.self_attention(seq, *att_w, mask=seq_mask),
                                                      att_probe)),
                            {"seq": seq, **dict(zip(("w_h", "w_u", "proj_w"), att_w))}),

@@ -679,6 +679,61 @@ def test_bigru_factor_parts_match_their_products(dtype, rtol, t_len):
         assert np.abs(g - ref).max() <= rtol * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("t_len", [7, ad.BIGRU_CHUNK + 44], ids=["short", "past_chunk"])
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_bigru_matrix_product_parts_match_the_formed_product(dtype, atol, t_len):
+    # c2q = a @ q as a part of its own, and first in products with a
+    # (N, 1, w) row and with (w, H) and dropout's keep mask and scale, all
+    # formed a chunk at a time: the output and every gradient match a bigru
+    # fed the product formed by matmul, up to rounding
+    rng = np.random.default_rng(31)
+    n, j = len(MASK_CASES), 4
+    leaf = lambda *shape: parameter(rng.standard_normal(shape).astype(dtype) * 0.5, dtype=dtype)
+    w, h, row, a, q = leaf(n, t_len, 1), leaf(n, t_len, 3), leaf(n, 1, 3), leaf(n, t_len, j), \
+        leaf(n, j, 3)
+    c2q = ad.MatProduct(a, q)
+    keep = constant(rng.random((n, t_len, 3)) >= 0.3, dtype=bool)
+    scale = constant(dtype(1) / dtype(0.7), dtype=dtype)
+    parts = [h, c2q, (c2q, row), (c2q, w, h, keep, scale)]
+    fw, bw = _stacked_weights(rng, 12, 3, dtype)
+    mask = _case_masks(t_len, dtype)
+    probe = constant(rng.standard_normal((n, t_len, 6)).astype(dtype) * 0.1, dtype=dtype)
+    tensors = [w, h, row, a, q, *fw, *bw]
+
+    def run(x):
+        for t in tensors:
+            t.grad = None
+        out = ad.bigru(x, fw, bw, mask=mask)
+        backward(reduce_sum(ad.mul(out, probe)))
+        return out.data, [t.grad for t in tensors]
+
+    out, grads = run(parts)
+    ref_out, ref_grads = run([product(p) for p in parts])
+    assert out.dtype == dtype and np.allclose(out, ref_out, rtol=0, atol=atol)
+    with ad.no_grad():
+        assert np.array_equal(ad.bigru(parts, fw, bw, mask=mask).data, out)
+    for t, g, ref in zip(tensors, grads, ref_grads):
+        # the bound is relative to a gradient's largest entry past 1, as
+        # the weight gradients sum over every step
+        assert g.dtype == dtype and g.shape == t.shape
+        assert np.abs(g - ref).max() <= atol * max(1.0, np.abs(ref).max())
+
+
+def test_matrix_product_factors_must_multiply_and_fill_their_part():
+    rng = np.random.default_rng(32)
+    fw, bw = _stacked_weights(rng, 3, 2, np.float32)
+    ones = lambda *shape: constant(np.ones(shape, dtype=np.float32))
+    assert ad.bigru(ad.MatProduct(ones(2, 4, 5), ones(2, 5, 3)), fw, bw).shape == (2, 4, 4)
+    with pytest.raises(ShapeError):
+        ad.MatProduct(ones(2, 4, 5), ones(2, 4, 3))
+    with pytest.raises(ShapeError):
+        ad.MatProduct(ones(2, 4, 5), ones(1, 5, 3))
+    with pytest.raises(ShapeError, match="matrix product"):
+        ad.bigru([(ad.MatProduct(ones(2, 4, 5), ones(2, 5, 1)), ones(2, 4, 3))], fw, bw)
+    with pytest.raises(ShapeError, match="first factor"):
+        ad.bigru([(ones(2, 4, 3), ad.MatProduct(ones(2, 4, 5), ones(2, 5, 3)))], fw, bw)
+
+
 def test_bigru_factors_must_broadcast_and_span_all_leading_axes_or_none():
     rng = np.random.default_rng(30)
     fw, bw = _stacked_weights(rng, 3, 2, np.float32)

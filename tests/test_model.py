@@ -36,12 +36,13 @@ from hopqa.attention import (
     similarity,
     vanilla_q2c,
 )
-from hopqa.autodiff import DataError, NumericError, ShapeError
+from hopqa.autodiff import DataError, DTypeError, NumericError, ShapeError
 from hopqa.layers import CHAR_KERNEL, UNK_ID, Linear, char_cnn, embed_words, highway, linear, xavier_uniform
 from hopqa.layers import bigru as bigru_layer
 from hopqa.serialization import load_tensors, save_tensors
 from hopqa.training import TrainConfig, train
 from hopqa.verification import full_model_check, tiny_batch
+from reference_ops import product
 
 
 def tiny_config(**kw):
@@ -180,8 +181,9 @@ def test_eval_forward_builds_no_joined_g_and_finds_no_tokens(monkeypatch):
 @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
 def test_forward_stores_no_product_of_g_and_no_dropped_copy(monkeypatch, training, use_fgin):
     # G's products, and in training its dropped parts, reach the modeling
-    # BiGRU as factors: the only float (B, T, 2d) arrays its input parts hold
-    # are H and c2q, the dropout masks being bool
+    # BiGRU as factors, and c2q as the matrix product of its weights and the
+    # query: the only float (B, T, 2d) array its input parts hold is H, the
+    # dropout masks being bool
     import hopqa.model as hm
     model, batch, _ = make_model_and_batch(dropout=0.2, use_fgin=use_fgin)
     inputs, outputs = [], []
@@ -199,9 +201,36 @@ def test_forward_stores_no_product_of_g_and_no_dropped_copy(monkeypatch, trainin
             model.forward(batch)
     b, t_len = batch.context_mask.shape
     g_parts = inputs[2]
-    full = {id(f.data) for part in g_parts for f in (part if isinstance(part, tuple) else (part,))
-            if f.shape == (b, t_len, 2 * model.config.d) and f.dtype != np.bool_}
-    assert len(g_parts) == 4 and len(full) == 2 and id(outputs[0].data) in full
+    factors = [f for part in g_parts for f in (part if isinstance(part, tuple) else (part,))]
+    tensors = [t for f in factors for t in ((f.a, f.b) if isinstance(f, ad.MatProduct) else (f,))]
+    full = {id(t.data) for t in tensors
+            if t.shape == (b, t_len, 2 * model.config.d) and t.dtype != np.bool_}
+    assert len(g_parts) == 4 and full == {id(outputs[0].data)}
+
+
+def test_eval_forward_peak_memory_in_units_of_a_context_encoding():
+    # one no-grad forward of a B=8, T=507 batch at d=32, in units of one
+    # (B, T, 2d) float32 array such as H: c2q is never built (its weights
+    # are (B, T, 16), a quarter unit) and the embeddings are freed once the
+    # encoder has read them (half a unit). The peak read 10.0 units (9.7 on
+    # one CPU) while c2q was built and the embeddings kept, and 8.8 (8.5)
+    # without them
+    examples = synth_two_hop(8, seed=3, n_distractors=20)
+    vocab = build_vocab(examples)
+    (batch,), _ = make_batches(examples, vocab, batch_size=8, max_word_len=8)
+    model = Model(tiny_config(d=32), vocab.n_words, vocab.n_chars, np.random.default_rng(0))
+    b, t_len = batch.context_mask.shape
+    assert (b, t_len, batch.question_mask.shape[1]) == (8, 507, 16)
+    with no_grad():
+        model.forward(batch)                    # the pool's threads start here
+        tracemalloc.start()
+        try:
+            model.forward(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    units = peak / (b * t_len * 2 * 32 * 4)
+    assert units < 9.3, units
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +477,7 @@ def _reference_self_attention(M, p, mask=None):
     """Self-attention as the attention primitives compose it: a masked T x T
     similarity, its row softmax and row max, the bidaf fusion and a linear."""
     s = similarity(M, M, p.sim, context_mask=mask, query_mask=mask)
-    c2q, q2c = context2query(M, s), vanilla_q2c(M, s)
+    c2q, q2c = product(context2query(M, s)), vanilla_q2c(M, s)
     fused = ad.concat([M, c2q, ad.mul(M, c2q), ad.mul(M, q2c)], axis=-1)
     return linear(fused, p.proj.w, p.proj.b)
 
@@ -737,7 +766,7 @@ def test_load_state_rejects_missing_and_misshapen_tensors():
         model.load_state({**state, "embed.word.table": state["embed.word.table"][:-1]})
 
 
-@pytest.mark.parametrize("case", ["missing", "misshapen"])
+@pytest.mark.parametrize("case", ["missing", "misshapen", "unknown", "dtype"])
 def test_failed_load_leaves_every_array_unchanged(case):
     model, _, vocab = make_model_and_batch()
     before = {name: a.copy() for name, a in model.state_arrays().items()}
@@ -746,9 +775,15 @@ def test_failed_load_leaves_every_array_unchanged(case):
     if case == "missing":
         del state["head.type.b"]                 # the last name in tree order
         error = KeyError
-    else:
+    elif case == "misshapen":
         state["head.type.w"] = state["head.type.w"][:-1]
         error = ShapeError
+    elif case == "unknown":
+        state["head.type.extra"] = state["head.type.b"]
+        error = KeyError
+    else:
+        state["head.type.b"] = state["head.type.b"].astype(np.float64)
+        error = DTypeError
     with pytest.raises(error, match="head.type"):
         model.load_state(state)
     after = model.state_arrays()

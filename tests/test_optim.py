@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hopqa.autodiff import NumericError, ShapeError, Tensor, parameter
+from hopqa.autodiff import DTypeError, NumericError, ShapeError, Tensor, parameter
 from hopqa.optim import Adam, AdaDelta, EmaWeights, clip_global_norm, make_optimizer
 from hopqa.serialization import load_tensors, save_tensors
 
@@ -262,3 +262,34 @@ def test_ema_geometric_convergence():
         gaps.append(abs(float(ema.shadow["p"][0]) - 1.0))
     ratios = [b / a for a, b in zip(gaps, gaps[1:])]
     assert all(abs(r - 0.99) < 1e-3 for r in ratios)
+
+
+@pytest.mark.parametrize("cls", [Adam, AdaDelta])
+def test_optimizer_state_rejects_unknown_keys_and_other_dtypes(cls):
+    # both were accepted: an unknown key was ignored, and a float64 slot was
+    # cast to the parameter's float32
+    rng = np.random.default_rng(4)
+    params = {"a": _param(rng.standard_normal(3)), "b": _param(rng.standard_normal(2))}
+    opt = cls(params)
+    arrays, _ = opt.state_arrays()
+    before = {k: a.copy() for k, a in arrays.items()}
+    last = list(arrays)[-1]
+    unknown = {**{k: a + 1.0 for k, a in arrays.items()}, "m.c": np.zeros(1, dtype=np.float32)}
+    wide = {**{k: a + 1.0 for k, a in arrays.items()}, last: arrays[last].astype(np.float64)}
+    for bad, error in ((unknown, KeyError), (wide, DTypeError)):
+        with pytest.raises(error):
+            opt.load_state_arrays(bad, {"step": "7"})
+        assert opt.step_count == 0
+        now, _ = opt.state_arrays()
+        assert all(np.array_equal(now[k], before[k]) for k in before)
+
+
+@pytest.mark.parametrize("max_norm", [float("nan"), float("inf"), -1.0])
+def test_clip_global_norm_rejects_a_bound_that_is_not_finite_and_nonnegative(max_norm):
+    # nan and inf both left the gradients unclipped without an error
+    p = _param([1.0])
+    p.grad = np.array([100.0], dtype=np.float32)
+    with pytest.raises(ValueError, match="max_norm"):
+        clip_global_norm({"p": p}, max_norm)
+    assert p.grad.tolist() == [100.0]
+    assert clip_global_norm({"p": p}, 0.0) == 100.0 and p.grad.tolist() == [100.0]
