@@ -22,7 +22,7 @@ def tiny_batch(n_sentences: int = 2) -> Batch:
         "supporting_facts": [["Rex", 0], ["Figs", 0]][:n_sentences],
     }
     examples, stats = examples_from_hotpot_records([record])
-    assert stats.warnings_total == 0
+    stats.require_clean("tiny_batch")
     vocab = build_vocab(examples)
     batches, _ = make_batches(examples, vocab, batch_size=1, max_word_len=8)
     return batches[0]

@@ -5,11 +5,15 @@ references that those ops are checked against compose them from these
 primitives instead, so they live beside the tests rather than in
 ``hopqa.autodiff``. Each is its forward, its backward closure and one
 ``_make`` call, which decides grad mode as it does for the core's ops.
+
+``tokenize`` is the character-by-character tokenizer that
+``hopqa.data.tokenize`` must match, offsets included.
 """
 
 from __future__ import annotations
 
 import functools
+import string
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from hopqa.autodiff import (
     matmul,
     mul,
 )
+from hopqa.data import Token
 
 
 def product(part) -> Tensor:
@@ -83,3 +88,34 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         _accum(x, gx)
 
     return _make(out, (x,), bwd)
+
+
+_PUNCT = set(string.punctuation)
+
+
+def tokenize(text: str) -> list[Token]:
+    """Whitespace split, then peel leading/trailing punctuation into their
+    own single-char tokens. Offsets index the original string, so
+    concatenating token ranges reproduces all non-space content."""
+    tokens: list[Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace():
+            j += 1
+        lo, hi = i, j
+        while hi - lo > 1 and text[lo] in _PUNCT:
+            tokens.append(Token(text[lo], lo, lo + 1))
+            lo += 1
+        tail: list[Token] = []
+        while hi - lo > 1 and text[hi - 1] in _PUNCT:
+            tail.append(Token(text[hi - 1], hi - 1, hi))
+            hi -= 1
+        tokens.append(Token(text[lo:hi], lo, hi))
+        tokens.extend(reversed(tail))
+        i = j
+    return tokens

@@ -1,8 +1,16 @@
+import hashlib
 import json
 import re
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hopqa.data as hd
+import hopqa.verification as hv
+import reference_ops as ro
 
 from hopqa.autodiff import DataError
 from hopqa.data import (
@@ -42,6 +50,22 @@ def test_tokenize_offsets_round_trip():
         assert text[t.start:t.end] == t.text
     rebuilt = "".join(t.text for t in toks)
     assert rebuilt == "".join(text.split())
+
+
+# letters, every ASCII punctuation mark, ASCII and Unicode whitespace (the
+# information separators \x1c-\x1f are whitespace to str.isspace()) and
+# non-ASCII letters, among them one whose lowercase is two characters
+_TOKENIZER_ALPHABET = ("abcXYZ09" + string.punctuation + " \t\n\r\x0b\x0c"
+                       + "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000" + "éßİЖ漢")
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text(alphabet=_TOKENIZER_ALPHABET, max_size=40))
+def test_tokenize_matches_character_loop_reference(text):
+    toks = tokenize(text)
+    assert toks == ro.tokenize(text)
+    for tok in toks:
+        assert text[tok.start:tok.end] == tok.text
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +138,17 @@ def test_hotpot_answer_prefers_gold_sentence():
     s, _ = ex.answer_span
     span = next(sp for sp in ex.sentence_spans if sp.start <= s < sp.end)
     assert ex.doc_boundaries[span.doc_index][0] == "Khia"
+
+
+def test_hotpot_answer_found_where_lowercasing_changes_length():
+    # "İ".lower() is two characters, so offsets into the lowercased sentence
+    # run ahead of the original's
+    rec = {"_id": "dotted", "question": "which letter ?", "answer": "a",
+           "context": [["Doc", ["İİİ a bc ."]]], "supporting_facts": [["Doc", 0]]}
+    examples, stats = examples_from_hotpot_records([rec])
+    assert stats.warnings_total == 0
+    assert examples[0].answer_span == (1, 1)
+    assert examples[0].context_tokens[1] == "a"
 
 
 def _hotpot_with(field: str, value):
@@ -503,6 +538,51 @@ def test_synth_loads_with_zero_warnings():
     records = synth_two_hop_records(10, seed=11)
     _, stats = examples_from_hotpot_records(records)
     assert stats.warnings_total == 0
+
+
+# SHA-256 of the synthetic records, their examples and their vocabulary, as
+# ``_synth_digest`` forms it. Recorded with numpy 2.4.6 on CPython 3.11.7. It
+# rests on numpy's Generator streams, which numpy does not promise to keep
+# across releases, so a failure under another numpy may be numpy's change.
+SYNTH_DIGEST = "ec899c05111c762abb4ed171825b188bbdebc9a73d9fab6b35efb6146044ca3f"
+
+
+def _synth_digest() -> str:
+    h = hashlib.sha256()
+    for seed in (0, 1, 7):
+        for n_distractors in (0, 2, 22, 120):
+            records = synth_two_hop_records(3, seed, n_distractors)
+            examples = synth_two_hop(3, seed, n_distractors)
+            vocab = build_vocab(examples)
+            h.update(json.dumps(records).encode())
+            h.update(repr(examples).encode())
+            for table in (vocab.word_to_id, vocab.char_to_id, vocab.word_freq):
+                h.update(repr(list(table.items())).encode())
+    return h.hexdigest()
+
+
+def test_synth_records_examples_and_vocab_are_pinned():
+    # word_freq is hashed in its own key order, which build_vocab must keep
+    assert _synth_digest() == SYNTH_DIGEST
+
+
+def test_synth_records_that_load_with_warnings_raise(monkeypatch):
+    records = synth_two_hop_records(2, seed=3)
+    records[1]["answer"] = "7 billion"
+    monkeypatch.setattr(hd, "synth_two_hop_records", lambda n, seed, n_distractors=2: records)
+    with pytest.raises(DataError, match=r"synth_two_hop: .*: answers_not_found=1$"):
+        synth_two_hop(2, seed=3)
+
+
+def test_tiny_batch_record_that_loads_with_warnings_raises(monkeypatch):
+    load = hv.examples_from_hotpot_records
+
+    def unfindable_answer(records):
+        return load([dict(rec, answer="7 billion") for rec in records])
+
+    monkeypatch.setattr(hv, "examples_from_hotpot_records", unfindable_answer)
+    with pytest.raises(DataError, match=r"tiny_batch: .*: answers_not_found=1$"):
+        hv.tiny_batch()
 
 
 def test_sup_labels_always_index_real_sentences():

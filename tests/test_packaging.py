@@ -1,16 +1,16 @@
-"""Package metadata: every console script must point at a callable."""
+"""Package-wide checks: console scripts and rules over the source tree."""
 
+import ast
 import importlib
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")     # Python 3.11+
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_console_scripts_import_and_are_callable():
+    tomllib = pytest.importorskip("tomllib")     # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
@@ -18,3 +18,12 @@ def test_console_scripts_import_and_are_callable():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{name} = {target!r}"
+
+
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips assert statements, so a guard must raise instead
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "hopqa").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
