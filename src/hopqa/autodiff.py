@@ -704,9 +704,8 @@ class _Sweep(threading.local):
 _sweep = _Sweep()
 
 
-def bigru(x: Factor | Sequence[Factor | Sequence[Factor]],
-          fw: Sequence[Tensor | Sequence[Tensor]],
-          bw: Sequence[Tensor | Sequence[Tensor]], mask: np.ndarray | None = None) -> Tensor:
+def bigru(x: Factor | Sequence[Factor | Sequence[Factor]], fw: Sequence[Tensor],
+          bw: Sequence[Tensor], mask: np.ndarray | None = None) -> Tensor:
     """Bidirectional GRU over axis -2 as a single graph node.
 
     ``x`` is the input, or a list of parts that make the input when joined
@@ -736,12 +735,10 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]],
     factors, if any) gives a ``g b[n]^T`` and b ``a[n]^T g``, so neither
     its (T, w) rows nor its gradient are stored.
 
-    ``fw`` and ``bw`` are ``(w_x, w_h, b)`` with the gates stacked in order
-    ``[z | r | n]``: ``w_x`` is in x 3h, ``w_h`` is h x 3h and ``b`` is 3h.
-    Each of the three is one tensor or, like ``x``, a list of blocks joined
-    on the last axis, such as the per-gate tensors ``[w_z, w_r, w_n]``; the
-    op joins them once per pass and the backward gives each block its
-    columns. Per direction and step, from h = 0:
+    ``fw`` and ``bw`` are tensors ``(w_x, w_h, b)`` with the gates stacked in
+    order ``[z | r | n]``: ``w_x`` is in x 3h, ``w_h`` is h x 3h and ``b`` is
+    3h. The op reads them as stored, and each gets its gradient whole. Per
+    direction and step, from h = 0:
     z = sigmoid(x_t W_xz + b_z + h W_hz), r likewise,
     n = tanh(x_t W_xn + b_n + (r * h) W_hn) and h' = h + m_t z (n - h),
     where m_t is ``mask`` (..., T) or 1, so padded steps copy h through. The
@@ -774,7 +771,7 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]],
     assumes the input is finite everywhere. The calling thread keeps the
     local derivatives, the reverse loop and the layout of the gate gradients
     ``da``. The GEMMs run on the pool as pending contributions (``_accum``):
-    one task for ``dW_h`` per direction whose blocks need it, one per input
+    one task for ``dW_h`` per direction whose ``w_h`` needs it, one per input
     part for ``da @ w_x[rows_k]^T`` (and its factors' gradients) and for
     ``dw_x``'s rows ``part_k^T @ da``, and one for the biases, and the
     sweep goes on with other nodes while they run. This thread allocates
@@ -807,12 +804,10 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]],
     widths = [s[-1] for s in shapes]
     d_in = sum(widths)
     leaves = _leaves(f for fs in parts for f in fs)
-    # per direction, the blocks of w_x, w_h and b, and their joins
-    blocks = [[[w] if isinstance(w, Tensor) else list(w) for w in cell] for cell in (fw, bw)]
-    weights = [t for cell in blocks for bl in cell for t in bl]
-    joined = [[_join_blocks(bl) for bl in cell] for cell in blocks]
-    hid = joined[0][1].shape[0]
-    for w_x, w_h, b in joined:
+    cells = [tuple(fw), tuple(bw)]                      # per direction, (w_x, w_h, b)
+    weights = [t for cell in cells for t in cell]
+    hid = cells[0][1].shape[0]
+    for w_x, w_h, b in cells:
         if w_h.shape != (hid, 3 * hid) or w_x.shape != (d_in, 3 * hid) \
                 or b.shape != (3 * hid,):
             raise ShapeError(f"bigru: stacked weights {w_x.shape}, {w_h.shape}, {b.shape} "
@@ -838,9 +833,9 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]],
     # multiplies them by 2r
     splits = np.cumsum(widths)[:-1]
     half = np.repeat(np.array([0.5, 0.5, 1.0], dtype=dtype), hid)
-    proj = [(np.split(w_x * half, splits), b * half) for w_x, _, b in joined]
-    wh_zr = 0.5 * np.stack([w_h[:, :2 * hid] for _, w_h, _ in joined])
-    wh_n = 0.5 * np.stack([w_h[:, 2 * hid:] for _, w_h, _ in joined])
+    proj = [(np.split(w_x.data * half, splits), b.data * half) for w_x, _, b in cells]
+    wh_zr = 0.5 * np.stack([w_h.data[:, :2 * hid] for _, w_h, _ in cells])
+    wh_n = 0.5 * np.stack([w_h.data[:, 2 * hid:] for _, w_h, _ in cells])
 
     # each part's factors as (N or 1, T or 1, w or 1), a matrix product as
     # its (N, T, J) and (N, J, w) factors; a part of one tensor is read in
@@ -950,10 +945,8 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]],
         dr_da = r * (1.0 - r)
         dr_da *= h_prev
         del z, mz
-        # the weights are joined again here, so the node keeps no copy
-        w_x, w_h = ([_join_blocks(cell[i]) for cell in blocks] for i in (0, 1))
-        wh_zr_t = np.stack([wh[:, :2 * hid].T for wh in w_h])
-        wh_n_t = np.stack([wh[:, 2 * hid:].T for wh in w_h])
+        wh_zr_t = np.stack([cell[1].data[:, :2 * hid].T for cell in cells])
+        wh_n_t = np.stack([cell[1].data[:, 2 * hid:].T for cell in cells])
         da_zr_dir = np.empty((2, t_len, n_seq, 2 * hid), dtype=gdt)
         da_n_dir = np.empty((2, t_len, n_seq, hid), dtype=gdt)
         da_zr, da_n = da_zr_dir.transpose(1, 0, 2, 3), da_n_dir.transpose(1, 0, 2, 3)
@@ -990,12 +983,11 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]],
             return tasks[-1]
 
         flat = da.reshape(-1, 6 * hid)
-        w_rows = np.split(np.concatenate(w_x, axis=1), splits)
-        need_wx, need_b = (any(t.requires_grad for cell in blocks for t in cell[i])
-                           for i in (0, 2))
+        w_rows = np.split(np.concatenate([cell[0].data for cell in cells], axis=1), splits)
+        need_wx, need_b = (any(cell[i].requires_grad for cell in cells) for i in (0, 2))
         dw_h: list = [None, None]
-        for d, cell in enumerate(blocks):
-            if any(t.requires_grad for t in cell[1]):
+        for d, cell in enumerate(cells):
+            if cell[1].requires_grad:
                 buf = np.empty((hid, 3 * hid), dtype=gdt)
                 rh = np.multiply(r[:, d], h_dir[d]).reshape(-1, hid)
                 dw_h[d] = buf, queue_task(_gemms_into, buf, [
@@ -1054,14 +1046,14 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]],
             if entry is not None:
                 for f, gf in entry[0]:
                     _accum(f, gf, entry[1])
-        for d, (bx, bh, bb) in enumerate(blocks):
+        for d, (w_x, w_h, b) in enumerate(cells):
             cols = slice(3 * hid * d, 3 * hid * (d + 1))
             if need_wx:
-                _accum_blocks(bx, dw_x[0][:, cols], *dw_x[1])
+                _accum(w_x, dw_x[0][:, cols], *dw_x[1])
             if dw_h[d] is not None:
-                _accum_blocks(bh, *dw_h[d])
+                _accum(w_h, *dw_h[d])
             if need_b:
-                _accum_blocks(bb, db[0][cols], db[1])
+                _accum(b, db[0][cols], db[1])
 
     return _make(result, (*leaves, *weights), bwd)
 
@@ -1169,25 +1161,6 @@ def _factor_dw(out: np.ndarray, fs: Sequence, da: np.ndarray,
             out += np.matmul(rows.T, da[n], out=term[:width])
         else:
             np.matmul(rows.T, da[n], out=out)
-
-
-def _join_blocks(blocks: list[Tensor]) -> np.ndarray:
-    """The data of tensors joined on the last axis."""
-    for t in blocks[1:]:
-        if t.shape[:-1] != blocks[0].shape[:-1]:
-            raise ShapeError(f"bigru: weight blocks {blocks[0].shape} and {t.shape} differ "
-                             "before the last axis")
-    return np.concatenate([t.data for t in blocks], axis=-1)
-
-
-def _accum_blocks(blocks: list[Tensor], g: np.ndarray, *tasks: pool.Task) -> None:
-    """Give each of ``blocks`` its columns of ``g``, the gradient of their
-    join, which ``tasks``, if given, are still filling (see ``_accum``)."""
-    ofs = 0
-    for t in blocks:
-        n = t.shape[-1]
-        _accum(t, g[..., ofs:ofs + n], *tasks)
-        ofs += n
 
 
 def _rows(buf: np.ndarray, n: int, width: int) -> np.ndarray:

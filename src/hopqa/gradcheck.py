@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -52,7 +52,7 @@ def rel_err(analytic: float, numeric: float, floor: float = REL_ERR_FLOOR) -> fl
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
 
 
-def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor],
+def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor | tuple[Tensor, Any]],
                eps: float = DEFAULT_EPS, max_coords: int = 12,
                rng: np.random.Generator | None = None) -> GradReport:
     """Compare ``backward()`` gradients of the scalar ``f()`` against
@@ -64,9 +64,15 @@ def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor],
     float32 forward noise. Large tensors are sampled at ``max_coords``
     coordinates. ``f`` must be deterministic across calls (fix any rng it
     uses internally).
+
+    An entry may also be ``(tensor, block)``, ``block`` a basic index such
+    as ``(slice(None), slice(2, 4))``: its coordinates are drawn over
+    ``tensor.data[block]`` exactly as over a standalone tensor of that
+    shape, and each sample's ``index`` is the coordinate in ``tensor``.
     """
     rng = rng or np.random.default_rng(0)
-    tensors = dict(params)
+    entries = {name: p if isinstance(p, tuple) else (p, ...) for name, p in params.items()}
+    tensors = {id(t): t for t, _ in entries.values()}
     zero_grads(tensors.values())
     loss = f()
     if loss.data.size != 1:
@@ -74,20 +80,22 @@ def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor],
     if not np.isfinite(loss.data).all():
         raise NumericError("grad_check: f is non-finite at the given params")
     backward(loss)
-    analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
-                for name, t in tensors.items()}
+    analytic = {key: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
+                for key, t in tensors.items()}
 
-    originals = {name: t.data for name, t in tensors.items()}
+    originals = {key: t.data for key, t in tensors.items()}
     for t in tensors.values():
         t.data = t.data.astype(np.float64)
     try:
         report: dict[str, ParamReport] = {}
-        for name, t in tensors.items():
-            size = t.data.size
+        for name, (t, block) in entries.items():
+            # the flat position in t of each coordinate of the block
+            positions = np.arange(t.data.size).reshape(t.shape)[block].reshape(-1)
+            size = positions.size
             if size <= max_coords:
-                flat_idx = np.arange(size)
+                flat_idx = positions
             else:
-                flat_idx = rng.choice(size, size=max_coords, replace=False)
+                flat_idx = positions[rng.choice(size, size=max_coords, replace=False)]
             pr = ParamReport(name=name, max_rel_err=0.0)
             flat = t.data.reshape(-1)
             for fi in flat_idx:
@@ -101,12 +109,12 @@ def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor],
                 if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                     raise NumericError(f"grad_check: f non-finite while perturbing {name}")
                 numeric = (f_plus - f_minus) / (2.0 * eps)
-                a = float(analytic[name].reshape(-1)[fi])
+                a = float(analytic[id(t)].reshape(-1)[fi])
                 err = rel_err(a, numeric)
                 pr.samples.append(CoordSample(np.unravel_index(int(fi), t.shape), a, numeric, err))
                 pr.max_rel_err = max(pr.max_rel_err, err)
             report[name] = pr
     finally:
-        for name, t in tensors.items():
-            t.data = originals[name]
+        for key, t in tensors.items():
+            t.data = originals[key]
     return GradReport(params=report, loss=float(loss.data))

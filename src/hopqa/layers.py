@@ -6,11 +6,11 @@ steps. Forward functions accept either single-sequence inputs (T x ...) or
 batched ones (B x T x ...): every op works on the trailing axes.
 
 Each BiGRU is exactly one ``ad.bigru`` graph node whatever the sequence
-length: the op reads each direction's per-gate weights as they are stored,
-as lists of gate blocks ``[z, r, n]``, and both recurrences and their
-backward through time run inside it, in one loop over the steps. A BiGRU
-whose input is several tensors side by side takes them as a list of parts,
-so the joined input is never copied, and each sequence's input is
+length: the op reads each direction's three weight tensors as they are
+stored, the gates ``[z | r | n]`` side by side in each, and both recurrences
+and their backward through time run inside it, in one loop over the steps.
+A BiGRU whose input is several tensors side by side takes them as a list of
+parts, so the joined input is never copied, and each sequence's input is
 projected only up to its last real position. A highway stack is likewise
 one ``ad.highway`` node: all its layers and their backward run inside it,
 and its output is bit-identical to the composition of primitive ops.
@@ -215,37 +215,25 @@ def highway(x: Tensor, layers: Sequence[HighwayLayer]) -> Tensor:
 
 @dataclass
 class GruCellParams:
-    """One direction of a GRU: update (z), reset (r) and candidate (n)
-    weights for the input and hidden paths, plus biases.
+    """One direction of a GRU: input weights ``w_x`` (in x 3h), hidden
+    weights ``w_h`` (h x 3h) and biases ``b`` (3h), each with the update
+    (z), reset (r) and candidate (n) gates side by side as ``[z | r | n]``
+    on the last axis, the layout ``ad.bigru`` reads."""
 
-    The nine per-gate tensors are the parameters (and checkpoint entries);
-    ``gates`` lists them in gate order ``[z, r, n]`` as ``ad.bigru`` reads them."""
-
-    wx_z: Tensor
-    wx_r: Tensor
-    wx_n: Tensor
-    wh_z: Tensor
-    wh_r: Tensor
-    wh_n: Tensor
-    b_z: Tensor
-    b_r: Tensor
-    b_n: Tensor
+    w_x: Tensor
+    w_h: Tensor
+    b: Tensor
 
     @classmethod
     def create(cls, in_dim: int, hidden: int, rng: np.random.Generator,
                dtype=np.float32) -> "GruCellParams":
-        wx = lambda: Tensor(xavier_uniform(rng, in_dim, hidden, dtype=dtype), requires_grad=True)
-        wh = lambda: Tensor(xavier_uniform(rng, hidden, hidden, dtype=dtype), requires_grad=True)
-        b = lambda: Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-        return cls(wx_z=wx(), wx_r=wx(), wx_n=wx(),
-                   wh_z=wh(), wh_r=wh(), wh_n=wh(),
-                   b_z=b(), b_r=b(), b_n=b())
-
-    def gates(self) -> tuple[list[Tensor], list[Tensor], list[Tensor]]:
-        """The blocks of ``w_x`` (in x 3h), ``w_h`` (h x 3h) and ``b`` (3h)."""
-        return ([self.wx_z, self.wx_r, self.wx_n],
-                [self.wh_z, self.wh_r, self.wh_n],
-                [self.b_z, self.b_r, self.b_n])
+        """Each gate's input and then hidden weights are drawn as separate
+        Xavier matrices, in gate order, and joined; the biases are zero."""
+        wx = [xavier_uniform(rng, in_dim, hidden, dtype=dtype) for _ in range(3)]
+        wh = [xavier_uniform(rng, hidden, hidden, dtype=dtype) for _ in range(3)]
+        return cls(w_x=Tensor(np.concatenate(wx, axis=1), requires_grad=True),
+                   w_h=Tensor(np.concatenate(wh, axis=1), requires_grad=True),
+                   b=Tensor(np.zeros(3 * hidden, dtype=dtype), requires_grad=True))
 
 
 @dataclass
@@ -266,7 +254,7 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]], p: BiGruParams,
     concatenated per position: (..., T, 2 * hidden).
 
     ``x`` is the input or a list of parts whose join on the last axis is the
-    input, in the order of the rows of the ``wx_*`` weights; the join is
+    input, in the order of the rows of the ``w_x`` weights; the join is
     never built. A part may be a tuple of factors whose product it is, and
     its first factor, or the part itself, may be an ``ad.MatProduct``, such
     as ``context2query``'s c2q (see ``ad.bigru``). ``mask`` is (..., T) with
@@ -274,5 +262,5 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]], p: BiGruParams,
     both directions, and positions past a sequence's last real one are not
     projected at all.
     """
-    return ad.bigru(x, p.fw.gates(), p.bw.gates(), mask=mask)
+    return ad.bigru(x, (p.fw.w_x, p.fw.w_h, p.fw.b), (p.bw.w_x, p.bw.w_h, p.bw.b), mask=mask)
 

@@ -182,7 +182,7 @@ class Model:
 
     A tensor's name, in ``parameters()`` and in checkpoints, is its path
     through the bundle tree of ``_tree`` (``layers.named_tensors``), e.g.
-    ``encoder.fw.wx_z``. The word table trains only with
+    ``encoder.fw.w_x``. The word table trains only with
     ``config.train_word_emb``, but is saved and loaded either way."""
 
     def __init__(self, config: ModelConfig, n_words: int, n_chars: int,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -56,6 +56,9 @@ class EpochLog:
     train_loss: float
     dev: MetricReport | None
     seconds: float
+    grad_norms: list[float]             # each step's, before clipping
+    truncated_examples: int             # the epoch's BatchStats counters
+    spans_lost_to_truncation: int
 
 
 @dataclass
@@ -120,11 +123,12 @@ def train(model: Model, train_examples: list[Example],
     bad_epochs = 0
     for epoch in range(1, tcfg.epochs + 1):
         started = time.monotonic()
-        batches, _ = make_batches(train_examples, vocab, tcfg.batch_size,
-                                  max_word_len=model.config.max_word_len,
-                                  rng=shuffle_rng, shuffle=True)
+        batches, stats = make_batches(train_examples, vocab, tcfg.batch_size,
+                                      max_word_len=model.config.max_word_len,
+                                      rng=shuffle_rng, shuffle=True)
         total = 0.0
         count = 0
+        norms = []
         for batch in batches:
             zero_grads(params.values())
             out = model.forward(batch, training=True, rng=dropout_rng)
@@ -135,8 +139,7 @@ def train(model: Model, train_examples: list[Example],
                 ids = [ex.id for ex in batch.examples]
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}; batch ids: {ids}")
             backward(loss)
-            if tcfg.clip_norm > 0:
-                clip_global_norm(params, tcfg.clip_norm)
+            norms.append(clip_global_norm(params, tcfg.clip_norm))
             opt.step()
             ema.update()
             del out, loss           # free this step's graph before the next forward
@@ -151,7 +154,7 @@ def train(model: Model, train_examples: list[Example],
                 dev_report = evaluate_model(model, dev_examples, vocab,
                                             batch_size=tcfg.batch_size)
         log = EpochLog(epoch=epoch, train_loss=epoch_loss, dev=dev_report,
-                       seconds=time.monotonic() - started)
+                       seconds=time.monotonic() - started, grad_norms=norms, **asdict(stats))
         result.epoch_logs.append(log)
 
         if dev_report is not None:

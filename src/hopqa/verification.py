@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .data import Batch, build_vocab, examples_from_hotpot_records, make_batches
 from .gradcheck import GradReport, grad_check
 from .model import Model, ModelConfig, joint_loss
+
+# a GRU gate's name: "encoder.fw.wh_n" is the n block of "encoder.fw.w_h"
+_GATE = re.compile(r"(.+\.)(wx|wh|b)_([zrn])")
 
 
 def tiny_batch(n_sentences: int = 2) -> Batch:
@@ -34,10 +39,13 @@ def full_model_check(dtype_name: str, d: int = 4, seed: int = 0,
     """Gradient-check the joint loss of the whole model on the tiny batch.
 
     One representative parameter per block is sampled unless
-    ``param_filter`` lists explicit names; a name that is not a parameter
-    raises ``KeyError``. With ``training`` the model has dropout 0.2 and
-    each evaluation of the loss runs the training forward with a dropout
-    rng seeded afresh, so every difference quotient sees the same masks.
+    ``param_filter`` lists explicit names. A GRU gate's name, such as
+    ``encoder.fw.wh_n``, names that gate's third of the last axis of the
+    stacked parameter (``encoder.fw.w_h``), sampled as a tensor of its shape
+    would be; any other name that is not a parameter raises ``KeyError``.
+    With ``training`` the model has dropout 0.2 and each evaluation of the
+    loss runs the training forward with a dropout rng seeded afresh, so
+    every difference quotient sees the same masks.
     """
     batch = tiny_batch()
     config = ModelConfig(d=d, dropout=0.2 if training else 0.0, word_dim=8, char_dim=4,
@@ -64,7 +72,19 @@ def full_model_check(dtype_name: str, d: int = 4, seed: int = 0,
             "head.sup.w", "head.start.w", "head.end.w", "head.type.w",
         ]
     params = model.parameters()
-    params = {name: params[name] for name in param_filter}
+    params = {name: _entry(params, name) for name in param_filter}
     report = grad_check(f, params, max_coords=max_coords,
                         rng=np.random.default_rng(seed + 7))
     return report.worst_rel_err, report, model
+
+
+def _entry(params: dict, name: str):
+    """``params[name]``, or for a GRU gate's name its stacked tensor and block."""
+    m = _GATE.fullmatch(name)
+    stacked = m[1] + {"wx": "w_x", "wh": "w_h", "b": "b"}[m[2]] if m else None
+    if stacked not in params:
+        return params[name]
+    t = params[stacked]
+    h = t.shape[-1] // 3
+    g = "zrn".index(m[3])
+    return t, (..., slice(g * h, (g + 1) * h))

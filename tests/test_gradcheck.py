@@ -165,3 +165,24 @@ def test_grad_check_restores_parameters():
     before = x.data.copy()
     grad_check(lambda: reduce_sum(ad.mul(x, x)), {"x": x})
     assert np.array_equal(x.data, before)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_block_entry_samples_as_the_standalone_block(dtype):
+    # B's columns 2..6 hold A: the block entry draws the coordinates the
+    # standalone A draws, each mapped into B, and finds the same values
+    rng = np.random.default_rng(12)
+    a = parameter(_rand(rng, (4, 5), dtype), dtype=dtype)
+    b = parameter(_rand(rng, (4, 9), dtype), dtype=dtype)
+    b.data[:, 2:7] = a.data
+    probe = constant(_rand(rng, (4, 5), dtype), dtype=dtype)
+    loss = lambda x: reduce_sum(ad.mul(tanh(x), probe))
+    want = grad_check(lambda: loss(a), {"p": a}, rng=np.random.default_rng(5))
+    got = grad_check(lambda: loss(narrow(b, -1, 2, 5)), {"p": (b, (..., slice(2, 7)))},
+                     rng=np.random.default_rng(5))
+    assert len(want.params["p"].samples) == len(got.params["p"].samples) == 12
+    for s, t in zip(want.params["p"].samples, got.params["p"].samples):
+        assert (t.analytic, t.numeric, t.rel_err) == (s.analytic, s.numeric, s.rel_err)
+        assert t.index == (s.index[0], s.index[1] + 2)
+        assert b.data[t.index] == a.data[s.index]
+    assert got.worst_rel_err == want.worst_rel_err < TOL[dtype]

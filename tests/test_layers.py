@@ -20,6 +20,7 @@ from hopqa.layers import (
     linear,
     load_glove,
     named_tensors,
+    xavier_uniform,
 )
 from reference_ops import narrow, product, sigmoid, sub, tanh
 
@@ -313,13 +314,30 @@ def test_linear_matches_matmul_add_oracle():
 def test_bigru_zero_weights_zero_inputs_zero_outputs():
     p = BiGruParams.create(3, 2, np.random.default_rng(12))
     for cell in (p.fw, p.bw):
-        for t in (cell.wx_z, cell.wx_r, cell.wx_n, cell.wh_z, cell.wh_r, cell.wh_n,
-                  cell.b_z, cell.b_r, cell.b_n):
+        for t in (cell.w_x, cell.w_h, cell.b):
             t.data[:] = 0.0
     x = constant(np.zeros((4, 3), dtype=np.float32))
     out = bigru(x, p)
     # hand trace: z = r = sigmoid(0) = 0.5, n = tanh(0) = 0, h = 0.5*0 + 0.5*0 = 0
     assert np.allclose(out.data, 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gru_cell_weights_are_the_per_gate_xavier_draws_joined(dtype):
+    # per gate, input then hidden weights, as separate draws: every seed's
+    # model keeps the weights it had when each gate was its own tensor
+    rng, replay = np.random.default_rng(33), np.random.default_rng(33)
+    cell = GruCellParams.create(5, 3, rng, dtype=dtype)
+    wx = [xavier_uniform(replay, 5, 3, dtype=dtype) for _ in "zrn"]
+    wh = [xavier_uniform(replay, 3, 3, dtype=dtype) for _ in "zrn"]
+    assert (cell.w_x.shape, cell.w_h.shape, cell.b.shape) == ((5, 9), (3, 9), (9,))
+    for g in range(3):
+        cols = slice(3 * g, 3 * g + 3)
+        assert np.array_equal(cell.w_x.data[:, cols], wx[g])
+        assert np.array_equal(cell.w_h.data[:, cols], wh[g])
+    assert not cell.b.data.any()
+    assert all(t.dtype == dtype and t.requires_grad for t in (cell.w_x, cell.w_h, cell.b))
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_bigru_output_shape():
@@ -387,8 +405,8 @@ def test_layer_forwards_pass_grad_check(dtype):
     probe2 = constant(rng.standard_normal((5, 4)).astype(dtype), dtype=dtype)
     mask = np.array([1, 1, 1, 1, 0], dtype=dtype)
     report = grad_check(lambda: reduce_sum(ad.mul(bigru(xs, gru, mask=mask), probe2)),
-                        {"x": xs, "wx_z": gru.fw.wx_z, "wh_n": gru.fw.wh_n,
-                         "b_r": gru.bw.b_r, "wh_z": gru.bw.wh_z},
+                        {"x": xs, "wx_z": _gate(gru.fw.w_x, 0), "wh_n": _gate(gru.fw.w_h, 2),
+                         "b_r": _gate(gru.bw.b, 1), "wh_z": _gate(gru.bw.w_h, 0)},
                         rng=np.random.default_rng(2))
     assert report.worst_rel_err < tol
 
@@ -401,21 +419,31 @@ def test_layer_forwards_pass_grad_check(dtype):
     assert report.worst_rel_err < tol
 
 
+def _gate(t: Tensor, g: int) -> tuple[Tensor, tuple]:
+    """Gate g's block of a stacked GRU weight, as a ``grad_check`` entry."""
+    h = t.shape[-1] // 3
+    return t, (..., slice(g * h, (g + 1) * h))
+
+
 def _reference_bigru(x: Tensor, p: BiGruParams, mask: np.ndarray) -> Tensor:
     """The per-timestep composition of primitive ops that ``bigru`` fuses."""
     m = np.asarray(mask, dtype=x.dtype)
     t_len = x.shape[-2]
 
     def direction(cell: GruCellParams, steps: range) -> list[Tensor]:
-        xz = linear(x, cell.wx_z, cell.b_z)
-        xr = linear(x, cell.wx_r, cell.b_r)
-        xn = linear(x, cell.wx_n, cell.b_n)
-        h = constant(np.zeros(x.shape[:-2] + (1, cell.wh_z.shape[0]), dtype=x.dtype))
+        hid = cell.w_h.shape[0]
+        wx_z, wx_r, wx_n = (narrow(cell.w_x, -1, g * hid, hid) for g in range(3))
+        wh_z, wh_r, wh_n = (narrow(cell.w_h, -1, g * hid, hid) for g in range(3))
+        b_z, b_r, b_n = (narrow(cell.b, -1, g * hid, hid) for g in range(3))
+        xz = linear(x, wx_z, b_z)
+        xr = linear(x, wx_r, b_r)
+        xn = linear(x, wx_n, b_n)
+        h = constant(np.zeros(x.shape[:-2] + (1, hid), dtype=x.dtype))
         states = [h] * t_len
         for t in steps:
-            z = sigmoid(narrow(xz, -2, t, 1) + ad.matmul(h, cell.wh_z))
-            r = sigmoid(narrow(xr, -2, t, 1) + ad.matmul(h, cell.wh_r))
-            n = tanh(narrow(xn, -2, t, 1) + ad.matmul(r * h, cell.wh_n))
+            z = sigmoid(narrow(xz, -2, t, 1) + ad.matmul(h, wh_z))
+            r = sigmoid(narrow(xr, -2, t, 1) + ad.matmul(h, wh_r))
+            n = tanh(narrow(xn, -2, t, 1) + ad.matmul(r * h, wh_n))
             h_new = sub(constant(1.0, dtype=z.dtype), z) * h + z * n
             h = h + constant(m[..., t:t + 1, None]) * sub(h_new, h)
             states[t] = h
@@ -433,9 +461,8 @@ def test_bigru_matches_per_timestep_reference(dtype, atol):
     x = Tensor(rng.standard_normal((2, 6, 3)).astype(dtype), requires_grad=True)
     mask = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 0, 0]], dtype=dtype)
     probe = constant(rng.standard_normal((2, 6, 8)).astype(dtype), dtype=dtype)
-    gate_names = ("wx_z", "wx_r", "wx_n", "wh_z", "wh_r", "wh_n", "b_z", "b_r", "b_n")
-    tensors = {"x": x, **{f"{d}.{g}": getattr(getattr(p, d), g)
-                          for d in ("fw", "bw") for g in gate_names}}
+    tensors = {"x": x, **{f"{d}.{w}": getattr(getattr(p, d), w)
+                          for d in ("fw", "bw") for w in ("w_x", "w_h", "b")}}
 
     def run(fn):
         for t in tensors.values():
@@ -463,7 +490,7 @@ def test_bigru_shapes_match_per_timestep_reference(shape):
     mask = np.ones(shape[:-1])
     mask.reshape(-1, t_len)[0, t_len // 2 + 1:] = 0.0     # trailing padding
     probe = constant(rng.standard_normal(shape[:-1] + (4,)))
-    tensors = {"x": x, "fw.wh_z": p.fw.wh_z, "bw.wx_n": p.bw.wx_n, "bw.b_r": p.bw.b_r}
+    tensors = {"x": x, "fw.w_h": p.fw.w_h, "bw.w_x": p.bw.w_x, "bw.b": p.bw.b}
 
     def run(fn):
         for t in tensors.values():
@@ -522,45 +549,6 @@ def test_bigru_layer_is_one_graph_node():
     out = bigru(x, p, mask=np.ones((2, 5), dtype=np.float32))
     nodes = [n for n in ad._toposort(out) if n._backward is not None]
     assert len(nodes) == 1 and nodes[0] is out
-
-
-@pytest.mark.parametrize("t_len", [7, ad.BIGRU_CHUNK + 44], ids=["short", "past_chunk"])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_bigru_gate_lists_match_stacked_weights(dtype, t_len):
-    rng = np.random.default_rng(30)
-    p = BiGruParams.create(5, 3, rng, dtype=dtype)
-    x = Tensor(rng.standard_normal((len(MASK_CASES), t_len, 5)).astype(dtype), requires_grad=True)
-    mask = _case_masks(t_len, dtype)
-    probe = constant(rng.standard_normal((len(MASK_CASES), t_len, 6)).astype(dtype), dtype=dtype)
-    cells = (p.fw, p.bw)
-    tensors = [x, *(t for cell in cells for blocks in cell.gates() for t in blocks)]
-
-    def run(weights):
-        for t in tensors:
-            t.grad = None
-        out = ad.bigru(x, *weights, mask=mask)
-        backward(reduce_sum(ad.mul(out, probe)))
-        return out.data, [t.grad for t in tensors]
-
-    out, grads = run([cell.gates() for cell in cells])
-    ref_out, ref_grads = run([[ad.concat(blocks, axis=-1) for blocks in cell.gates()]
-                              for cell in cells])
-    assert np.array_equal(out, ref_out)
-    for t, g, ref in zip(tensors, grads, ref_grads):
-        assert g.dtype == dtype and g.shape == t.shape
-        assert np.array_equal(g, ref)
-
-
-def test_bigru_gate_blocks_must_join_to_the_stacked_shapes():
-    rng = np.random.default_rng(31)
-    fw, bw = _stacked_weights(rng, 5, 2, np.float32)
-    x = constant(np.zeros((2, 4, 5), dtype=np.float32))
-    split = lambda w, *cuts: [constant(a) for a in np.split(w.data, cuts, axis=-1)]
-    assert ad.bigru(x, [split(fw[0], 2, 4), fw[1], split(fw[2], 2)], bw).shape == (2, 4, 4)
-    with pytest.raises(ShapeError):                   # blocks differ before the last axis
-        ad.bigru(x, [[constant(fw[0].data[:, :2]), constant(fw[0].data[1:, 2:])], *fw[1:]], bw)
-    with pytest.raises(ShapeError):                   # a block missing from the join
-        ad.bigru(x, fw, [split(bw[0], 2, 4)[:2], *bw[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +615,7 @@ def test_bigru_parts_mask_cases_match_per_timestep_reference():
              for w in (3, 2)]
     mask = _case_masks(t_len, np.float64)
     probe = constant(rng.standard_normal((len(MASK_CASES), t_len, 4)))
-    tensors = [*parts, p.fw.wx_z, p.fw.wh_r, p.bw.wx_n, p.bw.b_z]
+    tensors = [*parts, p.fw.w_x, p.fw.w_h, p.bw.w_x, p.bw.b]
 
     def run(out):
         for t in tensors:

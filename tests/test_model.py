@@ -692,13 +692,25 @@ def test_float64_whole_model_gradients_agree_with_finite_differences(training):
 def test_full_model_check_rejects_unknown_parameter_name():
     with pytest.raises(KeyError, match="att.sim.w_x"):
         full_model_check("float64", param_filter=["att.sim.w_h", "att.sim.w_x"])
+    with pytest.raises(KeyError, match="att.sim.wx_z"):      # no att.sim.w_x to slice
+        full_model_check("float64", param_filter=["att.sim.w_h", "att.sim.wx_z"])
+
+
+def test_full_model_check_samples_a_gate_name_inside_its_stacked_tensor():
+    # d=4: each GRU gate is 4 columns of its stacked weight, n the last 4
+    _, report, model = full_model_check("float64",
+                                        param_filter=["encoder.fw.wh_n", "pred3.fw.b_z"])
+    params = model.parameters()
+    assert params["encoder.fw.w_h"].shape == (4, 12) and params["pred3.fw.b"].shape == (12,)
+    wh_n, b_z = report.params["encoder.fw.wh_n"].samples, report.params["pred3.fw.b_z"].samples
+    assert len(wh_n) == len(b_z) == 4
+    assert all(8 <= s.index[1] < 12 for s in wh_n) and all(s.index[0] < 4 for s in b_z)
 
 
 # ---------------------------------------------------------------------------
 # parameter names and checkpoints
 
-_GRU_NAMES = [f"{direction}.{w}" for direction in ("fw", "bw")
-              for w in ("wx_z", "wx_r", "wx_n", "wh_z", "wh_r", "wh_n", "b_z", "b_r", "b_n")]
+_GRU_NAMES = [f"{direction}.{w}" for direction in ("fw", "bw") for w in ("w_x", "w_h", "b")]
 
 # Trainable tensors in order, as format-2 checkpoints name them; the word
 # table ("embed.word.table") comes first when it trains.
@@ -717,11 +729,11 @@ PARAMETER_NAMES = (
 @pytest.mark.parametrize("train_word_emb", [False, True])
 def test_parameter_and_checkpoint_names_are_stable(train_word_emb):
     model = Model(tiny_config(train_word_emb=train_word_emb), 20, 20, np.random.default_rng(0))
-    assert len(PARAMETER_NAMES) == 137
+    assert len(PARAMETER_NAMES) == 65
     want = (["embed.word.table"] if train_word_emb else []) + PARAMETER_NAMES
     assert list(model.parameters()) == want
     state = model.state_arrays()
-    assert len(state) == 138
+    assert len(state) == 66
     assert set(state) == {"embed.word.table", *PARAMETER_NAMES}
 
 
@@ -1025,7 +1037,7 @@ def test_training_step_gradients_do_not_depend_on_the_worker_pool(monkeypatch):
     _zero_worker_pool(monkeypatch)
     inline_loss, inline = step()
     assert np.array_equal(pooled_loss, inline_loss)
-    assert pooled.keys() == inline.keys() and len(pooled) > 100
+    assert pooled.keys() == inline.keys() and len(pooled) == 65
     for name, g in pooled.items():
         assert type(g) is np.ndarray and np.array_equal(g, inline[name]), name
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hopqa.training as ht
-from hopqa.data import build_vocab, make_batches, synth_two_hop
+from hopqa.data import MAX_CONTEXT_TOKENS, build_vocab, make_batches, synth_two_hop
 from hopqa.metrics import MetricReport
 from hopqa.model import Model, ModelConfig
 from hopqa.optim import OPTIMIZERS
@@ -205,3 +205,20 @@ def test_train_raises_training_diverged_naming_the_batch(setup):
         train(model, examples[:4], [], vocab, TrainConfig(epochs=1, batch_size=2))
     ids = ast.literal_eval(str(info.value).split("batch ids: ")[1])
     assert len(ids) == 2 and set(ids) <= {ex.id for ex in examples[:4]}
+
+
+def test_epoch_logs_keep_truncation_counters_and_each_step_grad_norm(setup):
+    # one example past the context cap, with its answer past it too, and two
+    # that fit: each epoch counts the truncation and the lost span, and logs
+    # one finite pre-clip norm per step
+    _, examples, _ = setup
+    long = synth_two_hop(1, seed=14, n_distractors=120)[0]
+    assert long.n_tokens > MAX_CONTEXT_TOKENS and long.answer_span[0] >= MAX_CONTEXT_TOKENS
+    train_set = [examples[1], long, examples[3]]
+    vocab = build_vocab(train_set)
+    result = train(_fresh_model(vocab), train_set, [], vocab, TrainConfig(epochs=2, batch_size=1))
+    assert len(result.epoch_logs) == 2
+    for log in result.epoch_logs:
+        assert (log.truncated_examples, log.spans_lost_to_truncation) == (1, 1)
+        assert len(log.grad_norms) == 3
+        assert all(np.isfinite(n) and n > 0 for n in log.grad_norms)
