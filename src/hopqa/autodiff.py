@@ -688,14 +688,16 @@ def highway(x: Tensor, layers: Sequence[Sequence[Tensor]]) -> Tensor:
 # recurrence
 
 
-# Steps whose input projection is made at once, which bounds that scratch
-# on long sequences.
+# Steps whose input projection the forward makes at once, and that the
+# backward walks at once: this bounds their scratch on long sequences.
 BIGRU_CHUNK = 256
 
 
 class _Sweep(threading.local):
     """Per thread, the tasks of each BiGRU backward in the running
-    ``backward``, oldest first."""
+    ``backward``, oldest first. A backward's tasks read its gate gradients
+    ``da`` (N, T, 6h) and write its input and ``w_x``/bias gradients; the
+    rest of its scratch is gone once it returns."""
 
     def __init__(self):
         self.bigru_tasks: list[list[pool.Task]] = []
@@ -765,22 +767,30 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]], fw: Sequence[Tensor],
     rows per computing thread, are allocated here and passed in; a task
     computes what the calling thread would, so the output does not depend
     on where it ran. The gate activations are kept for every step only when
-    tracking. The backward walks the steps once in reverse with the mask
-    folded into local derivatives computed for all steps at once, then gets
-    the input and weight gradients from a few GEMMs over all steps; it
-    assumes the input is finite everywhere. The calling thread keeps the
-    local derivatives, the reverse loop and the layout of the gate gradients
-    ``da``. The GEMMs run on the pool as pending contributions (``_accum``):
-    one task for ``dW_h`` per direction whose ``w_h`` needs it, one per input
-    part for ``da @ w_x[rows_k]^T`` (and its factors' gradients) and for
-    ``dw_x``'s rows ``part_k^T @ da``, and one for the biases, and the
-    sweep goes on with other nodes while they run. This thread allocates
-    every array a task writes or reads as a copy, and ``backward`` sums
-    contributions in arrival order, so the gradients do not depend on where
-    the tasks ran. The queued tasks hold the gate gradients and states they
-    read, so before allocating its own arrays, a BiGRU backward finishes
-    (runs or waits for) the tasks of the BiGRU backward two before it in the
-    sweep; a sweep then holds the arrays of at most two such backwards.
+    tracking.
+
+    The backward walks the steps once in reverse, ``BIGRU_CHUNK`` at a time
+    from the last, on the calling thread; it assumes the input is finite
+    everywhere. Per chunk it gathers the incoming gradient and the states
+    entering its steps (the forward one entering step s is
+    ``out[..., s-1, :h]``, the backward one ``out[..., T-s, h:]``, both 0
+    at s = 0), computes the local derivatives with the mask folded in, runs
+    the recurrence over the chunk, carrying the state gradient into the
+    next, adds the chunk's ``dW_h`` GEMMs to each direction's sum, chunk
+    after chunk in that fixed order, and writes the chunk's gate gradients
+    into the position-major ``da`` (..., T, 6h). So besides ``da`` the walk
+    holds O(chunk) scratch. The input and the other weight gradients then
+    come from a few GEMMs over all steps, run on the pool as pending
+    contributions (``_accum``): one task per input part for
+    ``da @ w_x[rows_k]^T`` (and its factors' gradients) and for ``dw_x``'s
+    rows ``part_k^T @ da``, and one for the biases, and the sweep goes on
+    with other nodes while they run. This thread allocates every array a
+    task writes or reads as a copy, and ``backward`` sums contributions in
+    arrival order, so the gradients do not depend on where the tasks ran.
+    The queued tasks hold ``da``, so before allocating its own arrays, a
+    BiGRU backward finishes (runs or waits for) the tasks of the BiGRU
+    backward two before it in the sweep; a sweep then holds the gate
+    gradients of at most two such backwards.
     """
     parts = [_factors(p) for p in ([x] if isinstance(x, (Tensor, MatProduct)) else x)]
     if not parts:
@@ -916,63 +926,18 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]], fw: Sequence[Tensor],
 
     def bwd(g):
         # Bound the pool's backlog: finish the tasks of the BiGRU backward
-        # two before this one in the sweep, which hold its gate gradients
-        # and states, before allocating this one's.
+        # two before this one in the sweep, which hold its gate gradients,
+        # before allocating this one's.
         backlog = _sweep.bigru_tasks
         while len(backlog) > 1:
             pool.finish(backlog.pop(0))
         gdt = np.result_type(g, dtype)
-        g3 = g.reshape(n_seq, t_len, 2 * hid)
-        g_out = np.empty((t_len, 2, n_seq, hid), dtype=gdt)
-        g_out[:, 0] = g3[:, :, :hid].transpose(1, 0, 2)
-        g_out[:, 1] = g3[:, ::-1, hid:].transpose(1, 0, 2)
-        # the state entering each step, and the gate gradients the loop
-        # writes, are kept direction-major, so that each direction's weight
-        # GEMMs read them whole; the loop sees them step-major
-        h_dir = np.zeros((2, t_len, n_seq, hid), dtype=dtype)
-        h_dir[0, 1:] = out[:, :-1, :hid].transpose(1, 0, 2)
-        h_dir[1, 1:] = out[:, :0:-1, hid:].transpose(1, 0, 2)
-        h_prev = h_dir.transpose(1, 0, 2, 3)
-        z, r = 0.5 * u[..., :hid], 0.5 * u[..., hid:]
-        mz = m * z
-        keep = 1.0 - mz
-        # local derivatives that do not depend on the incoming gradient:
-        # a_z and a_n per unit of dh', a_r per unit of d(r*h)
-        dz_da = m * (nn - h_prev)
-        dz_da *= z * (1.0 - z)
-        dn_da = 1.0 - nn * nn
-        dn_da *= mz
-        dr_da = r * (1.0 - r)
-        dr_da *= h_prev
-        del z, mz
-        wh_zr_t = np.stack([cell[1].data[:, :2 * hid].T for cell in cells])
-        wh_n_t = np.stack([cell[1].data[:, 2 * hid:].T for cell in cells])
-        da_zr_dir = np.empty((2, t_len, n_seq, 2 * hid), dtype=gdt)
-        da_n_dir = np.empty((2, t_len, n_seq, hid), dtype=gdt)
-        da_zr, da_n = da_zr_dir.transpose(1, 0, 2, 3), da_n_dir.transpose(1, 0, 2, 3)
-        dh = np.zeros((2, n_seq, hid), dtype=gdt)
-        for s in range(t_len - 1, -1, -1):
-            gs = dh + g_out[s]
-            np.multiply(gs, dn_da[s], out=da_n[s])
-            np.multiply(gs, dz_da[s], out=da_zr[s, ..., :hid])
-            d_rh = da_n[s] @ wh_n_t
-            np.multiply(d_rh, dr_da[s], out=da_zr[s, ..., hid:])
-            dh = gs * keep[s]
-            d_rh *= r[s]
-            dh += d_rh
-            dh += da_zr[s] @ wh_zr_t
-        del g_out, keep, dz_da, dn_da, dr_da
-        # gate gradients in position order, forward then backward: (N, T, 6h)
-        da = np.empty((n_seq, t_len, 6 * hid), dtype=gdt)
-        da[:, :, :2 * hid] = da_zr[:, 0].transpose(1, 0, 2)
-        da[:, :, 2 * hid:3 * hid] = da_n[:, 0].transpose(1, 0, 2)
-        da[:, :, 3 * hid:5 * hid] = da_zr[::-1, 1].transpose(1, 0, 2)
-        da[:, :, 5 * hid:] = da_n[::-1, 1].transpose(1, 0, 2)
-        # The GEMMs run as tasks. The dW_h ones go first, as they are short
-        # and hold the direction-major arrays; then the input gradients, the
-        # last part's first, as the sweep reaches the newest part soonest;
-        # then dw_x, by row blocks, and the biases, which only the sweep's
-        # end waits for. Per part, no task is long enough to keep a thread
+        da, dw_h = _bigru_walk(g.reshape(n_seq, t_len, 2 * hid), out, u, nn, m,
+                               [cell[1] for cell in cells], chunk)
+        # The other GEMMs run as tasks: the input gradients first, the last
+        # part's first, as the sweep reaches the newest part soonest; then
+        # dw_x, by row blocks, and the biases, which only the sweep's end
+        # waits for. Per part, no task is long enough to keep a thread
         # that finishes the backlog waiting for long.
         # Every array a task writes, or reads as a copy, is made here.
         tasks: list[pool.Task] = []
@@ -985,14 +950,6 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]], fw: Sequence[Tensor],
         flat = da.reshape(-1, 6 * hid)
         w_rows = np.split(np.concatenate([cell[0].data for cell in cells], axis=1), splits)
         need_wx, need_b = (any(cell[i].requires_grad for cell in cells) for i in (0, 2))
-        dw_h: list = [None, None]
-        for d, cell in enumerate(cells):
-            if cell[1].requires_grad:
-                buf = np.empty((hid, 3 * hid), dtype=gdt)
-                rh = np.multiply(r[:, d], h_dir[d]).reshape(-1, hid)
-                dw_h[d] = buf, queue_task(_gemms_into, buf, [
-                    (h_dir[d].reshape(-1, hid), da_zr_dir[d].reshape(-1, 2 * hid)),
-                    (rh, da_n_dir[d].reshape(-1, hid))], 1)
         # per computing thread, a formed part's rows, one sequence's part
         # gradient, its product with the rows, and a GEMM addend
         scratch = [(np.empty(t_len * formed_w, dtype=dtype),
@@ -1050,8 +1007,7 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]], fw: Sequence[Tensor],
             cols = slice(3 * hid * d, 3 * hid * (d + 1))
             if need_wx:
                 _accum(w_x, dw_x[0][:, cols], *dw_x[1])
-            if dw_h[d] is not None:
-                _accum(w_h, *dw_h[d])
+            _accum(w_h, dw_h[d])
             if need_b:
                 _accum(b, db[0][cols], db[1])
 
@@ -1167,6 +1123,87 @@ def _rows(buf: np.ndarray, n: int, width: int) -> np.ndarray:
     """The first n * width entries of the flat ``buf`` as a C-contiguous
     (n, width) array, the layout the GEMMs write without a copy."""
     return buf[:n * width].reshape(n, width)
+
+
+def _bigru_walk(g: np.ndarray, out: np.ndarray, u: np.ndarray, nn: np.ndarray,
+                m: np.ndarray, w_h: Sequence[Tensor],
+                chunk: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The reverse sweep of a ``bigru`` backward, ``chunk`` steps at a time
+    from the last, from the output's gradient ``g`` and the output ``out``
+    (N, T, 2h), the kept activations ``u`` (2 sigmoid of z and r) and ``nn``
+    (T, 2, N, .), the mask ``m`` (T, 2, N, 1) and the directions' ``w_h``.
+    Returns the gate gradients in position order, forward then backward
+    (N, T, 6h), and per direction the gradient of ``w_h``, summed over the
+    chunks in the order they were walked (zeros where ``w_h`` needs none).
+    Only ``da`` is as long as the sequence; the rest is freed on return."""
+    n_seq, t_len, hid = g.shape[0], g.shape[1], g.shape[2] // 2
+    dtype, gdt = out.dtype, np.result_type(g, out)
+    wh_zr_t = np.stack([w.data[:, :2 * hid].T for w in w_h])
+    wh_n_t = np.stack([w.data[:, 2 * hid:].T for w in w_h])
+    wh_dirs = [d for d, w in enumerate(w_h) if w.requires_grad]
+    da = np.empty((n_seq, t_len, 6 * hid), dtype=gdt)
+    # a chunk's incoming gradient, and the states entering its steps and the
+    # gate gradients the loop writes, kept direction-major so that each
+    # direction's dW_h GEMMs read them whole; the loop sees them step-major
+    g_buf = np.empty((chunk, 2, n_seq, hid), dtype=gdt)
+    h_buf = np.empty((2, chunk, n_seq, hid), dtype=dtype)
+    da_zr_buf = np.empty((2, chunk, n_seq, 2 * hid), dtype=gdt)
+    da_n_buf = np.empty((2, chunk, n_seq, hid), dtype=gdt)
+    dw_h = [np.zeros((hid, 3 * hid), dtype=gdt) for _ in w_h]
+    part = np.empty((hid, 3 * hid), dtype=gdt)
+    dh = np.zeros((2, n_seq, hid), dtype=gdt)
+    for s0 in range((t_len - 1) // chunk * chunk, -1, -chunk):
+        # steps [s0, s1): forward positions [s0, s1), backward ones
+        # [lo, hi) reversed; no state enters step 0
+        s1 = min(s0 + chunk, t_len)
+        c, lo, hi = s1 - s0, t_len - s1, t_len - s0
+        first = int(s0 == 0)
+        g_out = g_buf[:c]
+        g_out[:, 0] = g[:, s0:s1, :hid].transpose(1, 0, 2)
+        g_out[:, 1] = g[:, lo:hi, hid:][:, ::-1].transpose(1, 0, 2)
+        h_dir = h_buf[:, :c]
+        h_dir[:, :first] = 0.0
+        h_dir[0, first:] = out[:, s0 + first - 1:s1 - 1, :hid].transpose(1, 0, 2)
+        h_dir[1, first:] = out[:, hi - first:lo:-1, hid:].transpose(1, 0, 2)
+        h_prev = h_dir.transpose(1, 0, 2, 3)
+        us, ns, ms = u[s0:s1], nn[s0:s1], m[s0:s1]
+        z, r = 0.5 * us[..., :hid], 0.5 * us[..., hid:]
+        # local derivatives that do not depend on the incoming gradient:
+        # a_z and a_n per unit of dh', a_r per unit of d(r*h); in place
+        # where a factor is no longer needed
+        dz_da = ns - h_prev
+        dz_da *= ms
+        dz_da *= z * (1.0 - z)
+        mz = np.multiply(z, ms, out=z)
+        dn_da = ns * ns
+        np.subtract(1.0, dn_da, out=dn_da)
+        dn_da *= mz
+        keep = np.subtract(1.0, mz, out=mz)
+        dr_da = r * (1.0 - r)
+        dr_da *= h_prev
+        del z, mz
+        da_zr_dir, da_n_dir = da_zr_buf[:, :c], da_n_buf[:, :c]
+        da_zr, da_n = da_zr_dir.transpose(1, 0, 2, 3), da_n_dir.transpose(1, 0, 2, 3)
+        for i in range(c - 1, -1, -1):
+            gs = dh + g_out[i]
+            np.multiply(gs, dn_da[i], out=da_n[i])
+            np.multiply(gs, dz_da[i], out=da_zr[i, ..., :hid])
+            d_rh = da_n[i] @ wh_n_t
+            np.multiply(d_rh, dr_da[i], out=da_zr[i, ..., hid:])
+            dh = gs * keep[i]
+            d_rh *= r[i]
+            dh += d_rh
+            dh += da_zr[i] @ wh_zr_t
+        da[:, s0:s1, :2 * hid] = da_zr[:, 0].transpose(1, 0, 2)
+        da[:, s0:s1, 2 * hid:3 * hid] = da_n[:, 0].transpose(1, 0, 2)
+        da[:, lo:hi, 3 * hid:5 * hid] = da_zr[::-1, 1].transpose(1, 0, 2)
+        da[:, lo:hi, 5 * hid:] = da_n[::-1, 1].transpose(1, 0, 2)
+        for d in wh_dirs:
+            rh = np.multiply(r[:, d], h_dir[d]).reshape(-1, hid)
+            dw_h[d] += _gemms_into(part, [
+                (h_dir[d].reshape(-1, hid), da_zr_dir[d].reshape(-1, 2 * hid)),
+                (rh, da_n_dir[d].reshape(-1, hid))], 1)
+    return da, dw_h
 
 
 def _gemms_into(out: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray]],

@@ -86,6 +86,8 @@ class MetricReport:
     joint_em: float = 0.0
     joint_f1: float = 0.0
     per_example: list[ExampleScore] = field(default_factory=list)
+    truncated_examples: int = 0         # the scored batches' BatchStats counters
+    spans_lost_to_truncation: int = 0
 
 
 def score_example(ex_id: str, pred_answer: str, gold_answers: list[str],

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -77,10 +77,12 @@ def evaluate_model(model: Model, examples: list[Example], vocab: Vocab,
 
     Batches are built from the examples in order of context length (a stable
     sort), so each batch pads only to the longest of similar lengths. The
-    scores, and ``per_example``, follow the order of ``examples``."""
+    scores, and ``per_example``, follow the order of ``examples``. The
+    report also counts the examples cut to the context cap and the answer
+    spans lost with the cut."""
     ordered = sorted(examples, key=lambda ex: ex.n_tokens)
-    batches, _ = make_batches(ordered, vocab, batch_size,
-                              max_word_len=model.config.max_word_len)
+    batches, stats = make_batches(ordered, vocab, batch_size,
+                                  max_word_len=model.config.max_word_len)
     preds = predict_batches(model, batches)
     scores = []
     for ex in examples:                 # truncation keeps answers and gold_sup
@@ -88,7 +90,7 @@ def evaluate_model(model: Model, examples: list[Example], vocab: Vocab,
         scores.append(score_example(ex.id, p.answer_text, ex.answers,
                                     p.supporting_facts, ex.gold_sup,
                                     with_sup=model.config.predict_support))
-    return aggregate(scores)
+    return replace(aggregate(scores), **asdict(stats))
 
 
 def _averaged_state(model: Model, ema: EmaWeights) -> dict[str, np.ndarray]:

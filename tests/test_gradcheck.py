@@ -115,6 +115,27 @@ def test_primitive_ops_pass_grad_check(dtype):
             f"{name} [{np.dtype(dtype).name}]: rel err {report.worst_rel_err:.3e}"
 
 
+def test_bigru_passes_grad_check_across_many_chunks(monkeypatch):
+    # three-step chunks over T = 11: the forward projects and the backward
+    # walks four chunks, the last one of two steps; one sequence is real up
+    # to a chunk boundary and one has a hole across another
+    monkeypatch.setattr(ad, "BIGRU_CHUNK", 3)
+    rng = np.random.default_rng(17)
+    dtype = np.float64
+    seq = parameter(_rand(rng, (3, 11, 3), dtype), dtype=dtype)
+    fw, bw = ([parameter(_rand(rng, shape, dtype), dtype=dtype)
+               for shape in ((3, 6), (2, 6), (6,))] for _ in range(2))
+    mask = np.ones((3, 11), dtype=dtype)
+    mask[1, 6:] = 0.0
+    mask[2, 2:5] = 0.0
+    probe = constant(_rand(rng, (3, 11, 4), dtype), dtype=dtype)
+    params = {"seq": seq, **{f"{d}.{n}": t for d, ts in (("fw", fw), ("bw", bw))
+                             for n, t in zip(("w_x", "w_h", "b"), ts)}}
+    report = grad_check(lambda: reduce_sum(ad.mul(ad.bigru(seq, fw, bw, mask=mask), probe)),
+                        params, rng=np.random.default_rng(9))
+    assert report.worst_rel_err < TOL[dtype], report.worst_rel_err
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_two_consumer_dag_gradient_sums_paths(dtype):
     rng = np.random.default_rng(8)

@@ -507,6 +507,45 @@ def test_bigru_shapes_match_per_timestep_reference(shape):
         assert np.allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12), name
 
 
+@pytest.mark.parametrize("t_len", [ad.BIGRU_CHUNK, ad.BIGRU_CHUNK + 1, 2 * ad.BIGRU_CHUNK],
+                         ids=["chunk", "chunk_plus_1", "two_chunks"])
+@pytest.mark.parametrize("dtype,atol,rtol", [(np.float32, 1e-6, 1e-5), (np.float64, 1e-12, 1e-12)])
+def test_bigru_at_chunk_boundary_lengths_matches_per_timestep_reference(dtype, atol, rtol, t_len):
+    # the backward walks BIGRU_CHUNK steps at a time from the last, carrying
+    # the state gradient across: one sequence is real up to a chunk boundary
+    # (all of it at T = BIGRU_CHUNK), one not at all, one has a hole that
+    # ends a step before the forward direction's first boundary
+    chunk = ad.BIGRU_CHUNK
+    rng = np.random.default_rng(31)
+    p = BiGruParams.create(3, 2, rng, dtype=dtype)
+    x = Tensor(rng.standard_normal((4, t_len, 3)).astype(dtype) * 0.5, requires_grad=True)
+    mask = np.ones((4, t_len), dtype=dtype)
+    mask[1, chunk:] = 0.0
+    mask[2] = 0.0
+    mask[3, chunk - 3:chunk - 1] = 0.0
+    probe = constant(rng.standard_normal((4, t_len, 4)).astype(dtype) * 0.1, dtype=dtype)
+    tensors = {"x": x, **{f"{d}.{w}": getattr(getattr(p, d), w)
+                          for d in ("fw", "bw") for w in ("w_x", "w_h", "b")}}
+
+    def run(fn):
+        for t in tensors.values():
+            t.grad = None
+        out = fn(x, p, mask)
+        backward(reduce_sum(ad.mul(out, probe)))
+        return out.data, {name: t.grad for name, t in tensors.items()}
+
+    out, grads = run(bigru)
+    ref_out, ref_grads = run(_reference_bigru)
+    assert out.dtype == dtype
+    assert np.allclose(out, ref_out, rtol=0, atol=atol)
+    for name, ref in ref_grads.items():
+        # the reference sums a weight's gradient one step at a time, which in
+        # float32 over 2 x 256 steps rounds past 1e-6 of its largest entry
+        # (2.0e-6 for bw.w_x): the bound is the factor-part tests' one
+        assert grads[name].dtype == dtype
+        assert np.abs(grads[name] - ref).max() <= rtol * max(1.0, np.abs(ref).max()), name
+
+
 def test_bigru_no_grad_output_is_bit_identical():
     rng = np.random.default_rng(23)
     p = BiGruParams.create(5, 4, rng)
@@ -540,6 +579,30 @@ def test_bigru_graph_size_does_not_grow_with_length():
         return len(ad._toposort(bigru(x, p, mask=mask)))
 
     assert reachable(4) == reachable(64)
+
+
+def test_bigru_backward_peak_memory_in_units_of_its_output():
+    # one backward at T=2048 with 160 inputs and hidden 80, in units of its
+    # (4, 2048, 160) float32 output: the gate gradients da (3 units), the
+    # input's gradient (1) and scratch of BIGRU_CHUNK steps. Built for all
+    # steps before the reverse loop, the local derivatives, states and gate
+    # gradients made the peak 10.2 units; walked a chunk at a time, 4.6
+    # (both also on one CPU)
+    rng = np.random.default_rng(35)
+    p = BiGruParams.create(160, 80, rng)
+    x = parameter(rng.standard_normal((4, 2048, 160)).astype(np.float32))
+    mask = np.ones((4, 2048), dtype=np.float32)
+    mask[1, 1500:] = 0.0
+    out = bigru(x, p, mask=mask)
+    loss = reduce_sum(out)
+    tracemalloc.start()
+    try:
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    units = peak / out.data.nbytes
+    assert units < 7.5, units
 
 
 def test_bigru_layer_is_one_graph_node():

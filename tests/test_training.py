@@ -222,3 +222,22 @@ def test_epoch_logs_keep_truncation_counters_and_each_step_grad_norm(setup):
         assert (log.truncated_examples, log.spans_lost_to_truncation) == (1, 1)
         assert len(log.grad_norms) == 3
         assert all(np.isfinite(n) and n > 0 for n in log.grad_norms)
+
+
+def test_evaluate_model_and_the_dev_report_keep_truncation_counters(setup):
+    # the seed-14 example runs past the context cap, its answer too: the
+    # report counts one truncated example and one lost span, a report
+    # without it none, and train()'s dev report counts the same
+    _, examples, _ = setup
+    long = synth_two_hop(1, seed=14, n_distractors=120)[0]
+    assert long.n_tokens > MAX_CONTEXT_TOKENS and long.answer_span[0] >= MAX_CONTEXT_TOKENS
+    dev = [examples[1], long, examples[3]]
+    vocab = build_vocab(examples[:1] + dev)
+    model = _fresh_model(vocab)
+    report = evaluate_model(model, dev, vocab, batch_size=2)
+    assert (report.truncated_examples, report.spans_lost_to_truncation) == (1, 1)
+    fitting = evaluate_model(model, [examples[1], examples[3]], vocab, batch_size=2)
+    assert (fitting.truncated_examples, fitting.spans_lost_to_truncation) == (0, 0)
+    result = train(model, examples[:1], dev, vocab, TrainConfig(epochs=1, batch_size=2))
+    dev_report = result.epoch_logs[0].dev
+    assert (dev_report.truncated_examples, dev_report.spans_lost_to_truncation) == (1, 1)
