@@ -722,8 +722,9 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]], fw: Sequence[Tensor],
     that ``dropout`` returns (a part's factors, its bool keep mask and the
     scale) come this way. A product is only ever formed in the scratch of
     the computing thread that needs it, a chunk's rows of one sequence at a
-    time, and never stored. In the backward, a sequence at a time, the
-    part's gradient ``g_part`` is made in scratch and each factor that
+    time, and never stored. In the backward, a lone tensor is a part of one
+    factor. A sequence at a time, the part's gradient ``g_part`` is made, in
+    a lone tensor's gradient rows or else in scratch, and each factor that
     requires grad gets ``unbroadcast(g_part * the product of the other
     factors)``; a factor that recurs with the same other factors, as H in
     (w, H, H), gets that term once, times its count. ``w_x``'s rows of the
@@ -780,17 +781,17 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]], fw: Sequence[Tensor],
     after chunk in that fixed order, and writes the chunk's gate gradients
     into the position-major ``da`` (..., T, 6h). So besides ``da`` the walk
     holds O(chunk) scratch. The input and the other weight gradients then
-    come from a few GEMMs over all steps, run on the pool as pending
-    contributions (``_accum``): one task per input part for
-    ``da @ w_x[rows_k]^T`` (and its factors' gradients) and for ``dw_x``'s
-    rows ``part_k^T @ da``, and one for the biases, and the sweep goes on
-    with other nodes while they run. This thread allocates every array a
-    task writes or reads as a copy, and ``backward`` sums contributions in
-    arrival order, so the gradients do not depend on where the tasks ran.
-    The queued tasks hold ``da``, so before allocating its own arrays, a
-    BiGRU backward finishes (runs or waits for) the tasks of the BiGRU
-    backward two before it in the sweep; a sweep then holds the gate
-    gradients of at most two such backwards.
+    come from GEMMs over all steps, run on the pool as pending contributions
+    (``_accum``) while the sweep goes on with other nodes: per input part a
+    ``_factor_grads`` task (from ``da @ w_x[rows_k]^T``) and a ``_factor_dw``
+    task (``dw_x``'s rows ``part_k^T @ da``), and one for the biases. Every
+    weight gets them; ``_accum`` drops those of one that needs none. This
+    thread allocates every array a task writes or reads as a copy, and
+    ``backward`` sums contributions in arrival order, so the gradients do
+    not depend on where the tasks ran. The queued tasks hold ``da``, so
+    before allocating its own arrays, a BiGRU backward finishes (runs or
+    waits for) the tasks of the BiGRU backward two before it in the sweep;
+    a sweep then holds the gate gradients of at most two such backwards.
     """
     parts = [_factors(p) for p in ([x] if isinstance(x, (Tensor, MatProduct)) else x)]
     if not parts:
@@ -947,14 +948,12 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]], fw: Sequence[Tensor],
             tasks.append(pool.submit(fn, *args))
             return tasks[-1]
 
-        flat = da.reshape(-1, 6 * hid)
         w_rows = np.split(np.concatenate([cell[0].data for cell in cells], axis=1), splits)
-        need_wx, need_b = (any(cell[i].requires_grad for cell in cells) for i in (0, 2))
         # per computing thread, a formed part's rows, one sequence's part
         # gradient, its product with the rows, and a GEMM addend
         scratch = [(np.empty(t_len * formed_w, dtype=dtype),
                     *(np.empty(t_len * formed_w, dtype=gdt) for _ in range(2)),
-                    np.empty((formed_w, 6 * hid), dtype=gdt)) for _ in range(pool.threads())]
+                    np.empty((max(widths), 6 * hid), dtype=gdt)) for _ in range(pool.threads())]
 
         def factor_grads(f: Factor) -> tuple[list, np.ndarray | tuple]:
             """A factor's gradient arrays as (tensor, array) pairs, and the
@@ -972,44 +971,34 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]], fw: Sequence[Tensor],
 
         dx: list = [None] * len(parts)      # per part, its (tensor, gradient) pairs and task
         for k in reversed(range(len(parts))):
-            fs, w = parts[k], widths[k]
-            if not any(f.requires_grad for f in fs):
+            fs = parts[k]
+            # a factor that recurs with the same other factors, as H in
+            # (w, H, H), gets one gradient: that term times its count
+            counts: dict = {}
+            for i, f in enumerate(fs):
+                if f.requires_grad:
+                    key = tuple(id(t) for t in (f, *fs[:i], *fs[i + 1:]))
+                    counts.setdefault(key, [i, 0])[1] += 1
+            if not counts:
                 continue
-            if plain[k]:
-                buf = np.empty(shapes[k], dtype=gdt)
-                dx[k] = [(fs[0], buf)], queue_task(np.matmul, da, w_rows[k].T,
-                                                   buf.reshape(n_seq, t_len, w))
-            else:
-                # a factor that recurs with the same other factors, as H in
-                # (w, H, H), gets one gradient: that term times its count
-                counts: dict = {}
-                for i, f in enumerate(fs):
-                    if f.requires_grad:
-                        key = tuple(id(t) for t in (f, *fs[:i], *fs[i + 1:]))
-                        counts.setdefault(key, [i, 0])[1] += 1
-                made = {i: (factor_grads(fs[i]), c) for i, c in counts.values()}
-                dx[k] = [pair for (pairs, _), _ in made.values() for pair in pairs], queue_task(
-                    _factor_grads, da, w_rows[k].T, xs[k],
-                    {i: (views, c) for i, ((_, views), c) in made.items()}, scratch)
-        if need_wx:
-            buf = np.empty((d_in, 6 * hid), dtype=gdt)
-            dw_x = buf, [queue_task(np.matmul, fs[0].reshape(-1, w).T, flat, rows) if p
-                         else queue_task(_factor_dw, rows, fs, da, scratch)
-                         for fs, w, p, rows in zip(xs, widths, plain, np.split(buf, splits))]
-        if need_b:
-            buf = np.empty(6 * hid, dtype=gdt)
-            db = buf, queue_task(np.sum, flat, 0, None, buf)
+            made = {i: (factor_grads(fs[i]), c) for i, c in counts.values()}
+            dx[k] = [pair for (pairs, _), _ in made.values() for pair in pairs], queue_task(
+                _factor_grads, da, w_rows[k].T, xs[k],
+                {i: (views, c) for i, ((_, views), c) in made.items()}, scratch)
+        dw_x = np.empty((d_in, 6 * hid), dtype=gdt)
+        dw_x_tasks = [queue_task(_factor_dw, rows, fs, da, scratch)
+                      for fs, rows in zip(xs, np.split(dw_x, splits))]
+        db = np.empty(6 * hid, dtype=gdt)
+        db_task = queue_task(np.sum, da.reshape(-1, 6 * hid), 0, None, db)
         for entry in dx:                        # in part order, as a serial sum
             if entry is not None:
                 for f, gf in entry[0]:
                     _accum(f, gf, entry[1])
         for d, (w_x, w_h, b) in enumerate(cells):
             cols = slice(3 * hid * d, 3 * hid * (d + 1))
-            if need_wx:
-                _accum(w_x, dw_x[0][:, cols], *dw_x[1])
+            _accum(w_x, dw_x[:, cols], *dw_x_tasks)
             _accum(w_h, dw_h[d])
-            if need_b:
-                _accum(b, db[0][cols], db[1])
+            _accum(b, db[cols], db_task)
 
     return _make(result, (*leaves, *weights), bwd)
 
@@ -1054,9 +1043,10 @@ def _part_rows(fs: Sequence, n: int, r0: int, r1: int, buf: np.ndarray,
 def _factor_grads(da: np.ndarray, w_t: np.ndarray, fs: Sequence,
                   grads: dict[int, tuple[np.ndarray | tuple, int]],
                   scratch: Sequence[tuple[np.ndarray, ...]]) -> None:
-    """The gradients of a product part's factors, from (N, T, .) ``da``. A
-    sequence at a time, the part's gradient ``da[n] @ w_t`` is made in
-    scratch (the GEMM ``np.matmul`` runs for that sequence of ``da @ w_t``).
+    """The gradients of a part's factors, a lone tensor being a part of one,
+    from (N, T, .) ``da``. A sequence at a time, the part's gradient
+    ``da[n] @ w_t`` is made (the GEMM ``np.matmul`` runs for that sequence
+    of ``da @ w_t``) in a lone tensor's gradient rows, or else in scratch.
     ``grads`` maps the index of a factor in ``fs`` to its gradient array,
     shaped as the factor, and a count: the array gets the part's gradient
     times the product of the other factors, times the count, summed over
@@ -1064,8 +1054,13 @@ def _factor_grads(da: np.ndarray, w_t: np.ndarray, fs: Sequence,
     of arrays, None for one not wanted: with that term g, which is the
     part's gradient when the product is the part's only factor, a gets
     ``g b[n]^T`` and b ``a[n]^T g``."""
-    formed, g_buf, term_buf, _ = scratch[pool.slot()]
     n_seq, t_len = da.shape[:2]
+    if len(fs) == 1 and not isinstance(fs[0], tuple):
+        g = grads[0][0]
+        for n in range(n_seq):
+            np.matmul(da[n], w_t, out=g[n])
+        return
+    formed, g_buf, term_buf, _ = scratch[pool.slot()]
     width = w_t.shape[1]
     # per gradient: its array, count, factor, the other factors and the
     # axes its factor broadcasts on; one with the part's shape is written
@@ -1106,9 +1101,9 @@ def _factor_grads(da: np.ndarray, w_t: np.ndarray, fs: Sequence,
 
 def _factor_dw(out: np.ndarray, fs: Sequence, da: np.ndarray,
                scratch: Sequence[tuple[np.ndarray, ...]]) -> None:
-    """``out`` = part^T @ da for a part that is not one tensor, over
-    (N, T, .) ``da``, as a sum over sequences of each one's rows, formed
-    again, times its ``da``."""
+    """``out`` = part^T @ da over (N, T, .) ``da``, as a sum over sequences
+    of each one's rows times its ``da``: a lone tensor's rows are read in
+    place, and a product's are formed again."""
     formed, _, _, term = scratch[pool.slot()]
     width = out.shape[0]
     for n in range(da.shape[0]):
@@ -1134,13 +1129,12 @@ def _bigru_walk(g: np.ndarray, out: np.ndarray, u: np.ndarray, nn: np.ndarray,
     (T, 2, N, .), the mask ``m`` (T, 2, N, 1) and the directions' ``w_h``.
     Returns the gate gradients in position order, forward then backward
     (N, T, 6h), and per direction the gradient of ``w_h``, summed over the
-    chunks in the order they were walked (zeros where ``w_h`` needs none).
+    chunks in the order they were walked.
     Only ``da`` is as long as the sequence; the rest is freed on return."""
     n_seq, t_len, hid = g.shape[0], g.shape[1], g.shape[2] // 2
     dtype, gdt = out.dtype, np.result_type(g, out)
     wh_zr_t = np.stack([w.data[:, :2 * hid].T for w in w_h])
     wh_n_t = np.stack([w.data[:, 2 * hid:].T for w in w_h])
-    wh_dirs = [d for d, w in enumerate(w_h) if w.requires_grad]
     da = np.empty((n_seq, t_len, 6 * hid), dtype=gdt)
     # a chunk's incoming gradient, and the states entering its steps and the
     # gate gradients the loop writes, kept direction-major so that each
@@ -1198,7 +1192,7 @@ def _bigru_walk(g: np.ndarray, out: np.ndarray, u: np.ndarray, nn: np.ndarray,
         da[:, s0:s1, 2 * hid:3 * hid] = da_n[:, 0].transpose(1, 0, 2)
         da[:, lo:hi, 3 * hid:5 * hid] = da_zr[::-1, 1].transpose(1, 0, 2)
         da[:, lo:hi, 5 * hid:] = da_n[::-1, 1].transpose(1, 0, 2)
-        for d in wh_dirs:
+        for d in (0, 1):
             rh = np.multiply(r[:, d], h_dir[d]).reshape(-1, hid)
             dw_h[d] += _gemms_into(part, [
                 (h_dir[d].reshape(-1, hid), da_zr_dir[d].reshape(-1, 2 * hid)),

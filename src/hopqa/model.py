@@ -322,11 +322,11 @@ class Model:
             trace.similarity = S.data.copy()
         if cfg.use_cgde:
             q_bar = cgde(H, U, S, self.fusion, trace=trace)
+            S2 = similarity(H, q_bar, self.sim, context_mask=cmask, query_mask=qmask)
         else:
-            q_bar = U
+            q_bar, S2 = U, S
             if trace is not None:
                 trace.decomposed_query = U.data
-        S2 = similarity(H, q_bar, self.sim, context_mask=cmask, query_mask=qmask)
         if trace is not None:
             trace.similarity2 = S2.data.copy()
         if cfg.use_fgin:

@@ -851,6 +851,47 @@ def test_bigru_backward_leaves_no_task_behind_when_one_direction_needs_no_w_h(mo
     assert fw[1].grad is not None and bw[1].grad is None and bw[0].grad is not None
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bigru_partly_frozen_weights_give_the_trainable_ones_bits(monkeypatch, dtype):
+    # the forward direction's w_h and the backward one's w_x and b need no
+    # gradient: every other gradient keeps the all-trainable run's bits, and
+    # no task is left queued on the zero-worker pool
+    monkeypatch.setattr(hp, "_pool", hp._Pool(0))
+    monkeypatch.setattr(hp, "_size", 1)
+    rng = np.random.default_rng(12)
+    n, t_len, hid = 2, ad.BIGRU_CHUNK + 5, 2
+    draw = lambda *shape: rng.standard_normal(shape).astype(dtype) * 0.5
+    x, w, a, q = (parameter(v, dtype=dtype) for v in (draw(n, t_len, 3), draw(n, t_len, 1),
+                                                      draw(n, t_len, 4), draw(n, 4, 3)))
+    parts = [x, (w, x), ad.MatProduct(a, q)]
+    cells = [[draw(9, 3 * hid), draw(hid, 3 * hid), draw(3 * hid)] for _ in range(2)]
+    mask = np.ones((n, t_len), dtype=dtype)
+    mask[1, t_len - 7:] = 0.0
+    probe = constant(draw(n, t_len, 2 * hid), dtype=dtype)
+    frozen = {(0, 1), (1, 0), (1, 2)}
+
+    def run(frozen):
+        weights = [[(constant if (d, i) in frozen else parameter)(v, dtype=dtype)
+                    for i, v in enumerate(c)] for d, c in enumerate(cells)]
+        for t in (x, w, a, q):
+            t.grad = None
+        backward(reduce_sum(ad.mul(ad.bigru(parts, *weights, mask=mask), probe)))
+        assert not hp._pool._queue
+        return [t.grad for t in (x, w, a, q)], weights
+
+    inputs, weights = run(set())
+    frozen_inputs, frozen_weights = run(frozen)
+    for g, ref in zip(frozen_inputs, inputs):
+        assert g.dtype == dtype and np.array_equal(g, ref)
+    for d in (0, 1):
+        for i in range(3):
+            t, ref = frozen_weights[d][i], weights[d][i]
+            if (d, i) in frozen:
+                assert t.grad is None
+            else:
+                assert np.array_equal(t.grad, ref.grad)
+
+
 def _bigru_with_parts_loss(rng):
     # two BiGRUs over the same two parts, past one chunk, and the second
     # also over the first's output

@@ -376,6 +376,23 @@ def test_cgde_off_decomposed_query_is_query_bitwise():
     assert trace.attended_query is None          # decomposition never ran
 
 
+@pytest.mark.parametrize("use_cgde, calls", [(True, 2), (False, 1)])
+def test_similarity_runs_again_only_against_the_decomposed_query(monkeypatch, use_cgde, calls):
+    # without CGDe the second similarity would be the first one's inputs again
+    import hopqa.model as hm
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(args)
+        return similarity(*args, **kwargs)
+
+    model, batch, _ = make_model_and_batch(use_cgde=use_cgde, dropout=0.2)
+    monkeypatch.setattr(hm, "similarity", spy)
+    out = model.forward(batch, training=True, rng=np.random.default_rng(1), capture_trace=True)
+    assert len(seen) == calls
+    assert np.array_equal(out.trace.similarity2, out.trace.similarity) != use_cgde
+
+
 def test_fgin_off_gives_identical_rows():
     model, batch, _ = make_model_and_batch(use_fgin=False)
     out = model.forward(batch, capture_trace=True)
