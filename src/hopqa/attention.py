@@ -183,8 +183,8 @@ def context2query(Qrows: Tensor, S_bar: Tensor,
     """Per context position, a softmax over query words mixes query rows:
     c2q = A Qrows (..., T, 2d), A being the (..., T, J) row-softmax of the
     similarity. That product is not built: it is returned as the factors
-    ``MatProduct(A, Qrows)`` for ``fuse_g``, and ``ad.bigru`` forms it a
-    chunk of rows at a time. A trace gets the product."""
+    ``MatProduct(A, Qrows)`` for ``fuse_g``, and ``kernels.bigru`` forms it
+    a chunk of rows at a time. A trace gets the product."""
     a_rows = softmax(S_bar, axis=-1)                      # (..., T, J), rows stochastic
     if trace is not None:
         trace.c2q_weights = a_rows.data.copy()
@@ -201,11 +201,11 @@ def fuse_g(H: Tensor, c2q: Tensor | MatProduct,
     ``q2c`` is a tensor, such as ``vanilla_q2c``'s (..., 1, 2d) row, or a
     tuple of factors, such as ``fgin_q2c``'s. Neither elementwise product is
     built: they are returned as the factors ``(*q2c, H)`` and
-    ``(c2q, *q2c)``, which ``ad.bigru`` multiplies left to right a chunk at
-    a time, forming a chunk's rows of c2q from its two factors first (a
-    matrix product must be its part's first factor). A product of two
-    numbers does not depend on their order, so the first has the bits of
-    H * q2c."""
+    ``(c2q, *q2c)``, which ``kernels.bigru`` multiplies left to right a
+    chunk at a time, forming a chunk's rows of c2q from its two factors
+    first (a matrix product must be its part's first factor). A product of
+    two numbers does not depend on their order, so the first has the bits
+    of H * q2c."""
     q2c = (q2c,) if isinstance(q2c, Tensor) else tuple(q2c)
     q2c_shape = np.broadcast_shapes(*(t.shape for t in q2c))
     for name, shape in (("c2q", c2q.shape), ("q2c", q2c_shape)):

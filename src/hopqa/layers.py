@@ -5,14 +5,14 @@ holds per-call state, so bundles can be shared read-only between optimizer
 steps. Forward functions accept either single-sequence inputs (T x ...) or
 batched ones (B x T x ...): every op works on the trailing axes.
 
-Each BiGRU is exactly one ``ad.bigru`` graph node whatever the sequence
+Each BiGRU is exactly one ``kernels.bigru`` graph node whatever the sequence
 length: the op reads each direction's three weight tensors as they are
 stored, the gates ``[z | r | n]`` side by side in each, and both recurrences
 and their backward through time run inside it, in one loop over the steps.
 A BiGRU whose input is several tensors side by side takes them as a list of
 parts, so the joined input is never copied, and each sequence's input is
 projected only up to its last real position. A highway stack is likewise
-one ``ad.highway`` node: all its layers and their backward run inside it,
+one ``kernels.highway`` node: all its layers and their backward run inside it,
 and its output is bit-identical to the composition of primitive ops.
 
 A bundle's fields are its checkpoint layout: a tensor's name is its path
@@ -30,6 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Factor, ShapeError, Tensor, gather_rows, matmul
+from .kernels import bigru as kb, highway as kh
 
 PAD_ID = 0
 UNK_ID = 1
@@ -203,9 +204,9 @@ class HighwayLayer:
 
 def highway(x: Tensor, layers: Sequence[HighwayLayer]) -> Tensor:
     """Gated residual stack, per layer y' = t * relu(y W_h + b_h) + (1 - t) * y
-    with the gate t = sigmoid(y W_g + b_g), as one ``ad.highway`` node, which
-    raises ``ShapeError`` when ``x``'s width is not the parameters' width."""
-    return ad.highway(x, [(layer.gate_w, layer.gate_b, layer.trans_w, layer.trans_b)
+    with the gate t = sigmoid(y W_g + b_g), as one ``kernels.highway`` node,
+    which raises ``ShapeError`` when ``x``'s width is not the parameters' width."""
+    return kh.highway(x, [(layer.gate_w, layer.gate_b, layer.trans_w, layer.trans_b)
                           for layer in layers])
 
 
@@ -218,7 +219,7 @@ class GruCellParams:
     """One direction of a GRU: input weights ``w_x`` (in x 3h), hidden
     weights ``w_h`` (h x 3h) and biases ``b`` (3h), each with the update
     (z), reset (r) and candidate (n) gates side by side as ``[z | r | n]``
-    on the last axis, the layout ``ad.bigru`` reads."""
+    on the last axis, the layout ``kernels.bigru`` reads."""
 
     w_x: Tensor
     w_h: Tensor
@@ -257,10 +258,10 @@ def bigru(x: Factor | Sequence[Factor | Sequence[Factor]], p: BiGruParams,
     input, in the order of the rows of the ``w_x`` weights; the join is
     never built. A part may be a tuple of factors whose product it is, and
     its first factor, or the part itself, may be an ``ad.MatProduct``, such
-    as ``context2query``'s c2q (see ``ad.bigru``). ``mask`` is (..., T) with
-    1.0 at real positions; padded steps keep the previous hidden state in
-    both directions, and positions past a sequence's last real one are not
-    projected at all.
+    as ``context2query``'s c2q (see ``kernels.bigru``). ``mask`` is (..., T)
+    with 1.0 at real positions; padded steps keep the previous hidden state
+    in both directions, and positions past a sequence's last real one are
+    not projected at all.
     """
-    return ad.bigru(x, (p.fw.w_x, p.fw.w_h, p.fw.b), (p.bw.w_x, p.bw.w_h, p.bw.b), mask=mask)
+    return kb.bigru(x, (p.fw.w_x, p.fw.w_h, p.fw.b), (p.bw.w_x, p.bw.w_h, p.bw.b), mask=mask)
 

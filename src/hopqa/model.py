@@ -34,7 +34,7 @@ scale 1/(1 - rate) to its factors, so no dropped copy is stored either.
 The same code runs in evaluation and training; only the char features and
 the heads' inputs are dropped as tensors.
 
-Self-attention is one ``ad.self_attention`` node: each sequence attends
+Self-attention is one ``kernels.attention`` node: each sequence attends
 over its real positions only, a block of query rows at a time, so no
 T x T array is built in training or evaluation. Its padded rows get a zero
 context-to-query readout; nothing downstream reads them.
@@ -82,6 +82,7 @@ from .autodiff import (
     no_grad,
 )
 from .data import ANSWER_TYPES, Batch, Example
+from .kernels import attention as ka
 from .layers import (
     CHAR_KERNEL,
     BiGruParams,
@@ -168,13 +169,13 @@ class SelfAttentionParams:
 def self_attention(M: Tensor, p: SelfAttentionParams, mask=None) -> Tensor:
     """Bidirectional attention of a sequence against itself over its real
     positions, fused the conventional way ([M, c2q, M * c2q, M * q2c]) and
-    projected back to the input width; one ``ad.self_attention`` node.
+    projected back to the input width; one ``kernels.attention`` node.
 
     At padded rows the context-to-query readout is 0, so the output there
     is [M, 0, 0, M * q2c] projected. Nothing reads those rows: a masked GRU
     step ignores its input. A sequence with no real position raises
     ``DataError``."""
-    return ad.self_attention(M, p.sim.w_h, p.sim.w_u, p.proj.w, p.proj.b, mask)
+    return ka.self_attention(M, p.sim.w_h, p.sim.w_u, p.proj.w, p.proj.b, mask)
 
 
 class Model:
@@ -433,9 +434,11 @@ def decode_example(ex: Example, type_row: np.ndarray, start_row: np.ndarray,
     answer_type = ANSWER_TYPES[int(np.argmax(type_row))]
     sup: list[tuple[str, int]] = []
     if config.predict_support:
-        for k in range(len(ex.sentence_spans)):
-            if 1.0 / (1.0 + np.exp(-float(sup_row[k]))) > config.sup_threshold:
-                sup.append(ex.sentence_title(k))
+        # below about -709 the exp overflows to inf, and the sigmoid reads 0
+        with np.errstate(over="ignore"):
+            for k in range(len(ex.sentence_spans)):
+                if 1.0 / (1.0 + np.exp(-float(sup_row[k]))) > config.sup_threshold:
+                    sup.append(ex.sentence_title(k))
     if answer_type in ("yes", "no"):
         return Prediction(id=ex.id, answer_text=answer_type,
                           answer_type=answer_type, supporting_facts=sup)

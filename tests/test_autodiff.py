@@ -1,5 +1,6 @@
 import ast
 import gc
+import importlib.util
 import inspect
 import math
 import multiprocessing
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopqa import autodiff as ad
+from hopqa import kernels
 from hopqa import pool as hp
 from hopqa.autodiff import (
     DataError,
@@ -39,6 +41,7 @@ from hopqa.autodiff import (
     tensor,
     transpose,
 )
+from hopqa.kernels import attention as ka, bigru as kb, highway as kh
 from reference_ops import narrow, product, sigmoid, sub, tanh
 
 
@@ -486,6 +489,13 @@ def test_backward_requires_scalar():
         backward(ad.mul(x, x))
 
 
+def test_item_reads_only_a_tensor_of_one_entry():
+    assert Tensor(np.array([[2.5]])).item() == 2.5
+    for shape in ((3,), (0,), (1, 2)):
+        with pytest.raises(UsageError, match="one entry"):
+            Tensor(np.zeros(shape)).item()
+
+
 def test_no_grad_builds_no_graph():
     x = parameter([1.0, 2.0])
     with no_grad():
@@ -523,10 +533,10 @@ _OPS = {
     "cross_entropy": lambda leaf: cross_entropy(leaf(_A), [3, 0, 1]),
     "binary_cross_entropy": lambda leaf: binary_cross_entropy(leaf(_A), _B > 0),
     "dropout": lambda leaf: dropout(leaf(_A), 0.5, True, np.random.default_rng(0)),
-    "highway": lambda leaf: ad.highway(leaf(_A), [[leaf(w) for w in _HIGHWAY]]),
-    "bigru": lambda leaf: ad.bigru(leaf(_SEQ), [leaf(w) for w in _GATES],
+    "highway": lambda leaf: kh.highway(leaf(_A), [[leaf(w) for w in _HIGHWAY]]),
+    "bigru": lambda leaf: kb.bigru(leaf(_SEQ), [leaf(w) for w in _GATES],
                                    [leaf(w) for w in _GATES], mask=_SEQ_MASK),
-    "self_attention": lambda leaf: ad.self_attention(leaf(_SEQ), *map(leaf, _SELF_ATT),
+    "self_attention": lambda leaf: ka.self_attention(leaf(_SEQ), *map(leaf, _SELF_ATT),
                                                      mask=_SEQ_MASK),
 }
 
@@ -542,13 +552,24 @@ def test_untracked_outputs_are_constants_with_the_tracked_data(op):
         assert np.array_equal(out.data, tracked.data)
 
 
+# the graph core and the fused kernels, whose sources the boundary tests read
+_CORE_AND_KERNELS = (ad, kernels, ka, kb, kh)
+# all that a kernel takes from the core
+_CORE_FOR_KERNELS = {"Tensor", "MatProduct", "Factor", "ShapeError", "DataError",
+                     "NumericError", "_make", "_accum", "_tracking", "_factors", "_leaves",
+                     "_part_shape", "_stable_sigmoid"}
+
+
+def _top_functions(modules) -> list[ast.FunctionDef]:
+    return [top for m in modules for top in ast.parse(inspect.getsource(m)).body
+            if isinstance(top, ast.FunctionDef)]
+
+
 def test_grad_mode_is_decided_only_in_make():
     # every op hands its output to _make; highway and bigru also ask, to
     # decide what to keep for their backward
     callers: dict[str, set[str]] = {"_tracking": set(), "Tensor": set()}
-    for top in ast.parse(inspect.getsource(ad)).body:
-        if not isinstance(top, ast.FunctionDef):
-            continue
+    for top in _top_functions(_CORE_AND_KERNELS):
         for node in ast.walk(top):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                     and node.func.id in callers:
@@ -557,16 +578,23 @@ def test_grad_mode_is_decided_only_in_make():
                        "Tensor": {"tensor", "_as_tensor", "_make"}}
 
 
-def _autodiff_names(tree: ast.Module) -> set[str]:
-    """The names a module takes from autodiff: imported from it, or read as
-    attributes of the module."""
+def _relative_imports(tree: ast.Module, package: str) -> list[tuple[str, ast.alias]]:
+    """(module, alias) of every name that a module of ``package`` imports
+    with a relative ``from`` import, the module resolved to its dotted name."""
+    return [(importlib.util.resolve_name("." * node.level + (node.module or ""), package), a)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+            for a in node.names]
+
+
+def _names_taken(tree: ast.Module, package: str, sources: set[str]) -> set[str]:
+    """The names a module of ``package`` takes from the modules ``sources``:
+    imported from one, or read as attributes of one it imports whole."""
     aliases, names = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            if node.module == "autodiff":
-                names |= {a.name for a in node.names}
-            elif node.module is None:
-                aliases |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+    for module, a in _relative_imports(tree, package):
+        if f"{module}.{a.name}" in sources:
+            aliases.add(a.asname or a.name)
+        elif module in sources:
+            names.add(a.name)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                 and node.value.id in aliases:
@@ -576,12 +604,11 @@ def _autodiff_names(tree: ast.Module) -> set[str]:
 
 def test_every_op_in_the_core_is_used_by_the_package():
     # an op is a public function that makes a node with _make, itself or
-    # through private helpers (dropout through _drop); ops only tests use
-    # belong in tests/reference_ops.py
+    # through private helpers (dropout through _drop), in the core or a
+    # kernel; ops only tests use belong in tests/reference_ops.py
     calls = {top.name: {n.func.id for n in ast.walk(top)
                         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-             for top in ast.parse(inspect.getsource(ad)).body
-             if isinstance(top, ast.FunctionDef)}
+             for top in _top_functions(_CORE_AND_KERNELS)}
 
     def makes(name: str, seen: frozenset) -> bool:
         return "_make" in calls[name] or any(
@@ -591,10 +618,40 @@ def test_every_op_in_the_core_is_used_by_the_package():
     ops = {name for name in calls if not name.startswith("_") and makes(name, frozenset())}
     assert {"add", "dropout", "bigru", "self_attention"} <= ops
     used: set[str] = set()
-    for path in Path(ad.__file__).parent.glob("*.py"):
-        if path.name != "autodiff.py":
-            used |= _autodiff_names(ast.parse(path.read_text(encoding="utf-8")))
+    root = Path(ad.__file__).parent
+    for path in root.rglob("*.py"):
+        package = ".".join(("hopqa", *path.relative_to(root).parent.parts))
+        used |= _names_taken(ast.parse(path.read_text(encoding="utf-8")), package,
+                             {m.__name__ for m in _CORE_AND_KERNELS})
     assert sorted(ops - used) == []
+
+
+def test_kernels_and_the_core_keep_their_boundary():
+    # a kernel takes a short list of names from the core, the pool, and the
+    # shared helpers of kernels/__init__; no kernel imports another
+    kernel_modules = {m.__name__ for m in (ka, kb, kh)}
+    taken: set[str] = set()
+    for m in (ka, kb, kh):
+        for module, a in _relative_imports(ast.parse(inspect.getsource(m)), m.__package__):
+            if module == "hopqa.autodiff":
+                taken.add(a.name)
+            else:
+                assert (module, a.name) == ("hopqa", "pool") or (
+                    module == "hopqa.kernels" and hasattr(kernels, a.name)
+                    and f"{module}.{a.name}" not in kernel_modules), (m.__name__, module, a.name)
+    assert taken == _CORE_FOR_KERNELS
+    assert not _relative_imports(ast.parse(inspect.getsource(kernels)), "hopqa.kernels")
+    # the core imports no kernel, names none and leaves their tasks to them
+    core = ast.parse(inspect.getsource(ad))
+    assert [(module, a.name) for module, a in _relative_imports(core, "hopqa")] == [
+        ("hopqa", "pool")]
+    kernel_names = {"kernels", *(top.name for top in _top_functions((kernels, ka, kb, kh)))}
+    named = {n.id for n in ast.walk(core) if isinstance(n, ast.Name)} | \
+        {n.attr for n in ast.walk(core) if isinstance(n, ast.Attribute)}
+    assert not named & (kernel_names | {"BIGRU_CHUNK", "ATTENTION_BLOCK"})
+    (sweep,) = [top for top in core.body if isinstance(top, ast.FunctionDef)
+                and top.name == "backward"]
+    assert not [n for n in ast.walk(sweep) if isinstance(n, ast.Try) and n.finalbody]
 
 
 def test_no_grad_holds_in_its_own_thread_only():
@@ -620,9 +677,9 @@ def test_no_grad_holds_in_its_own_thread_only():
 
 def _pooled_bigru() -> np.ndarray:
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((2, ad.BIGRU_CHUNK + 3, 3))
+    x = rng.standard_normal((2, kb.BIGRU_CHUNK + 3, 3))
     cell = lambda: [constant(rng.standard_normal(s)) for s in ((3, 6), (2, 6), (6,))]
-    return ad.bigru(constant(x), cell(), cell()).data
+    return kb.bigru(constant(x), cell(), cell()).data
 
 
 def test_worker_pool_is_remade_in_a_forked_child():
@@ -644,11 +701,11 @@ def test_worker_pool_is_remade_in_a_forked_child():
 
 def test_bigru_forward_keeps_no_input_alive_once_it_returns():
     rng = np.random.default_rng(0)
-    t_len = 2 * ad.BIGRU_CHUNK + 5      # three chunks, two projected ahead
+    t_len = 2 * kb.BIGRU_CHUNK + 5      # three chunks, two projected ahead
     parts = [Tensor(rng.standard_normal((2, t_len, 3)).astype(np.float32)) for _ in range(2)]
     cell = lambda: [constant(rng.standard_normal(s)) for s in ((6, 6), (2, 6), (6,))]
     refs = [weakref.ref(p.data) for p in parts]
-    out = ad.bigru(parts, cell(), cell())
+    out = kb.bigru(parts, cell(), cell())
     del parts
     gc.collect()
     assert out.shape == (2, t_len, 4)
@@ -842,11 +899,11 @@ def test_bigru_backward_leaves_no_task_behind_when_one_direction_needs_no_w_h(mo
     monkeypatch.setattr(hp, "_pool", hp._Pool(0))
     monkeypatch.setattr(hp, "_size", 1)
     rng = np.random.default_rng(11)
-    x = parameter(rng.standard_normal((2, ad.BIGRU_CHUNK + 3, 3)))
+    x = parameter(rng.standard_normal((2, kb.BIGRU_CHUNK + 3, 3)))
     fw = [parameter(rng.standard_normal(s)) for s in ((3, 6), (2, 6), (6,))]
     bw = [parameter(rng.standard_normal((3, 6))), constant(rng.standard_normal((2, 6))),
           parameter(rng.standard_normal(6))]
-    backward(reduce_sum(ad.bigru(x, fw, bw)))
+    backward(reduce_sum(kb.bigru(x, fw, bw)))
     assert not hp._pool._queue
     assert fw[1].grad is not None and bw[1].grad is None and bw[0].grad is not None
 
@@ -859,7 +916,7 @@ def test_bigru_partly_frozen_weights_give_the_trainable_ones_bits(monkeypatch, d
     monkeypatch.setattr(hp, "_pool", hp._Pool(0))
     monkeypatch.setattr(hp, "_size", 1)
     rng = np.random.default_rng(12)
-    n, t_len, hid = 2, ad.BIGRU_CHUNK + 5, 2
+    n, t_len, hid = 2, kb.BIGRU_CHUNK + 5, 2
     draw = lambda *shape: rng.standard_normal(shape).astype(dtype) * 0.5
     x, w, a, q = (parameter(v, dtype=dtype) for v in (draw(n, t_len, 3), draw(n, t_len, 1),
                                                       draw(n, t_len, 4), draw(n, 4, 3)))
@@ -875,7 +932,7 @@ def test_bigru_partly_frozen_weights_give_the_trainable_ones_bits(monkeypatch, d
                     for i, v in enumerate(c)] for d, c in enumerate(cells)]
         for t in (x, w, a, q):
             t.grad = None
-        backward(reduce_sum(ad.mul(ad.bigru(parts, *weights, mask=mask), probe)))
+        backward(reduce_sum(ad.mul(kb.bigru(parts, *weights, mask=mask), probe)))
         assert not hp._pool._queue
         return [t.grad for t in (x, w, a, q)], weights
 
@@ -892,17 +949,51 @@ def test_bigru_partly_frozen_weights_give_the_trainable_ones_bits(monkeypatch, d
                 assert np.array_equal(t.grad, ref.grad)
 
 
+def test_bigru_backward_with_frozen_w_x_and_b_leaves_no_task_queued(monkeypatch):
+    # nothing but _accum, which drops their contributions, sees the dw_x
+    # and bias tasks of a BiGRU whose w_x and b need no gradient
+    monkeypatch.setattr(hp, "_pool", hp._Pool(0))
+    monkeypatch.setattr(hp, "_size", 1)
+    rng = np.random.default_rng(14)
+    x = parameter(rng.standard_normal((2, kb.BIGRU_CHUNK + 3, 3)))
+    cell = lambda: [constant(rng.standard_normal((3, 6))), parameter(rng.standard_normal((2, 6))),
+                    constant(rng.standard_normal(6))]
+    backward(reduce_sum(kb.bigru(x, cell(), cell())))
+    assert not hp._pool._queue
+    assert x.grad is not None
+
+
+def test_bigru_backward_that_raises_leaves_no_task_queued(monkeypatch):
+    # the zero-worker pool runs a task only when someone waits for it: a
+    # task that the closure queued but never handed over would stay queued
+    monkeypatch.setattr(hp, "_pool", hp._Pool(0))
+    monkeypatch.setattr(hp, "_size", 1)
+
+    def accum(t, g, *tasks):
+        if tasks:
+            raise UsageError("no hand-over")
+        ad._accum(t, g)
+
+    monkeypatch.setattr(kb, "_accum", accum)
+    rng = np.random.default_rng(13)
+    x = parameter(rng.standard_normal((2, kb.BIGRU_CHUNK + 3, 3)))
+    cell = lambda: [parameter(rng.standard_normal(s)) for s in ((6, 6), (2, 6), (6,))]
+    with pytest.raises(UsageError, match="no hand-over"):
+        backward(reduce_sum(kb.bigru([x, (x, x)], cell(), cell())))
+    assert not hp._pool._queue
+
+
 def _bigru_with_parts_loss(rng):
     # two BiGRUs over the same two parts, past one chunk, and the second
     # also over the first's output
-    t_len, d_in, hid = ad.BIGRU_CHUNK + 9, 3, 2
+    t_len, d_in, hid = kb.BIGRU_CHUNK + 9, 3, 2
     parts = [parameter(rng.standard_normal((2, t_len, d_in))) for _ in range(2)]
     cell = lambda d: [parameter(rng.standard_normal(s)) for s in ((d, 3 * hid), (hid, 3 * hid),
                                                                   (3 * hid,))]
     mask = np.ones((2, t_len))
     mask[1, t_len - 5:] = 0.0
-    first = ad.bigru(parts, cell(2 * d_in), cell(2 * d_in), mask=mask)
-    second = ad.bigru([*parts, first], cell(2 * d_in + 2 * hid), cell(2 * d_in + 2 * hid),
+    first = kb.bigru(parts, cell(2 * d_in), cell(2 * d_in), mask=mask)
+    second = kb.bigru([*parts, first], cell(2 * d_in + 2 * hid), cell(2 * d_in + 2 * hid),
                       mask=mask)
     probe = constant(rng.standard_normal(second.shape))
     loss = reduce_sum(ad.mul(ad.add(second, first), probe))

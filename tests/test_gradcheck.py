@@ -20,6 +20,7 @@ from hopqa.autodiff import (
     transpose,
 )
 from hopqa.gradcheck import grad_check
+from hopqa.kernels import attention as ka, bigru as kb
 from reference_ops import narrow, sigmoid, sub, tanh
 
 TOL = {np.float32: 1e-3, np.float64: 1e-6}
@@ -90,21 +91,21 @@ def test_primitive_ops_pass_grad_check(dtype):
         "dropout": (lambda: reduce_sum(ad.mul(
             dropout(x, 0.3, training=True, rng=np.random.default_rng(drop_rng_seed)),
             matmul(probe, transpose(w)))), {"x": x}),
-        "bigru": (lambda: reduce_sum(ad.mul(ad.bigru(seq, fw, bw, mask=seq_mask), seq_probe)),
+        "bigru": (lambda: reduce_sum(ad.mul(kb.bigru(seq, fw, bw, mask=seq_mask), seq_probe)),
                   {"seq": seq, **{f"{d}.{n}": t for d, ts in (("fw", fw), ("bw", bw))
                                   for n, t in zip(("w_x", "w_h", "b"), ts)}}),
-        "bigru_parts": (lambda: reduce_sum(ad.mul(ad.bigru([seq, seq2], fw2, bw2, mask=seq_mask),
+        "bigru_parts": (lambda: reduce_sum(ad.mul(kb.bigru([seq, seq2], fw2, bw2, mask=seq_mask),
                                                   seq_probe)),
                         {"seq": seq, "seq2": seq2, **{f"{d}.{n}": t for d, ts in (("fw", fw2), ("bw", bw2))
                                                       for n, t in zip(("w_x", "w_h", "b"), ts)}}),
         "bigru_matprod": (lambda: reduce_sum(ad.mul(
-            ad.bigru([seq, ad.MatProduct(att, qry)], fw2, bw2, mask=seq_mask), seq_probe)),
+            kb.bigru([seq, ad.MatProduct(att, qry)], fw2, bw2, mask=seq_mask), seq_probe)),
                           {"seq": seq, "att": att, "qry": qry, **gru2}),
-        "bigru_matprod_dropped": (lambda: reduce_sum(ad.mul(ad.bigru(
+        "bigru_matprod_dropped": (lambda: reduce_sum(ad.mul(kb.bigru(
             dropout([seq, ad.MatProduct(att, qry)], 0.3, training=True,
                     rng=np.random.default_rng(drop_rng_seed)), fw2, bw2, mask=seq_mask),
             seq_probe)), {"seq": seq, "att": att, "qry": qry, **gru2}),
-        "self_attention": (lambda: reduce_sum(ad.mul(ad.self_attention(seq, *att_w, mask=seq_mask),
+        "self_attention": (lambda: reduce_sum(ad.mul(ka.self_attention(seq, *att_w, mask=seq_mask),
                                                      att_probe)),
                            {"seq": seq, **dict(zip(("w_h", "w_u", "proj_w"), att_w))}),
     }
@@ -119,7 +120,7 @@ def test_bigru_passes_grad_check_across_many_chunks(monkeypatch):
     # three-step chunks over T = 11: the forward projects and the backward
     # walks four chunks, the last one of two steps; one sequence is real up
     # to a chunk boundary and one has a hole across another
-    monkeypatch.setattr(ad, "BIGRU_CHUNK", 3)
+    monkeypatch.setattr(kb, "BIGRU_CHUNK", 3)
     rng = np.random.default_rng(17)
     dtype = np.float64
     seq = parameter(_rand(rng, (3, 11, 3), dtype), dtype=dtype)
@@ -131,7 +132,7 @@ def test_bigru_passes_grad_check_across_many_chunks(monkeypatch):
     probe = constant(_rand(rng, (3, 11, 4), dtype), dtype=dtype)
     params = {"seq": seq, **{f"{d}.{n}": t for d, ts in (("fw", fw), ("bw", bw))
                              for n, t in zip(("w_x", "w_h", "b"), ts)}}
-    report = grad_check(lambda: reduce_sum(ad.mul(ad.bigru(seq, fw, bw, mask=mask), probe)),
+    report = grad_check(lambda: reduce_sum(ad.mul(kb.bigru(seq, fw, bw, mask=mask), probe)),
                         params, rng=np.random.default_rng(9))
     assert report.worst_rel_err < TOL[dtype], report.worst_rel_err
 

@@ -6,6 +6,7 @@ import pytest
 from hopqa import autodiff as ad
 from hopqa.autodiff import ShapeError, Tensor, backward, constant, parameter, reduce_sum
 from hopqa.gradcheck import grad_check
+from hopqa.kernels import bigru as kb, highway as kh
 from hopqa.layers import (
     CHAR_KERNEL,
     BiGruParams,
@@ -275,9 +276,9 @@ def test_highway_op_rejects_params_that_do_not_fit():
                      for layer in HighwayLayer.stack(4, np.random.default_rng(34)))
     x = constant(np.zeros((5, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
-        ad.highway(x, [first, (*second[:2], constant(np.zeros((4, 3))), second[3])])
+        kh.highway(x, [first, (*second[:2], constant(np.zeros((4, 3))), second[3])])
     with pytest.raises(ShapeError):
-        ad.highway(x, [first, (second[0], constant(np.zeros((1, 4))), *second[2:])])
+        kh.highway(x, [first, (second[0], constant(np.zeros((1, 4))), *second[2:])])
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +481,7 @@ def test_bigru_matches_per_timestep_reference(dtype, atol):
         assert np.allclose(grads[name], ref_grads[name], rtol=0, atol=atol), name
 
 
-@pytest.mark.parametrize("shape", [(5, 3), (2, 3, 4, 3), (2, 1, 3), (1, ad.BIGRU_CHUNK + 44, 3)],
+@pytest.mark.parametrize("shape", [(5, 3), (2, 3, 4, 3), (2, 1, 3), (1, kb.BIGRU_CHUNK + 44, 3)],
                          ids=["rank2", "rank4", "T1", "past_chunk"])
 def test_bigru_shapes_match_per_timestep_reference(shape):
     rng = np.random.default_rng(22)
@@ -507,7 +508,7 @@ def test_bigru_shapes_match_per_timestep_reference(shape):
         assert np.allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12), name
 
 
-@pytest.mark.parametrize("t_len", [ad.BIGRU_CHUNK, ad.BIGRU_CHUNK + 1, 2 * ad.BIGRU_CHUNK],
+@pytest.mark.parametrize("t_len", [kb.BIGRU_CHUNK, kb.BIGRU_CHUNK + 1, 2 * kb.BIGRU_CHUNK],
                          ids=["chunk", "chunk_plus_1", "two_chunks"])
 @pytest.mark.parametrize("dtype,atol,rtol", [(np.float32, 1e-6, 1e-5), (np.float64, 1e-12, 1e-12)])
 def test_bigru_at_chunk_boundary_lengths_matches_per_timestep_reference(dtype, atol, rtol, t_len):
@@ -515,7 +516,7 @@ def test_bigru_at_chunk_boundary_lengths_matches_per_timestep_reference(dtype, a
     # the state gradient across: one sequence is real up to a chunk boundary
     # (all of it at T = BIGRU_CHUNK), one not at all, one has a hole that
     # ends a step before the forward direction's first boundary
-    chunk = ad.BIGRU_CHUNK
+    chunk = kb.BIGRU_CHUNK
     rng = np.random.default_rng(31)
     p = BiGruParams.create(3, 2, rng, dtype=dtype)
     x = Tensor(rng.standard_normal((4, t_len, 3)).astype(dtype) * 0.5, requires_grad=True)
@@ -549,7 +550,7 @@ def test_bigru_at_chunk_boundary_lengths_matches_per_timestep_reference(dtype, a
 def test_bigru_no_grad_output_is_bit_identical():
     rng = np.random.default_rng(23)
     p = BiGruParams.create(5, 4, rng)
-    x = parameter(rng.standard_normal((3, ad.BIGRU_CHUNK + 44, 5)).astype(np.float32))
+    x = parameter(rng.standard_normal((3, kb.BIGRU_CHUNK + 44, 5)).astype(np.float32))
     mask = np.ones(x.shape[:-1], dtype=np.float32)
     mask[1, 200:] = 0.0
     tracked = bigru(x, p, mask=mask)
@@ -637,7 +638,7 @@ def _stacked_weights(rng, d_in: int, hid: int, dtype):
              for shape in ((d_in, 3 * hid), (hid, 3 * hid), (3 * hid,))] for _ in range(2)]
 
 
-@pytest.mark.parametrize("t_len", [7, ad.BIGRU_CHUNK + 44], ids=["short", "past_chunk"])
+@pytest.mark.parametrize("t_len", [7, kb.BIGRU_CHUNK + 44], ids=["short", "past_chunk"])
 @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
 def test_bigru_parts_match_joined_input(dtype, atol, t_len):
     rng = np.random.default_rng(25)
@@ -653,7 +654,7 @@ def test_bigru_parts_match_joined_input(dtype, atol, t_len):
     def run(x):
         for t in tensors:
             t.grad = None
-        out = ad.bigru(x, fw, bw, mask=mask)
+        out = kb.bigru(x, fw, bw, mask=mask)
         backward(reduce_sum(ad.mul(out, probe)))
         return out.data, [t.grad for t in tensors]
 
@@ -672,7 +673,7 @@ def test_bigru_parts_match_joined_input(dtype, atol, t_len):
 
 def test_bigru_parts_mask_cases_match_per_timestep_reference():
     rng = np.random.default_rng(28)
-    t_len = ad.BIGRU_CHUNK + 44
+    t_len = kb.BIGRU_CHUNK + 44
     p = BiGruParams.create(5, 2, rng, dtype=np.float64)
     parts = [Tensor(rng.standard_normal((len(MASK_CASES), t_len, w)), requires_grad=True)
              for w in (3, 2)]
@@ -693,7 +694,7 @@ def test_bigru_parts_mask_cases_match_per_timestep_reference():
         assert np.allclose(g, ref, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("t_len", [7, ad.BIGRU_CHUNK + 44], ids=["short", "past_chunk"])
+@pytest.mark.parametrize("t_len", [7, kb.BIGRU_CHUNK + 44], ids=["short", "past_chunk"])
 @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
 def test_bigru_factor_parts_match_their_products(dtype, rtol, t_len):
     # a plain part, a product (w, H, H) dropped by a bool mask and a scale,
@@ -716,7 +717,7 @@ def test_bigru_factor_parts_match_their_products(dtype, rtol, t_len):
     def run(x):
         for t in tensors:
             t.grad = None
-        out = ad.bigru(x, fw, bw, mask=mask)
+        out = kb.bigru(x, fw, bw, mask=mask)
         backward(reduce_sum(ad.mul(out, probe)))
         return out.data, [t.grad for t in tensors]
 
@@ -724,13 +725,13 @@ def test_bigru_factor_parts_match_their_products(dtype, rtol, t_len):
     ref_out, ref_grads = run([product(p) for p in parts])
     assert out.dtype == dtype and np.array_equal(out, ref_out)
     with ad.no_grad():
-        assert np.array_equal(ad.bigru(parts, fw, bw, mask=mask).data, out)
+        assert np.array_equal(kb.bigru(parts, fw, bw, mask=mask).data, out)
     for t, g, ref in zip(tensors, grads, ref_grads):
         assert g.dtype == dtype and g.shape == t.shape
         assert np.abs(g - ref).max() <= rtol * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("t_len", [7, ad.BIGRU_CHUNK + 44], ids=["short", "past_chunk"])
+@pytest.mark.parametrize("t_len", [7, kb.BIGRU_CHUNK + 44], ids=["short", "past_chunk"])
 @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
 def test_bigru_matrix_product_parts_match_the_formed_product(dtype, atol, t_len):
     # c2q = a @ q as a part of its own, and first in products with a
@@ -754,7 +755,7 @@ def test_bigru_matrix_product_parts_match_the_formed_product(dtype, atol, t_len)
     def run(x):
         for t in tensors:
             t.grad = None
-        out = ad.bigru(x, fw, bw, mask=mask)
+        out = kb.bigru(x, fw, bw, mask=mask)
         backward(reduce_sum(ad.mul(out, probe)))
         return out.data, [t.grad for t in tensors]
 
@@ -762,7 +763,7 @@ def test_bigru_matrix_product_parts_match_the_formed_product(dtype, atol, t_len)
     ref_out, ref_grads = run([product(p) for p in parts])
     assert out.dtype == dtype and np.allclose(out, ref_out, rtol=0, atol=atol)
     with ad.no_grad():
-        assert np.array_equal(ad.bigru(parts, fw, bw, mask=mask).data, out)
+        assert np.array_equal(kb.bigru(parts, fw, bw, mask=mask).data, out)
     for t, g, ref in zip(tensors, grads, ref_grads):
         # the bound is relative to a gradient's largest entry past 1, as
         # the weight gradients sum over every step
@@ -774,35 +775,35 @@ def test_matrix_product_factors_must_multiply_and_fill_their_part():
     rng = np.random.default_rng(32)
     fw, bw = _stacked_weights(rng, 3, 2, np.float32)
     ones = lambda *shape: constant(np.ones(shape, dtype=np.float32))
-    assert ad.bigru(ad.MatProduct(ones(2, 4, 5), ones(2, 5, 3)), fw, bw).shape == (2, 4, 4)
+    assert kb.bigru(ad.MatProduct(ones(2, 4, 5), ones(2, 5, 3)), fw, bw).shape == (2, 4, 4)
     with pytest.raises(ShapeError):
         ad.MatProduct(ones(2, 4, 5), ones(2, 4, 3))
     with pytest.raises(ShapeError):
         ad.MatProduct(ones(2, 4, 5), ones(1, 5, 3))
     with pytest.raises(ShapeError, match="matrix product"):
-        ad.bigru([(ad.MatProduct(ones(2, 4, 5), ones(2, 5, 1)), ones(2, 4, 3))], fw, bw)
+        kb.bigru([(ad.MatProduct(ones(2, 4, 5), ones(2, 5, 1)), ones(2, 4, 3))], fw, bw)
     with pytest.raises(ShapeError, match="first factor"):
-        ad.bigru([(ones(2, 4, 3), ad.MatProduct(ones(2, 4, 5), ones(2, 5, 3)))], fw, bw)
+        kb.bigru([(ones(2, 4, 3), ad.MatProduct(ones(2, 4, 5), ones(2, 5, 3)))], fw, bw)
 
 
 def test_bigru_factors_must_broadcast_and_span_all_leading_axes_or_none():
     rng = np.random.default_rng(30)
     fw, bw = _stacked_weights(rng, 3, 2, np.float32)
     ones = lambda *shape: constant(np.ones(shape, dtype=np.float32))
-    assert ad.bigru([(ones(2, 3, 4, 1), ones(2, 3, 4, 3))], fw, bw).shape == (2, 3, 4, 4)
-    assert ad.bigru([(ones(1, 1, 4, 3), ones(2, 3, 4, 3))], fw, bw).shape == (2, 3, 4, 4)
+    assert kb.bigru([(ones(2, 3, 4, 1), ones(2, 3, 4, 3))], fw, bw).shape == (2, 3, 4, 4)
+    assert kb.bigru([(ones(1, 1, 4, 3), ones(2, 3, 4, 3))], fw, bw).shape == (2, 3, 4, 4)
     with pytest.raises(ShapeError, match="spans some"):
-        ad.bigru([(ones(1, 3, 4, 3), ones(2, 3, 4, 3))], fw, bw)
+        kb.bigru([(ones(1, 3, 4, 3), ones(2, 3, 4, 3))], fw, bw)
     with pytest.raises(ShapeError):
-        ad.bigru([(ones(2, 4, 3), ones(2, 5, 3))], fw, bw)
+        kb.bigru([(ones(2, 4, 3), ones(2, 5, 3))], fw, bw)
     with pytest.raises(ShapeError):
-        ad.bigru([()], fw, bw)
+        kb.bigru([()], fw, bw)
 
 
 @pytest.mark.parametrize("nan_part", [0, 1])
 def test_bigru_ignores_nan_past_last_real_position(nan_part):
     rng = np.random.default_rng(26)
-    t_len = ad.BIGRU_CHUNK + 44
+    t_len = kb.BIGRU_CHUNK + 44
     mask = _case_masks(t_len, np.float32)
     ends = [t_len, t_len - t_len // 3, t_len, t_len - 1, 0]        # one past the last real position
     zeroed = [rng.standard_normal((len(MASK_CASES), t_len, w)).astype(np.float32) for w in (3, 2)]
@@ -814,8 +815,8 @@ def test_bigru_ignores_nan_past_last_real_position(nan_part):
         poisoned[nan_part][n, end:] = np.nan
     fw, bw = _stacked_weights(rng, 5, 4, np.float32)
     with ad.no_grad():
-        ref = ad.bigru([constant(x) for x in zeroed], fw, bw, mask=mask).data
-        out = ad.bigru([constant(x) for x in poisoned], fw, bw, mask=mask).data
+        ref = kb.bigru([constant(x) for x in zeroed], fw, bw, mask=mask).data
+        out = kb.bigru([constant(x) for x in poisoned], fw, bw, mask=mask).data
     assert np.isfinite(ref).all()
     assert np.array_equal(out, ref)
 
@@ -824,12 +825,12 @@ def test_bigru_parts_must_share_leading_shape_and_fill_w_x():
     rng = np.random.default_rng(27)
     fw, bw = _stacked_weights(rng, 5, 2, np.float32)
     part = lambda *shape: constant(np.zeros(shape, dtype=np.float32))
-    assert ad.bigru([part(2, 4, 3), part(2, 4, 2)], fw, bw).shape == (2, 4, 4)
+    assert kb.bigru([part(2, 4, 3), part(2, 4, 2)], fw, bw).shape == (2, 4, 4)
     with pytest.raises(ShapeError):
-        ad.bigru([part(2, 4, 3), part(2, 5, 2)], fw, bw)
+        kb.bigru([part(2, 4, 3), part(2, 5, 2)], fw, bw)
     with pytest.raises(ShapeError):
-        ad.bigru([part(2, 4, 3), part(1, 4, 2)], fw, bw)
+        kb.bigru([part(2, 4, 3), part(1, 4, 2)], fw, bw)
     with pytest.raises(ShapeError):
-        ad.bigru([part(2, 4, 3), part(2, 4, 1)], fw, bw)
+        kb.bigru([part(2, 4, 3), part(2, 4, 1)], fw, bw)
     with pytest.raises(ShapeError):
-        ad.bigru([part(2, 4, 3), part(2, 4, 3)], fw, bw)
+        kb.bigru([part(2, 4, 3), part(2, 4, 3)], fw, bw)

@@ -37,6 +37,7 @@ from hopqa.attention import (
     vanilla_q2c,
 )
 from hopqa.autodiff import DataError, DTypeError, NumericError, ShapeError
+from hopqa.kernels import bigru as kb
 from hopqa.layers import CHAR_KERNEL, UNK_ID, Linear, char_cnn, embed_words, highway, linear, xavier_uniform
 from hopqa.layers import bigru as bigru_layer
 from hopqa.serialization import load_tensors, save_tensors
@@ -900,6 +901,17 @@ def test_decode_sup_threshold():
     assert pred.supporting_facts == [ex.sentence_title(0)]
 
 
+def test_decode_sup_logits_past_the_exp_range_do_not_overflow():
+    # exp(800) overflows; under the warnings-as-errors filter that would raise
+    (ex,) = synth_two_hop(1, seed=13)
+    t = ex.n_tokens
+    sup = np.full(len(ex.sentence_spans), -800.0)
+    sup[1] = 800.0
+    pred = decode_example(ex, np.array([10.0, -5.0, -5.0]),
+                          np.zeros(t), np.zeros(t), sup, tiny_config())
+    assert pred.supporting_facts == [ex.sentence_title(1)]
+
+
 @pytest.mark.parametrize("seed", [*range(5), "ties"])
 def test_best_span_matches_quadratic_brute_force(seed):
     n = 40
@@ -986,7 +998,7 @@ def test_concurrent_predict_batches_match_serial_runs(monkeypatch):
     examples = synth_two_hop(12, seed=21, n_distractors=30)
     vocab = build_vocab(examples)
     batches, _ = make_batches(examples, vocab, batch_size=3, max_word_len=8)
-    assert max(b.context_tokens.shape[1] for b in batches) > ad.BIGRU_CHUNK
+    assert max(b.context_tokens.shape[1] for b in batches) > kb.BIGRU_CHUNK
     model = Model(tiny_config(), vocab.n_words, vocab.n_chars, np.random.default_rng(0))
     original, logits = hm.decode_example, {}
 
@@ -1026,7 +1038,7 @@ def _t512_step():
     examples = synth_two_hop(4, seed=0, n_distractors=22)
     vocab = build_vocab(examples)
     batch = make_batches(examples, vocab, batch_size=4, max_word_len=8)[0][0]
-    assert batch.context_tokens.shape[1] > 2 * ad.BIGRU_CHUNK
+    assert batch.context_tokens.shape[1] > 2 * kb.BIGRU_CHUNK
     model = Model(tiny_config(d=8, dropout=0.2), vocab.n_words, vocab.n_chars,
                   np.random.default_rng(0))
     params = model.parameters()

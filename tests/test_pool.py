@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import inspect
 import sys
 import threading
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from hopqa import autodiff as ad
+from hopqa import kernels
 from hopqa import pool as hp
+from hopqa.kernels import attention as ka, bigru as kb, highway as kh
 
 
 def test_join_waits_for_every_task_before_raising():
@@ -112,15 +115,33 @@ def _attributes_of(tree: ast.Module, name: str) -> set[str]:
             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == name}
 
 
+def _package_sources(module) -> set[str]:
+    """The modules of the package that ``module`` imports from, by dotted
+    name: ``from .x import y`` reads x, and ``from . import y`` reads y when
+    it is a module and the package otherwise."""
+    out = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""),
+                                               module.__package__)
+            out |= {f"{base}.{a.name}" if f"{base}.{a.name}" in sys.modules else base
+                    for a in node.names}
+    return out
+
+
 def test_autodiff_reaches_the_pool_only_through_its_interface():
-    # the ops submit, join and finish tasks, ask whether they are done, and
-    # size and pick per-thread scratch; Task only names the handles' type.
-    # The threads and the queue stay in the pool, and the pool never sees a
-    # Tensor.
-    tree = ast.parse(inspect.getsource(ad))
+    # the ops of the core and the kernels submit, join and finish tasks, ask
+    # whether they are done, and size and pick per-thread scratch; Task only
+    # names the handles' type. The threads and the queue stay in the pool,
+    # and the pool never sees a Tensor. Besides one another, the core and
+    # the kernels import only the pool.
+    modules = (ad, kernels, ka, kb, kh)
+    tree = ast.Module(body=[top for m in modules for top in ast.parse(inspect.getsource(m)).body],
+                      type_ignores=[])
     imports = _imports(tree)
-    assert (1, "pool") in imports
-    assert {m for level, m in imports if level} == {"pool"}
+    assert (1, "pool") in _imports(ast.parse(inspect.getsource(ad)))
+    sources = set().union(*map(_package_sources, modules)) - {m.__name__ for m in modules}
+    assert {s.removeprefix("hopqa.") for s in sources} == {"pool"}
     assert not {m.split(".")[0] for _, m in imports} & {
         "collections", "queue", "concurrent", "multiprocessing", "_thread"}
     assert _attributes_of(tree, "threading") == {"local"}
